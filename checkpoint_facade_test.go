@@ -87,12 +87,3 @@ func TestCheckpointAlgorithmOnFacade(t *testing.T) {
 		t.Fatalf("unexpected results %+v", res)
 	}
 }
-
-func TestCheckpointConflictsWithStudyMode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Checkpoint = CheckpointConfig{Enabled: true}
-	cfg.CheckpointPreemption = time.Millisecond
-	if _, err := NewSystem(cfg); err == nil {
-		t.Fatal("combining Checkpoint with CheckpointPreemption accepted")
-	}
-}

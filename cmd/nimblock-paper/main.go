@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -84,162 +85,7 @@ func main() {
 			fail(f.Close())
 		}()
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	run := func(name string) bool { return all || want[name] }
-
-	if run("table1") {
-		fmt.Println(experiments.Table1())
-	}
-	if run("table2") {
-		fmt.Println(experiments.Table2())
-	}
-	if run("table3") {
-		t3, err := experiments.Table3(cfg)
-		fail(err)
-		fmt.Println(t3.Render())
-	}
-
-	var data map[workload.Scenario]*experiments.ScenarioData
-	needScenarios := run("fig5") || run("fig6") || run("fig7") || run("fig8")
-	if needScenarios {
-		data = map[workload.Scenario]*experiments.ScenarioData{}
-		for _, sc := range workload.Scenarios() {
-			d, err := experiments.RunScenario(cfg, sc, experiments.PolicyNames)
-			fail(err)
-			data[sc] = d
-		}
-	}
-	if run("fig5") {
-		f, err := experiments.Fig5(data)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("fig6") {
-		f, err := experiments.Fig6(data)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("fig7") {
-		f, err := experiments.Fig7(data)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("fig8") {
-		f, err := experiments.Fig8(data[workload.Standard])
-		fail(err)
-		fmt.Println(f.Render())
-	}
-
-	if run("estimates") {
-		f, err := experiments.EstimateAccuracy(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("loadsweep") {
-		f, err := experiments.LoadSweep(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("reconfigsweep") {
-		f, err := experiments.ReconfigSweep(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("preempt") {
-		f, err := experiments.PreemptStudy(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("optimality") {
-		f, err := experiments.Optimality(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("chaos") {
-		f, err := experiments.Chaos(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("checkpoint") {
-		f, err := experiments.CheckpointAblation(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("failover") {
-		f, err := experiments.Failover(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("hetero") {
-		f, err := experiments.Hetero(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("fleet") {
-		// The registry (when -serve is set) exposes the largest cell's
-		// per-shard routing and pending-depth instruments.
-		f, err := experiments.Fleet(cfg, reg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("overload") {
-		// The shared registry (when -serve is set) doubles as the live
-		// admission side-channel: admit_* counters and queue gauges.
-		f, err := experiments.Overload(cfg, reg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("utilization") {
-		f, err := experiments.UtilizationStudy(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("slotsweep") {
-		f, err := experiments.SlotSweep(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("scaleout") {
-		f, err := experiments.ScaleOut(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("interconnect") {
-		f, err := experiments.InterconnectStudy(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-	}
-	if run("fig7ablation") {
-		f, err := experiments.DeadlineAblation(cfg)
-		fail(err)
-		fmt.Println(f.Render())
-		fmt.Println(f.Summary())
-		fmt.Println()
-	}
-
-	if run("fig9") || run("fig10") || run("fig11") {
-		ab, err := experiments.RunAblation(cfg)
-		fail(err)
-		if run("fig9") {
-			f, err := experiments.Fig9(ab)
-			fail(err)
-			fmt.Println(f.Render())
-		}
-		if run("fig10") {
-			f, err := experiments.Fig10(ab)
-			fail(err)
-			fmt.Println(f.Render())
-		}
-		if run("fig11") {
-			f, err := experiments.Fig11(ab)
-			fail(err)
-			fmt.Println(f.Render())
-		}
-	}
+	fail(render(os.Stdout, cfg, *exp, reg))
 
 	if *serve != "" {
 		fmt.Printf("serving metrics on %s (/metrics, /metrics.json); Ctrl-C to exit\n", *serve)
@@ -254,4 +100,127 @@ func fail(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// render runs every experiment named in exps (comma-separated; "all"
+// selects them all) and writes its tables and figures to w, always in
+// the same order. reg, when non-nil, receives the live instruments of
+// the fleet and overload sweeps. It stops at the first failing
+// experiment.
+func render(w io.Writer, cfg experiments.Config, exps string, reg *obs.Registry) error {
+	want := map[string]bool{}
+	for _, e := range strings.Split(exps, ",") {
+		want[strings.TrimSpace(e)] = true
+	}
+	var err error
+	run := func(name string) bool { return err == nil && (want["all"] || want[name]) }
+	show := func(r interface{ Render() string }, e error) {
+		if err = e; err == nil {
+			fmt.Fprintln(w, r.Render())
+		}
+	}
+
+	if run("table1") {
+		fmt.Fprintln(w, experiments.Table1())
+	}
+	if run("table2") {
+		fmt.Fprintln(w, experiments.Table2())
+	}
+	if run("table3") {
+		show(experiments.Table3(cfg))
+	}
+
+	data := map[workload.Scenario]*experiments.ScenarioData{}
+	if run("fig5") || run("fig6") || run("fig7") || run("fig8") {
+		for _, sc := range workload.Scenarios() {
+			if data[sc], err = experiments.RunScenario(cfg, sc, experiments.PolicyNames); err != nil {
+				return err
+			}
+		}
+	}
+	if run("fig5") {
+		show(experiments.Fig5(data))
+	}
+	if run("fig6") {
+		show(experiments.Fig6(data))
+	}
+	if run("fig7") {
+		show(experiments.Fig7(data))
+	}
+	if run("fig8") {
+		show(experiments.Fig8(data[workload.Standard]))
+	}
+	if run("estimates") {
+		show(experiments.EstimateAccuracy(cfg))
+	}
+	if run("loadsweep") {
+		show(experiments.LoadSweep(cfg))
+	}
+	if run("reconfigsweep") {
+		show(experiments.ReconfigSweep(cfg))
+	}
+	if run("preempt") {
+		show(experiments.PreemptStudy(cfg))
+	}
+	if run("optimality") {
+		show(experiments.Optimality(cfg))
+	}
+	if run("chaos") {
+		show(experiments.Chaos(cfg))
+	}
+	if run("checkpoint") {
+		show(experiments.CheckpointAblation(cfg))
+	}
+	if run("failover") {
+		show(experiments.Failover(cfg))
+	}
+	if run("hetero") {
+		show(experiments.Hetero(cfg))
+	}
+	if run("fleet") {
+		// The registry (when -serve is set) exposes the largest cell's
+		// per-shard routing and pending-depth instruments.
+		show(experiments.Fleet(cfg, reg))
+	}
+	if run("overload") {
+		// The shared registry (when -serve is set) doubles as the live
+		// admission side-channel: admit_* counters and queue gauges.
+		show(experiments.Overload(cfg, reg))
+	}
+	if run("utilization") {
+		show(experiments.UtilizationStudy(cfg))
+	}
+	if run("slotsweep") {
+		show(experiments.SlotSweep(cfg))
+	}
+	if run("scaleout") {
+		show(experiments.ScaleOut(cfg))
+	}
+	if run("interconnect") {
+		show(experiments.InterconnectStudy(cfg))
+	}
+	if run("fig7ablation") {
+		f, e := experiments.DeadlineAblation(cfg)
+		show(f, e)
+		if err == nil {
+			fmt.Fprintln(w, f.Summary())
+			fmt.Fprintln(w)
+		}
+	}
+	if run("fig9") || run("fig10") || run("fig11") {
+		ab, e := experiments.RunAblation(cfg)
+		if e != nil {
+			return e
+		}
+		if run("fig9") {
+			show(experiments.Fig9(ab))
+		}
+		if run("fig10") {
+			show(experiments.Fig10(ab))
+		}
+		if run("fig11") {
+			show(experiments.Fig11(ab))
+		}
+	}
+	return err
 }

@@ -10,23 +10,24 @@ import (
 	"nimblock/internal/workload"
 )
 
-// PreemptVariant is one preemption mechanism under study.
+// PreemptVariant is one preemption mechanism under study. Capture is
+// the CAP time to stream one task's state out (and, on resume, back in);
+// zero selects the paper's batch-boundary preemption.
 type PreemptVariant struct {
-	Name          string
-	Mode          hv.PreemptMode
-	Save, Restore sim.Duration
+	Name    string
+	Capture sim.Duration
 }
 
 // PreemptVariants compares the paper's batch-boundary preemption with
-// classic checkpointing at three hardware cost points: near-free state
+// on-demand checkpointing at three hardware cost points: near-free state
 // registers (the future-work hardware), realistic capture through
 // configuration readback (~10 ms), and capture as expensive as a full
 // reconfiguration (~80 ms).
 var PreemptVariants = []PreemptVariant{
-	{Name: "batch-boundary", Mode: hv.PreemptAtBatchBoundary},
-	{Name: "checkpoint-1ms", Mode: hv.PreemptWithCheckpoint, Save: sim.Millisecond, Restore: sim.Millisecond},
-	{Name: "checkpoint-10ms", Mode: hv.PreemptWithCheckpoint, Save: 10 * sim.Millisecond, Restore: 10 * sim.Millisecond},
-	{Name: "checkpoint-80ms", Mode: hv.PreemptWithCheckpoint, Save: 80 * sim.Millisecond, Restore: 80 * sim.Millisecond},
+	{Name: "batch-boundary"},
+	{Name: "checkpoint-1ms", Capture: sim.Millisecond},
+	{Name: "checkpoint-10ms", Capture: 10 * sim.Millisecond},
+	{Name: "checkpoint-80ms", Capture: 80 * sim.Millisecond},
 }
 
 // PreemptStudyResult quantifies the batch-vs-checkpoint design choice
@@ -53,9 +54,13 @@ func PreemptStudy(cfg Config) (*PreemptStudyResult, error) {
 	spec := metrics.DefaultDeadlineSpec()
 	for _, v := range PreemptVariants {
 		c := cfg
-		c.HV.Preempt = v.Mode
-		c.HV.CheckpointSave = v.Save
-		c.HV.CheckpointRestore = v.Restore
+		if v.Capture > 0 {
+			// Size the state so one transfer takes Capture through the CAP.
+			// Saves are on demand only (no Period): a preemption request
+			// snapshots at the latest passed preemption point.
+			bytes := int64(v.Capture.Seconds() * cfg.HV.Board.CAPBytesPerSec)
+			c.HV.Checkpoint = hv.CheckpointConfig{Enabled: true, StateBytes: bytes}
+		}
 		data, err := RunScenario(c, workload.Stress, []string{"Nimblock"})
 		if err != nil {
 			return nil, fmt.Errorf("preempt study %s: %w", v.Name, err)

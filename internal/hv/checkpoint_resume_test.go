@@ -277,12 +277,4 @@ func TestCheckpointConfigRejectsBadParameters(t *testing.T) {
 	if _, err := hv.New(eng, cfg, core.New(core.DefaultOptions(), cfg.Board)); err == nil {
 		t.Fatal("negative period accepted")
 	}
-	cfg = hv.DefaultConfig()
-	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true}
-	cfg.Preempt = hv.PreemptWithCheckpoint
-	cfg.CheckpointSave = sim.Millisecond
-	cfg.CheckpointRestore = sim.Millisecond
-	if _, err := hv.New(eng, cfg, core.New(core.DefaultOptions(), cfg.Board)); err == nil {
-		t.Fatal("combining Checkpoint.Enabled with PreemptWithCheckpoint accepted")
-	}
 }

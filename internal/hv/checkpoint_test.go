@@ -1,55 +1,48 @@
 package hv_test
 
 import (
+	"reflect"
 	"testing"
 
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
 	"nimblock/internal/hv"
 	"nimblock/internal/sim"
+	"nimblock/internal/taskgraph"
 	"nimblock/internal/trace"
 )
 
-// checkpointConfig builds a hypervisor config in checkpoint mode.
-func checkpointConfig(save, restore sim.Duration) hv.Config {
+// These tests drive on-demand checkpoint preemption: with the subsystem
+// enabled and no Period, a mid-item preemption request captures state at
+// the latest passed preemption point, and the item later resumes from
+// that snapshot.
+
+// checkpointConfig enables on-demand checkpointing with state sized so
+// one capture (or restore) takes the given time through the CAP.
+func checkpointConfig(capture sim.Duration) hv.Config {
 	cfg := hv.DefaultConfig()
-	cfg.Preempt = hv.PreemptWithCheckpoint
-	cfg.CheckpointSave = save
-	cfg.CheckpointRestore = restore
+	cfg.Checkpoint = hv.CheckpointConfig{
+		Enabled:    true,
+		StateBytes: int64(capture.Seconds() * cfg.Board.CAPBytesPerSec),
+	}
 	cfg.EnableTrace = true
 	return cfg
 }
 
-// checkpointWorkload provokes mid-item preemption: a long-item app hogs
+// preemptWorkload provokes mid-item preemption: a long-item app hogs
 // slots, then high-priority newcomers arrive.
-func checkpointWorkload(t *testing.T, cfg hv.Config) ([]hv.Result, *hv.Hypervisor) {
-	t.Helper()
-	eng := sim.NewEngine()
-	h, err := hv.New(eng, cfg, core.New(core.DefaultOptions(), cfg.Board))
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := []submission{
+func preemptWorkload() []submission {
+	return []submission{
 		{apps.OpticalFlow, 20, 1, 0}, // 507 ms items, pipelines wide
 		{apps.AlexNet, 8, 1, 100 * sim.Time(sim.Millisecond)},
 		{apps.LeNet, 5, 9, 2 * sim.Time(sim.Second)},
 		{apps.Rendering3D, 5, 9, 2 * sim.Time(sim.Second)},
 		{apps.ImageCompression, 5, 9, 2 * sim.Time(sim.Second)},
 	}
-	for _, s := range subs {
-		if err := h.Submit(apps.MustGraph(s.name), s.batch, s.prio, s.at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := h.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, h
 }
 
 func TestCheckpointPreemptionHappens(t *testing.T) {
-	res, h := checkpointWorkload(t, checkpointConfig(10*sim.Millisecond, 10*sim.Millisecond))
+	res, h := runNimblock(t, checkpointConfig(10*sim.Millisecond), preemptWorkload())
 	ckpts := h.Trace().Count(trace.KindCheckpoint)
 	if ckpts == 0 {
 		t.Fatal("no mid-item checkpoints happened")
@@ -61,8 +54,8 @@ func TestCheckpointPreemptionHappens(t *testing.T) {
 	if preempts < ckpts {
 		t.Fatalf("accounted preemptions %d < checkpoints %d", preempts, ckpts)
 	}
-	// Work conservation with overhead: every app's run time covers at
-	// least its nominal work (restore overhead may add to it).
+	// Work conservation: every app's run time covers at least its
+	// nominal work (work past a snapshot is wasted, never lost).
 	for _, r := range res {
 		g := apps.MustGraph(r.App)
 		want := g.TotalWork() * sim.Duration(r.Batch)
@@ -76,7 +69,7 @@ func TestCheckpointPreemptionHappens(t *testing.T) {
 }
 
 func TestCheckpointedItemsResumeExactlyOnceEach(t *testing.T) {
-	_, h := checkpointWorkload(t, checkpointConfig(sim.Millisecond, sim.Millisecond))
+	_, h := runNimblock(t, checkpointConfig(sim.Millisecond), preemptWorkload())
 	type key struct {
 		app        int64
 		task, item int
@@ -94,6 +87,9 @@ func TestCheckpointedItemsResumeExactlyOnceEach(t *testing.T) {
 		case trace.KindItemDone:
 			dones[k]++
 		}
+	}
+	if len(ckpts) == 0 {
+		t.Fatal("no mid-item checkpoints happened")
 	}
 	for k, n := range dones {
 		if n != 1 {
@@ -113,11 +109,9 @@ func TestCheckpointedItemsResumeExactlyOnceEach(t *testing.T) {
 func TestCheckpointFreesSlotFasterThanBatchBoundary(t *testing.T) {
 	// Compare the high-priority newcomers' responses under batch vs
 	// cheap-checkpoint preemption: with 507 ms / 1.6 s items in flight,
-	// instant checkpointing must serve newcomers at least as fast.
-	batchCfg := hv.DefaultConfig()
-	batchCfg.EnableTrace = true
-	batchRes, _ := checkpointWorkload(t, batchCfg)
-	ckptRes, _ := checkpointWorkload(t, checkpointConfig(sim.Millisecond, sim.Millisecond))
+	// near-free capture must serve newcomers at least as fast.
+	batchRes, _ := runNimblock(t, hv.DefaultConfig(), preemptWorkload())
+	ckptRes, _ := runNimblock(t, checkpointConfig(sim.Millisecond), preemptWorkload())
 	var batchHigh, ckptHigh sim.Duration
 	for i := range batchRes {
 		if batchRes[i].Priority == 9 {
@@ -131,19 +125,70 @@ func TestCheckpointFreesSlotFasterThanBatchBoundary(t *testing.T) {
 }
 
 func TestCheckpointConfigValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := checkpointConfig(-1, 0)
-	if _, err := hv.New(eng, cfg, core.New(core.DefaultOptions(), cfg.Board)); err == nil {
-		t.Fatal("negative save cost accepted")
+	for _, c := range []hv.CheckpointConfig{
+		{Enabled: true, StateBytes: -1},
+		{Enabled: true, DefaultPoints: -1},
+	} {
+		cfg := hv.DefaultConfig()
+		cfg.Checkpoint = c
+		if _, err := hv.New(sim.NewEngine(), cfg, core.New(core.DefaultOptions(), cfg.Board)); err == nil {
+			t.Fatalf("negative parameter accepted: %+v", c)
+		}
 	}
 }
 
 func TestCheckpointDeterminism(t *testing.T) {
-	a, _ := checkpointWorkload(t, checkpointConfig(5*sim.Millisecond, 5*sim.Millisecond))
-	b, _ := checkpointWorkload(t, checkpointConfig(5*sim.Millisecond, 5*sim.Millisecond))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("diverged at %d: %+v vs %+v", i, a[i], b[i])
+	a, ha := runNimblock(t, checkpointConfig(5*sim.Millisecond), preemptWorkload())
+	b, hb := runNimblock(t, checkpointConfig(5*sim.Millisecond), preemptWorkload())
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("results diverged:\n%+v\n%+v", a, b)
+	}
+	if ha.Trace().Dump() != hb.Trace().Dump() {
+		t.Fatal("identical checkpoint runs diverged")
+	}
+}
+
+// A disabled subsystem ignores its other knobs: a Period without
+// Enabled must arm no periodic saves, leaving the run identical to the
+// zero config — results and recovery statistics alike. One graph
+// declares a preemption point and its state size, so a stray periodic
+// save would have something to capture.
+func TestDisabledCheckpointIgnoresPeriod(t *testing.T) {
+	b := taskgraph.NewBuilder("declared")
+	id := b.AddTask("t0", 100*sim.Millisecond)
+	b.SetCheckpoints(id, 0.5)
+	b.SetTaskState(id, 1<<20)
+	declared, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(c hv.CheckpointConfig) ([]hv.Result, hv.RecoveryStats) {
+		cfg := ckptChaosConfig(false)
+		cfg.Checkpoint = c
+		h, err := hv.New(sim.NewEngine(), cfg, core.New(core.DefaultOptions(), cfg.Board))
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, s := range ckptChaosWorkload() {
+			if err := h.Submit(apps.MustGraph(s.name), s.batch, s.prio, s.at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.Submit(declared, 8, 5, 0); err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, h.Recovery()
+	}
+	zr, zrec := run(hv.CheckpointConfig{})
+	pr, prec := run(hv.CheckpointConfig{Enabled: false, Period: 50 * sim.Millisecond})
+	if !reflect.DeepEqual(zr, pr) {
+		t.Fatalf("results diverged:\n%+v\n%+v", zr, pr)
+	}
+	if !reflect.DeepEqual(zrec, prec) {
+		t.Fatalf("recovery diverged:\n%+v\n%+v", zrec, prec)
 	}
 }

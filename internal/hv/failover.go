@@ -73,12 +73,11 @@ func (h *Hypervisor) Freeze() {
 // Snapshot is one surviving checkpoint carried off a dead board.
 type Snapshot struct {
 	Task, Item int
-	// Progress is the nominal work the snapshot captured; Remaining is
-	// the nominal work left after it; Bytes is the state size that must
-	// stream through the target board's CAP before the item resumes.
-	Progress  sim.Duration
-	Remaining sim.Duration
-	Bytes     int64
+	// Progress is the nominal work the snapshot captured; Bytes is the
+	// state size that must stream through the target board's CAP before
+	// the item resumes.
+	Progress sim.Duration
+	Bytes    int64
 }
 
 // Evacuee is one unfinished submission handed back when its board died.
@@ -128,12 +127,8 @@ func (h *Hypervisor) Evacuate() []Evacuee {
 			ev.WorkDone += rt.doneWall
 		}
 		for key, rec := range h.ckpt[a.ID] {
-			if rec.bytes <= 0 || rec.progress <= 0 {
-				continue // legacy flat-cost records cannot migrate
-			}
 			ev.Snapshots = append(ev.Snapshots, Snapshot{
-				Task: key[0], Item: key[1],
-				Progress: rec.progress, Remaining: rec.remaining, Bytes: rec.bytes,
+				Task: key[0], Item: key[1], Progress: rec.progress, Bytes: rec.bytes,
 			})
 		}
 		// Map iteration order is random; keep evacuees deterministic.
@@ -176,7 +171,7 @@ func (h *Hypervisor) Evacuate() []Evacuee {
 // — migration is priced by the same cost model as any restore.
 func (h *Hypervisor) SeedCheckpoints(id int64, snaps []Snapshot) {
 	for _, s := range snaps {
-		h.ckptPut(id, s.Task, s.Item, ckptRecord{remaining: s.Remaining, progress: s.Progress, bytes: s.Bytes})
+		h.ckptPut(id, s.Task, s.Item, ckptRecord{progress: s.Progress, bytes: s.Bytes})
 	}
 }
 

@@ -53,19 +53,12 @@ type Config struct {
 	// instead of one per (task, slot), dividing bitstream storage by the
 	// slot count. Scheduling behaviour is unchanged.
 	RelocatableBitstreams bool
-	// Preempt selects the preemption mechanism. The paper's design is
-	// batch-boundary preemption (no FPGA state capture); checkpointing
-	// models the classic alternative for the design-space study.
-	Preempt PreemptMode
-	// CheckpointSave and CheckpointRestore are the state capture and
-	// restore costs under PreemptWithCheckpoint.
-	CheckpointSave    sim.Duration
-	CheckpointRestore sim.Duration
-	// Checkpoint configures the full checkpoint/restore subsystem:
+	// Checkpoint configures the checkpoint/restore subsystem:
 	// CAP-serialized size-proportional state capture at declared
 	// preemption points, periodic and on-demand saves, and
-	// resume-instead-of-re-execute recovery. It supersedes the flat-cost
-	// PreemptWithCheckpoint study mode; enabling both is an error.
+	// resume-instead-of-re-execute recovery. Disabled, preemption waits
+	// for the batch boundary — the paper's design, which never captures
+	// FPGA state.
 	Checkpoint CheckpointConfig
 	// WatchdogFactor arms a per-item watchdog: an item still running
 	// after WatchdogFactor x its HLS latency estimate (plus
@@ -125,21 +118,6 @@ type CheckpointConfig struct {
 	// for tasks that declare none. Zero selects DefaultCheckpointPoints.
 	DefaultPoints int
 }
-
-// PreemptMode selects how preemption requests are honoured.
-type PreemptMode int
-
-const (
-	// PreemptAtBatchBoundary waits for the in-flight item to finish —
-	// the paper's batch-preemption, which never checkpoints user state.
-	PreemptAtBatchBoundary PreemptMode = iota
-	// PreemptWithCheckpoint aborts the in-flight item immediately,
-	// paying CheckpointSave to capture state; the item later resumes
-	// from the checkpoint after paying CheckpointRestore. This models
-	// the "architectural modifications [enabling] preemption at a finer
-	// granularity" from the paper's future work.
-	PreemptWithCheckpoint
-)
 
 // DefaultConfig mirrors the paper's evaluation platform.
 func DefaultConfig() Config {
@@ -247,11 +225,11 @@ type slotRuntime struct {
 	wdEv      sim.EventID
 	ckptEv    sim.EventID // periodic checkpoint timer
 	itemStart sim.Time    // start of the current run stretch
-	itemLat   sim.Duration
 
-	// Per-attempt checkpoint bookkeeping (Checkpoint.Enabled only). An
-	// attempt is one MarkItemStarted..{done,killed,preempted} episode;
-	// periodic saves pause and resume it without ending it.
+	// Per-attempt bookkeeping. An attempt is one
+	// MarkItemStarted..{done,killed,preempted} episode; periodic saves
+	// pause and resume it without ending it. Without checkpointing, base
+	// and doneNominal stay zero.
 	base        sim.Duration // nominal progress restored at attempt start
 	doneNominal sim.Duration // nominal progress of earlier stretches this attempt
 	doneWall    sim.Duration // wall compute of earlier stretches this attempt
@@ -259,13 +237,11 @@ type slotRuntime struct {
 	wdLeft      sim.Duration // watchdog budget left for this attempt
 }
 
-// ckptRecord is one saved snapshot: the nominal work it captured, the
-// nominal work left after it, and the state size to stream back. The
-// legacy PreemptWithCheckpoint mode stores only remaining.
+// ckptRecord is one saved snapshot: the nominal work it captured and
+// the state size to stream back.
 type ckptRecord struct {
-	remaining sim.Duration
-	progress  sim.Duration
-	bytes     int64
+	progress sim.Duration
+	bytes    int64
 }
 
 // prodInfo records where and when a (task, item) was produced, for
@@ -366,9 +342,6 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 		return nil, fmt.Errorf("hv: negative quarantine threshold")
 	}
 	if cfg.Checkpoint.Enabled {
-		if cfg.Preempt == PreemptWithCheckpoint {
-			return nil, fmt.Errorf("hv: Checkpoint.Enabled supersedes PreemptWithCheckpoint; enable only one")
-		}
 		if cfg.Checkpoint.Period < 0 || cfg.Checkpoint.StateBytes < 0 || cfg.Checkpoint.DefaultPoints < 0 {
 			return nil, fmt.Errorf("hv: negative checkpoint parameters")
 		}
@@ -441,9 +414,6 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 	for i := range h.kickFns {
 		slot := i
 		h.kickFns[i] = func() { h.tryStart(slot) }
-	}
-	if cfg.Preempt == PreemptWithCheckpoint && (cfg.CheckpointSave < 0 || cfg.CheckpointRestore < 0) {
-		return nil, fmt.Errorf("hv: negative checkpoint costs")
 	}
 	if cfg.EnableTrace {
 		h.log = trace.New()
@@ -726,17 +696,9 @@ func (h *Hypervisor) forceOffline(slot int) {
 		h.eng.Cancel(rt.wdEv)
 		h.eng.Cancel(rt.ckptEv)
 		if rt.curItem >= 0 {
-			if h.ckptOn() {
-				// Only progress since the last checkpoint is lost; the
-				// snapshot survives the slot and resumes elsewhere.
-				h.abortAccounting(slot, rt)
-			} else if !rt.saving {
-				// Progress on the dying item is lost. A mid-save checkpoint
-				// was already booked as run time at save start.
-				consumed := h.eng.Now().Sub(rt.itemStart)
-				h.rec.WastedWork += consumed
-				h.slotBusy[slot] += consumed
-			}
+			// Only progress since the last checkpoint is lost; the
+			// snapshot survives the slot and resumes elsewhere.
+			h.abortAccounting(slot, rt)
 		}
 		if _, err := a.MarkKilled(task); err != nil {
 			h.fail(err)
@@ -777,15 +739,9 @@ func (h *Hypervisor) watchdogFire(slot int, a *sched.App, task, item int) {
 	h.eng.Cancel(rt.itemEv)
 	h.eng.Cancel(rt.ckptEv)
 	h.rec.WatchdogKills++
-	if h.ckptOn() {
-		// Only progress since the last checkpoint is wasted; work up to
-		// the snapshot is committed and never re-executed.
-		h.abortAccounting(slot, rt)
-	} else {
-		consumed := h.eng.Now().Sub(rt.itemStart)
-		h.rec.WastedWork += consumed
-		h.slotBusy[slot] += consumed
-	}
+	// Only progress since the last checkpoint is wasted; work up to the
+	// snapshot is committed and never re-executed.
+	h.abortAccounting(slot, rt)
 	aborted, err := a.MarkKilled(task)
 	if err != nil {
 		h.fail(err)
@@ -1002,7 +958,8 @@ func (h *Hypervisor) allocOutputBuffer(a *sched.App, task int) error {
 }
 
 // RequestPreempt implements sched.World. Idempotent; honoured at the next
-// batch boundary, immediately if the task is already waiting.
+// batch boundary, immediately if the task is already waiting, or by an
+// on-demand state capture when checkpointing is enabled.
 func (h *Hypervisor) RequestPreempt(slot int) error {
 	if slot < 0 || slot >= len(h.slots) {
 		return h.fail(fmt.Errorf("hv: preempt slot %d out of range", slot))
@@ -1022,69 +979,13 @@ func (h *Hypervisor) RequestPreempt(slot int) error {
 	}
 	if h.ckptOn() {
 		h.startOnDemandCheckpoint(slot)
-	} else if h.cfg.Preempt == PreemptWithCheckpoint {
-		h.startCheckpoint(slot)
 	}
 	return nil
 }
 
-// startCheckpoint aborts the in-flight item, captures its state over
-// CheckpointSave, then frees the slot. The aborted item's remaining work
-// is recorded so its next execution resumes from the checkpoint.
-func (h *Hypervisor) startCheckpoint(slot int) {
-	rt := &h.slots[slot]
-	if rt.saving || rt.curItem == -1 {
-		return
-	}
-	rt.saving = true
-	h.eng.Cancel(rt.itemEv)
-	h.eng.Cancel(rt.wdEv)
-	a, task, item := rt.app, rt.task, rt.curItem
-	consumed := h.eng.Now().Sub(rt.itemStart)
-	remaining := rt.itemLat - consumed
-	if remaining < 0 {
-		remaining = 0
-	}
-	// Partial progress counts as run time (it occupied the fabric).
-	h.acct[a.ID].Run += consumed
-	h.addService(a, consumed)
-	h.slotBusy[slot] += consumed
-	h.eng.After(h.cfg.CheckpointSave, func() {
-		if h.halted() {
-			return
-		}
-		if cur := &h.slots[slot]; cur.app != a || cur.task != task || !cur.saving {
-			return // slot was reclaimed mid-save (permanent failure)
-		}
-		aborted, err := a.MarkCheckpointPreempted(task)
-		if err != nil {
-			h.fail(err)
-			return
-		}
-		if aborted != item {
-			h.fail(fmt.Errorf("hv: checkpoint of %s task %d aborted item %d, expected %d", a.Name, task, aborted, item))
-			return
-		}
-		m, ok := h.ckpt[a.ID]
-		if !ok {
-			m = map[[2]int]ckptRecord{}
-			h.ckpt[a.ID] = m
-		}
-		m[[2]int{task, item}] = ckptRecord{remaining: remaining}
-		if err := h.board.Release(slot); err != nil {
-			h.fail(err)
-			return
-		}
-		h.acct[a.ID].Preemptions++
-		h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindCheckpoint, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: item})
-		h.slots[slot] = slotRuntime{curItem: -1}
-		h.wake(sched.ReasonSlotFree)
-	})
-}
-
 // ---- checkpoint/restore subsystem (Config.Checkpoint) ----
 
-// ckptOn reports whether the full checkpoint/restore subsystem is live.
+// ckptOn reports whether the checkpoint/restore subsystem is live.
 func (h *Hypervisor) ckptOn() bool { return h.cfg.Checkpoint.Enabled }
 
 // taskStateBytes is the checkpointable state size of one task: declared
@@ -1152,8 +1053,8 @@ func (h *Hypervisor) startAttempt(slot int, a *sched.App, task, item int) {
 		est := stretchDur(a.Report.Task(task).Latency, h.scale)
 		rt.wdLeft = sim.Duration(float64(est)*h.cfg.WatchdogFactor) + h.cfg.WatchdogGrace
 	}
-	// One execution-fault probe per attempt, exactly like the legacy
-	// path: a hang never completes, a slowdown stretches every stretch.
+	// One execution-fault probe per attempt: a hang never completes, a
+	// slowdown stretches every stretch.
 	if inj := h.board.Injector(); inj != nil {
 		out := inj.Exec(h.eng.Now(), a.Name, task, slot)
 		if out.Hang {
@@ -1244,7 +1145,6 @@ func (h *Hypervisor) beginRun(slot int, a *sched.App, task, item int) {
 	}
 	lat := stretchDur(remaining, rt.factor)
 	rt.itemStart = h.eng.Now()
-	rt.itemLat = lat
 	if rt.hung {
 		rt.itemEv = 0
 	} else {
@@ -1253,7 +1153,7 @@ func (h *Hypervisor) beginRun(slot int, a *sched.App, task, item int) {
 	if h.cfg.WatchdogFactor > 0 && rt.wdLeft > 0 {
 		rt.wdEv = h.eng.AfterCancellable(rt.wdLeft, func() { h.watchdogFire(slot, a, task, item) })
 	}
-	if p := h.cfg.Checkpoint.Period; p > 0 && !rt.hung {
+	if p := h.cfg.Checkpoint.Period; p > 0 && h.ckptOn() && !rt.hung {
 		rt.ckptEv = h.eng.AfterCancellable(p, func() { h.ckptSave(slot, a, task, item) })
 	}
 }
@@ -1315,8 +1215,7 @@ func (h *Hypervisor) ckptSaveDone(slot int, a *sched.App, task, item int, snap s
 	}
 	rt.saving = false
 	d := h.eng.Now().Sub(start)
-	nominal := a.Graph.Task(task).Latency
-	h.ckptPut(a.ID, task, item, ckptRecord{remaining: nominal - snap, progress: snap, bytes: bytes})
+	h.ckptPut(a.ID, task, item, ckptRecord{progress: snap, bytes: bytes})
 	h.rec.CheckpointSaves++
 	h.rec.CheckpointOverhead += d
 	h.slotBusy[slot] += d
@@ -1371,7 +1270,7 @@ func (h *Hypervisor) startOnDemandCheckpoint(slot int) {
 			return // slot was reclaimed mid-save (permanent failure)
 		}
 		d := h.eng.Now().Sub(start)
-		h.ckptPut(a.ID, task, item, ckptRecord{remaining: nominal - snap, progress: snap, bytes: bytes})
+		h.ckptPut(a.ID, task, item, ckptRecord{progress: snap, bytes: bytes})
 		h.rec.CheckpointSaves++
 		h.rec.CheckpointOverhead += d
 		h.slotBusy[slot] += d
@@ -1496,50 +1395,7 @@ func (h *Hypervisor) tryStart(slot int) {
 		res.FirstLaunch = h.eng.Now()
 	}
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindItemStart, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: item})
-	if h.ckptOn() {
-		h.startAttempt(slot, a, task, item)
-		return
-	}
-	lat := a.Graph.Task(task).Latency
-	// A checkpointed item resumes from its saved state after paying the
-	// restore cost.
-	if m, ok := h.ckpt[a.ID]; ok {
-		if rec, ok := m[[2]int{task, item}]; ok {
-			lat = rec.remaining + h.cfg.CheckpointRestore
-			delete(m, [2]int{task, item})
-		}
-	}
-	// Execution faults: a hang never completes (only the watchdog or a
-	// permanent slot failure recovers the slot); a slowdown stretches
-	// the item past its estimate, possibly into watchdog range.
-	hung := false
-	if inj := h.board.Injector(); inj != nil {
-		out := inj.Exec(h.eng.Now(), a.Name, task, slot)
-		if out.Hang {
-			hung = true
-			h.rec.FaultsInjected++
-		} else if out.Factor > 1 {
-			lat = sim.Duration(float64(lat) * out.Factor)
-			h.rec.FaultsInjected++
-		}
-	}
-	lat = stretchDur(lat, h.slow)
-	lat = stretchDur(lat, h.scale)
-	rt.itemStart = h.eng.Now()
-	rt.itemLat = lat
-	rt.hung = hung
-	if hung {
-		rt.itemEv = 0
-	} else {
-		rt.itemEv = h.eng.AfterCancellable(lat, func() { h.itemDone(slot, a, task, item, lat) })
-	}
-	if h.cfg.WatchdogFactor > 0 {
-		// The deadline scales with the fabric: a slow board's healthy
-		// items must not read as hangs.
-		est := stretchDur(a.Report.Task(task).Latency, h.scale)
-		deadline := sim.Duration(float64(est)*h.cfg.WatchdogFactor) + h.cfg.WatchdogGrace
-		rt.wdEv = h.eng.AfterCancellable(deadline, func() { h.watchdogFire(slot, a, task, item) })
-	}
+	h.startAttempt(slot, a, task, item)
 }
 
 func (h *Hypervisor) itemDone(slot int, a *sched.App, task, item int, lat sim.Duration) {
@@ -1561,15 +1417,12 @@ func (h *Hypervisor) itemDone(slot int, a *sched.App, task, item int, lat sim.Du
 		return
 	}
 	h.recordProduction(a, task, item, slot)
-	run := lat
-	if h.ckptOn() {
-		// The attempt's earlier stretches (between periodic saves) are
-		// booked now, with the final stretch; save pauses were booked at
-		// each save. The snapshot is obsolete once the item completes.
-		run += rt.doneWall
-		h.ckptDelete(a.ID, task, item)
-		rt.base, rt.doneNominal, rt.doneWall = 0, 0, 0
-	}
+	// The attempt's earlier stretches (between periodic saves) are
+	// booked now, with the final stretch; save pauses were booked at
+	// each save. The snapshot is obsolete once the item completes.
+	run := lat + rt.doneWall
+	h.ckptDelete(a.ID, task, item)
+	rt.base, rt.doneNominal, rt.doneWall = 0, 0, 0
 	h.acct[a.ID].Run += run
 	h.addService(a, run)
 	h.slotBusy[slot] += run

@@ -162,8 +162,8 @@ func (m *Metrics) Observe(e trace.Event) {
 		m.slotsOff++
 		m.effSlots.Set(float64(m.slots - m.slotsOff))
 	case trace.KindCheckpointSave, trace.KindCheckpoint, trace.KindCheckpointFault:
-		// A zero Dur means no transfer happened (a boundary preemption in
-		// the legacy study mode, or a snapshot lost before streaming).
+		// A zero Dur means no transfer happened (an on-demand preemption
+		// with no new point passed, or a snapshot lost before streaming).
 		if e.Dur > 0 {
 			m.stateXfer.Observe(e.Dur.Seconds())
 			m.ckptOverhead.Add(e.Dur.Seconds())

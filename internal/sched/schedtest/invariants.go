@@ -273,9 +273,9 @@ func (c *Checker) observeLocked(e trace.Event) {
 		}
 		s.loaded = false
 	case trace.KindCheckpoint:
-		// Mid-item preemption with state capture (both the legacy study
-		// mode and the checkpoint subsystem's on-demand path): the
-		// in-flight item is aborted and resumes later.
+		// Mid-item preemption with state capture (the checkpoint
+		// subsystem's on-demand path): the in-flight item is aborted and
+		// resumes later.
 		s := c.slot(e.Slot)
 		if !s.itemOpen {
 			c.violatef("checkpoint with no item in flight: %v", e)

@@ -32,8 +32,10 @@ const (
 	KindPreemptRequest
 	// KindPreempt marks a preemption honoured at a batch boundary.
 	KindPreempt
-	// KindCheckpoint marks a classic mid-item preemption with state
-	// capture (the PreemptWithCheckpoint study mode).
+	// KindCheckpoint marks a mid-item preemption honoured by the
+	// checkpoint subsystem: state is captured at the latest passed
+	// preemption point (Dur is the save transfer time, zero when no new
+	// point was passed) and the slot is released.
 	KindCheckpoint
 	// KindRetire marks an application completing.
 	KindRetire

@@ -149,12 +149,7 @@ type Config struct {
 	// "ps-bus" (explicit serialized transfers through the PS, as on the
 	// real overlay), or "noc" (parallel mesh, the paper's future work).
 	Interconnect string
-	// CheckpointPreemption switches batch-boundary preemption to classic
-	// mid-item checkpointing with the given state save/restore cost per
-	// side (0 keeps the paper's batch-preemption). Superseded by
-	// Checkpoint, the full subsystem; setting both is an error.
-	CheckpointPreemption time.Duration
-	// Checkpoint enables the full checkpoint/restore subsystem: items
+	// Checkpoint enables the checkpoint/restore subsystem: items
 	// checkpoint at preemption points (periodically and on demand),
 	// state streams through the configuration port at a cost
 	// proportional to its size, and watchdog kills, slot failures, and
@@ -438,11 +433,6 @@ func NewSystem(cfg Config) (*System, error) {
 		hcfg.Interconnect = interconnect.DefaultNoC()
 	default:
 		return nil, fmt.Errorf("nimblock: unknown interconnect %q", cfg.Interconnect)
-	}
-	if cfg.CheckpointPreemption > 0 {
-		hcfg.Preempt = hv.PreemptWithCheckpoint
-		hcfg.CheckpointSave = sim.FromStd(cfg.CheckpointPreemption)
-		hcfg.CheckpointRestore = sim.FromStd(cfg.CheckpointPreemption)
 	}
 	if cfg.Checkpoint.Enabled {
 		hcfg.Checkpoint = hv.CheckpointConfig{

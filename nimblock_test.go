@@ -250,22 +250,28 @@ func TestInterconnectAndCheckpointOptions(t *testing.T) {
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("bogus interconnect accepted")
 	}
+	// On-demand checkpointing: a high-priority arrival preempts the long
+	// OpticalFlow items mid-item instead of waiting for a batch boundary.
 	cfg = DefaultConfig()
-	cfg.CheckpointPreemption = 5 * time.Millisecond
+	cfg.Checkpoint = CheckpointConfig{Enabled: true}
 	cfg.EnableTrace = true
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	of, _ := Benchmark(OpticalFlow)
+	an, _ := Benchmark(AlexNet)
 	ln, _ := Benchmark(LeNet)
+	rd, _ := Benchmark(Rendering3D)
 	sys.Submit(of, 20, PriorityLow, 0)
+	sys.Submit(an, 8, PriorityLow, 100*time.Millisecond)
 	sys.Submit(ln, 5, PriorityHigh, 2*time.Second)
+	sys.Submit(rd, 5, PriorityHigh, 2*time.Second)
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(sys.TraceDump(), "checkpoint") == false && sys.Preemptions() == 0 {
-		t.Log("no preemption provoked; acceptable but unexpected")
+	if !strings.Contains(sys.TraceDump(), " checkpoint ") {
+		t.Fatalf("no checkpoint preemption provoked:\n%s", sys.TraceDump())
 	}
 }
 
