@@ -13,16 +13,20 @@
 // dispatch: arrivals it rejects never reach a board and come back from
 // Run as Rejected results instead of errors, so overload degrades the
 // excess traffic rather than the whole run.
+//
+// The board set, admission, and board-level failover are the shared
+// internal/frontend core; this package supplies the dispatch modes,
+// hedging, and the same-instant arrival drain.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 
 	"nimblock/internal/admit"
 	"nimblock/internal/faults"
+	"nimblock/internal/frontend"
 	"nimblock/internal/health"
 	"nimblock/internal/hv"
 	"nimblock/internal/sched"
@@ -140,40 +144,21 @@ type submission struct {
 	g        *taskgraph.Graph
 	batch    int
 	priority int
-	arrival  sim.Time
 	opts     SubmitOptions
 }
 
 // Cluster fronts N hypervisors with an arrival-time dispatcher.
 type Cluster struct {
-	eng      *sim.Engine
-	cfg      Config
-	boards   []hv.Instance
-	rng      *rand.Rand
-	next     int // round-robin cursor
-	expected int
-	placed   map[int]int // submission index -> board
+	eng    *sim.Engine
+	cfg    Config
+	core   *frontend.Core
+	rng    *rand.Rand
+	next   int           // round-robin cursor
+	subs   []*submission // submission index -> record
+	buffer []*submission // same-instant arrivals awaiting the canonical drain
 
-	ctrl     *admit.Controller
-	buffer   []*submission             // same-instant arrivals awaiting the canonical drain
-	tickets  []map[int64]*admit.Ticket // board -> local app ID -> admission ticket
-	idxOf    []map[int64]int           // board -> local app ID -> submission index
-	rejected map[int]*submission       // submission index -> rejected record
-	reasons  map[int]string            // submission index -> admission outcome
-	errs     []error                   // dispatch-time submit failures
-
-	// Failure-domain state (nil/empty when Config.Health is off; see
-	// failover.go).
-	mkPolicy func(hv.Config) sched.Scheduler // retained to rebuild dead boards
-	mon      *health.Monitor
-	hopt     health.Options
-	subs     map[int]*submission // submission index -> record (for re-dispatch)
-	retries  map[int]int         // submission index -> re-dispatches so far
-	failed   map[int]string      // submission index -> terminal failure reason
-	lastOn   map[int]int         // submission index -> last board that held it
-	parked   []parkedWork        // evacuees waiting for a placeable board
-	hedges   map[int]*hedge      // submission index -> hedge state
-	done     map[int]Result      // results harvested off boards that later died
+	hedgeAt int            // hedge priority threshold; 0 disables hedging
+	hedges  map[int]*hedge // submission index -> hedge state (see failover.go)
 }
 
 // New builds a cluster; mkPolicy supplies a fresh scheduling policy per
@@ -181,75 +166,55 @@ type Cluster struct {
 // board's configuration so policies that plan against board shape (the
 // Nimblock goal-number analysis) work on heterogeneous clusters.
 func New(eng *sim.Engine, cfg Config, mkPolicy func(board hv.Config) sched.Scheduler) (*Cluster, error) {
-	if cfg.Boards < 1 {
-		return nil, fmt.Errorf("cluster: need at least one board, got %d", cfg.Boards)
+	c := &Cluster{eng: eng, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	hooks := frontend.Hooks{Place: c.place}
+	if cfg.Health != nil && cfg.Health.HedgePriority > 0 {
+		c.hedgeAt, c.hedges = cfg.Health.HedgePriority, map[int]*hedge{}
+		hooks.Dispatch, hooks.Retired, hooks.Evacuated = c.hedgeDispatch, c.hedgeRetired, c.hedgeEvacuated
 	}
-	if mkPolicy == nil {
-		return nil, fmt.Errorf("cluster: nil policy factory")
-	}
-	if cfg.BoardConfigs != nil && len(cfg.BoardConfigs) != cfg.Boards {
-		return nil, fmt.Errorf("cluster: %d board configs for %d boards", len(cfg.BoardConfigs), cfg.Boards)
-	}
-	c := &Cluster{
-		eng:      eng,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		placed:   map[int]int{},
-		rejected: map[int]*submission{},
-		reasons:  map[int]string{},
-		mkPolicy: mkPolicy,
-		subs:     map[int]*submission{},
-	}
-	if cfg.Admission != nil {
-		ctrl, err := admit.New(*cfg.Admission)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.ctrl = ctrl
-	}
-	for i := 0; i < cfg.Boards; i++ {
-		h, err := c.newBoard(i)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: board %d: %w", i, err)
-		}
-		c.boards = append(c.boards, h)
-		c.tickets = append(c.tickets, map[int64]*admit.Ticket{})
-		c.idxOf = append(c.idxOf, map[int64]int{})
-	}
-	if err := c.initHealth(); err != nil {
+	core, err := frontend.New(eng, frontend.Config{
+		Name:         "cluster",
+		Boards:       cfg.Boards,
+		HV:           cfg.HV,
+		BoardConfigs: cfg.BoardConfigs,
+		Admission:    cfg.Admission,
+		Health:       cfg.Health,
+		BoardFaults:  cfg.BoardFaults,
+		Seed:         cfg.Seed,
+	}, mkPolicy, hooks)
+	if err != nil {
 		return nil, err
 	}
+	c.core = core
 	return c, nil
 }
 
-// newBoard builds (or rebuilds, after a recovery) board i's hypervisor
-// with the cluster's retire hook chained onto any user-provided one.
-func (c *Cluster) newBoard(i int) (hv.Instance, error) {
-	bcfg := c.boardConfig(i)
-	board, user := i, bcfg.OnRetire
-	bcfg.OnRetire = func(id int64) {
-		if user != nil {
-			user(id)
-		}
-		c.onRetire(board, id)
-	}
-	return hv.New(c.eng, bcfg, c.mkPolicy(bcfg))
-}
-
 // Boards reports the cluster size.
-func (c *Cluster) Boards() int { return len(c.boards) }
+func (c *Cluster) Boards() int { return c.core.Boards() }
 
 // Board exposes one board's backend (for tests and reports).
-func (c *Cluster) Board(i int) hv.Instance { return c.boards[i] }
+func (c *Cluster) Board(i int) hv.Instance { return c.core.Board(i) }
 
 // AdmissionStats reports the admission controller's counters; the zero
 // Stats when admission is disabled.
-func (c *Cluster) AdmissionStats() admit.Stats {
-	if c.ctrl == nil {
-		return admit.Stats{}
-	}
-	return c.ctrl.Stats()
-}
+func (c *Cluster) AdmissionStats() admit.Stats { return c.core.AdmissionStats() }
+
+// FailoverStats reports the fleet's failover accounting; the zero Stats
+// when the failure-domain layer is off.
+func (c *Cluster) FailoverStats() health.Stats { return c.core.FailoverStats() }
+
+// BoardStates reports every board's health state; nil when the
+// failure-domain layer is off.
+func (c *Cluster) BoardStates() []health.State { return c.core.BoardStates() }
+
+// Energy sums the per-board energy reports; each board integrates its
+// own power model, so heterogeneous fleets aggregate correctly.
+func (c *Cluster) Energy() hv.EnergyStats { return c.core.Energy() }
+
+// TenantServices merges delivered per-tenant fabric time across the
+// fleet (board-local latency scales already folded in by each board's
+// accounting).
+func (c *Cluster) TenantServices() map[string]sim.Duration { return c.core.TenantServices() }
 
 // Submit schedules an application arrival under the default tenant with
 // no explicit SLO. The board is chosen when the application actually
@@ -263,16 +228,14 @@ func (c *Cluster) SubmitWith(g *taskgraph.Graph, batch, priority int, arrival si
 	if g == nil {
 		return fmt.Errorf("cluster: nil graph")
 	}
-	sub := &submission{idx: c.expected, g: g, batch: batch, priority: priority, opts: opts}
-	c.subs[sub.idx] = sub
-	c.expected++
+	sub := &submission{idx: c.core.Add(), g: g, batch: batch, priority: priority, opts: opts}
+	c.subs = append(c.subs, sub)
 	c.eng.At(arrival, func() {
 		// Buffer and drain once all arrivals at this instant are in: the
 		// drain's After(0) event sorts after every Submit event already
 		// queued at the same time, so simultaneous submissions are
 		// admitted and dispatched in one canonical pass (by submission
 		// index) no matter how their events were interleaved.
-		sub.arrival = c.eng.Now()
 		c.buffer = append(c.buffer, sub)
 		if len(c.buffer) == 1 {
 			c.eng.After(0, c.drain)
@@ -287,70 +250,21 @@ func (c *Cluster) drain() {
 	c.buffer = nil
 	sort.Slice(batch, func(i, j int) bool { return batch[i].idx < batch[j].idx })
 	for _, sub := range batch {
-		if c.ctrl == nil {
-			c.dispatch(sub, nil)
-			continue
-		}
-		_, evicted, out := c.ctrl.Offer(admit.Request{
+		c.core.Arrive(sub.idx, sub.g, sub.batch, admit.Request{
 			Tenant:   sub.opts.Tenant,
 			Priority: sub.priority,
-			Estimate: c.estimate(sub),
 			SLO:      sub.opts.SLO,
-			Arrival:  c.eng.Now(),
-			Payload:  sub,
-		}, c.minLoad())
-		if out != admit.Admitted {
-			c.reject(sub, out.String())
-			continue
-		}
-		if evicted != nil {
-			c.reject(evicted.Request().Payload.(*submission), admit.Shed.String())
-		}
+		})
 	}
-	if c.ctrl != nil {
-		c.pump()
-	}
+	c.core.Pump()
 }
 
-// pump dispatches every ticket the controller clears for boards.
-func (c *Cluster) pump() {
-	for _, t := range c.ctrl.Dispatchable() {
-		c.dispatch(t.Request().Payload.(*submission), t)
-	}
-}
-
-// dispatch places one admitted submission on a board. Submit failures at
-// dispatch time are recorded and surfaced from Run — never a panic: a
-// malformed submission must not take down the whole cluster run.
-func (c *Cluster) dispatch(sub *submission, t *admit.Ticket) {
-	if c.mon != nil && c.hopt.HedgePriority > 0 && sub.priority >= c.hopt.HedgePriority {
-		if c.hedgeDispatch(sub, t) {
-			return
-		}
-	}
-	b := c.pick()
-	if b < 0 {
-		// No placeable board right now: park until one recovers.
-		c.park(parkedWork{sub: sub, ticket: t})
-		return
-	}
-	id, err := c.submitTo(b, sub)
-	if err != nil {
-		c.errs = append(c.errs, fmt.Errorf("cluster: submission %d (%s) on board %d: %w", sub.idx, sub.g.Name(), b, err))
-		if c.ctrl != nil {
-			c.ctrl.Release(t) // free the admission slot the failed dispatch held
-		}
-		return
-	}
-	c.placed[sub.idx] = b
-	c.idxOf[b][id] = sub.idx
-	if t != nil {
-		c.tickets[b][id] = t
-	}
-	if c.mon != nil {
-		c.lastOn[sub.idx] = b
-		c.mon.Kick()
-	}
+// place is the cluster's placement policy: the dispatch mode picks a
+// candidate board and the submission lands there.
+func (c *Cluster) place(idx int, cands []int) (int, int64, error) {
+	b := c.pickAmong(cands)
+	id, err := c.submitTo(b, c.subs[idx])
+	return b, id, err
 }
 
 // submitTo lands one submission on board b, carrying the tenant
@@ -358,214 +272,46 @@ func (c *Cluster) dispatch(sub *submission, t *admit.Ticket) {
 // the submission has them (anonymous submissions keep the cheaper
 // untagged path).
 func (c *Cluster) submitTo(b int, sub *submission) (int64, error) {
+	var id int64
+	var err error
 	if sub.opts.Tenant != "" {
-		return c.boards[b].SubmitTenant(sub.g, sub.batch, sub.priority, c.eng.Now(), sub.opts.Tenant, sub.opts.Weight)
+		id, err = c.core.Board(b).SubmitTenant(sub.g, sub.batch, sub.priority, c.eng.Now(), sub.opts.Tenant, sub.opts.Weight)
+	} else {
+		id, err = c.core.Board(b).SubmitID(sub.g, sub.batch, sub.priority, c.eng.Now())
 	}
-	return c.boards[b].SubmitID(sub.g, sub.batch, sub.priority, c.eng.Now())
-}
-
-// Energy sums the per-board energy reports; each board integrates its
-// own power model, so heterogeneous fleets aggregate correctly.
-func (c *Cluster) Energy() hv.EnergyStats {
-	var total hv.EnergyStats
-	for _, b := range c.boards {
-		es := b.Energy()
-		total.StaticJoules += es.StaticJoules
-		total.ActiveJoules += es.ActiveJoules
-		total.OccupiedSlotSeconds += es.OccupiedSlotSeconds
-		total.UsableSlotSeconds += es.UsableSlotSeconds
+	if err != nil {
+		return 0, fmt.Errorf("cluster: submission %d (%s) on board %d: %w", sub.idx, sub.g.Name(), b, err)
 	}
-	return total
-}
-
-// TenantServices merges delivered per-tenant fabric time across the
-// fleet (board-local latency scales already folded in by each board's
-// accounting).
-func (c *Cluster) TenantServices() map[string]sim.Duration {
-	out := map[string]sim.Duration{}
-	for _, b := range c.boards {
-		for tenant, d := range b.TenantServices() {
-			out[tenant] += d
-		}
-	}
-	return out
-}
-
-// reject records an admission rejection for reporting from Run.
-func (c *Cluster) reject(sub *submission, reason string) {
-	c.rejected[sub.idx] = sub
-	c.reasons[sub.idx] = reason
-}
-
-// onRetire releases the retiring application's admission slot and, on
-// the next event tick (outside the hypervisor's retire processing),
-// dispatches any queued work the freed slot clears.
-func (c *Cluster) onRetire(board int, id int64) {
-	if c.mon != nil {
-		c.retired(board, id)
-	}
-	t, ok := c.tickets[board][id]
-	if !ok {
-		return
-	}
-	delete(c.tickets[board], id)
-	c.ctrl.Release(t)
-	if c.ctrl.QueueDepth() > 0 {
-		c.eng.After(0, c.pump)
-	}
-}
-
-// estimate is the admission-time work estimate for a submission: its
-// single-slot latency on the cluster's fastest-case board. Optimistic
-// across heterogeneous boards, so the deadline test never rejects work a
-// big board could have finished in time.
-func (c *Cluster) estimate(sub *submission) sim.Duration {
-	best := hv.SingleSlotLatencyFor(c.boardConfig(0).Board, sub.g, sub.batch)
-	for i := 1; i < len(c.boards); i++ {
-		if e := hv.SingleSlotLatencyFor(c.boardConfig(i).Board, sub.g, sub.batch); e < best {
-			best = e
-		}
-	}
-	return best
-}
-
-// boardConfig resolves the effective hv.Config of board i.
-func (c *Cluster) boardConfig(i int) hv.Config {
-	if c.cfg.BoardConfigs != nil {
-		return c.cfg.BoardConfigs[i]
-	}
-	return c.cfg.HV
-}
-
-// minLoad is the least-loaded board's outstanding estimate — the
-// admission controller's optimistic view of how soon new work could
-// start.
-func (c *Cluster) minLoad() sim.Duration {
-	boards := []int(nil)
-	if c.mon != nil {
-		boards = c.placeable()
-	}
-	if boards == nil {
-		best := c.boards[0].OutstandingEstimate()
-		for i := 1; i < len(c.boards); i++ {
-			if l := c.boards[i].OutstandingEstimate(); l < best {
-				best = l
-			}
-		}
-		return best
-	}
-	if len(boards) == 0 {
-		// Nothing placeable: admission sees an effectively infinite queue.
-		return c.cfg.HV.Horizon.Sub(0)
-	}
-	best := c.boards[boards[0]].OutstandingEstimate()
-	for _, b := range boards[1:] {
-		if l := c.boards[b].OutstandingEstimate(); l < best {
-			best = l
-		}
-	}
-	return best
-}
-
-// pick applies the dispatch policy. Load ties break toward the lowest
-// board index (strict "<" keeps the earliest minimum), so placement is
-// deterministic and independent of event ordering. With the failure
-// domain layer armed, only placeable boards (best health score first)
-// are considered; -1 means nothing can take work right now.
-func (c *Cluster) pick() int {
-	if c.mon == nil {
-		return c.pickAmong(nil)
-	}
-	cands := c.placeable()
-	if len(cands) == 0 {
-		return -1
-	}
-	return c.pickAmong(cands)
+	return id, nil
 }
 
 // Run drives the shared engine until every application on every board
 // retires, and returns one Result per submission in global submission
 // order: board-annotated outcomes for dispatched work, Rejected entries
-// for what admission turned away. Dispatch-time submit failures
-// accumulated during the run are returned joined.
+// for what admission turned away, Failed entries for work board deaths
+// lost. Dispatch-time submit failures accumulated during the run are
+// returned joined.
 func (c *Cluster) Run() ([]Result, error) {
-	// Drain rather than run to the horizon: DrainUntil leaves the clock
-	// at the last fired event (the fleet's makespan), so Energy sampled
-	// after Run prices static power over time actually spanned by work,
-	// not over the idle tail out to the horizon.
-	c.eng.DrainUntil(c.cfg.HV.Horizon)
-	if c.mon != nil {
-		c.strand()
-	}
-	if err := errors.Join(c.errs...); err != nil {
+	outs, err := c.core.Run()
+	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, c.expected)
-	filled := 0
-	for i, b := range c.boards {
-		results, err := b.Collect()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: board %d: %w", i, err)
+	res := make([]Result, len(outs))
+	for idx, o := range outs {
+		r := Result{
+			Result:       o.Result,
+			Board:        o.Board,
+			Rejected:     o.Rejected,
+			RejectReason: o.RejectReason,
+			Failed:       o.Failed,
+			FailReason:   o.FailReason,
+			Attempts:     o.Attempts,
 		}
-		for _, r := range results {
-			idx, ok := c.idxOf[i][r.AppID]
-			if !ok {
-				return nil, fmt.Errorf("cluster: board %d reported unknown app %d", i, r.AppID)
-			}
-			out[idx] = c.annotate(idx, Result{Result: r, Board: i})
-			filled++
+		if o.Rejected || o.Failed {
+			sub := c.subs[idx]
+			r.App, r.Batch, r.Priority = sub.g.Name(), sub.batch, sub.priority
 		}
+		res[idx] = r
 	}
-	// Results harvested off boards that died mid-run, then work lost to
-	// those deaths permanently — distinct terminal outcomes, one result
-	// each, so the conservation check below still balances.
-	for idx, r := range c.done {
-		out[idx] = c.annotate(idx, r)
-		filled++
-	}
-	for idx, reason := range c.failed {
-		sub := c.subs[idx]
-		board := -1
-		if b, ok := c.lastOn[idx]; ok {
-			board = b
-		}
-		out[idx] = Result{
-			Result: hv.Result{
-				AppID:       -1,
-				App:         sub.g.Name(),
-				Batch:       sub.batch,
-				Priority:    sub.priority,
-				Arrival:     sub.arrival,
-				FirstLaunch: -1,
-			},
-			Board:      board,
-			Failed:     true,
-			FailReason: reason,
-			Attempts:   c.retries[idx],
-		}
-		filled++
-	}
-	for idx, sub := range c.rejected {
-		out[idx] = Result{
-			Result: hv.Result{
-				AppID:       -1,
-				App:         sub.g.Name(),
-				Batch:       sub.batch,
-				Priority:    sub.priority,
-				Arrival:     sub.arrival,
-				FirstLaunch: -1,
-			},
-			Board:        -1,
-			Rejected:     true,
-			RejectReason: c.reasons[idx],
-		}
-		filled++
-	}
-	if c.ctrl != nil && c.ctrl.QueueDepth() > 0 {
-		return nil, fmt.Errorf("cluster: %d admitted submissions still queued at horizon", c.ctrl.QueueDepth())
-	}
-	if filled != c.expected {
-		return nil, fmt.Errorf("cluster: %d results for %d submissions", filled, c.expected)
-	}
-	return out, nil
+	return res, nil
 }

@@ -57,6 +57,9 @@ func TestClusterCompletesAllApps(t *testing.T) {
 				if r.Response <= 0 {
 					t.Fatalf("bad response %v", r.Response)
 				}
+				if r.Attempts != 1 {
+					t.Fatalf("completed with %d attempts and no failure domain, want 1", r.Attempts)
+				}
 			}
 		})
 	}

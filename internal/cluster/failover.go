@@ -1,274 +1,88 @@
 package cluster
 
-// Board-level failure domains for the cluster front-end. When
-// Config.Health (or a non-empty Config.BoardFaults) arms this layer,
-// every board gets a health tracker fed by its hypervisor's event
-// heartbeat, dispatch only considers placeable boards, and a declared
-// board death evacuates unfinished work: already-retired results are
-// harvested, mid-flight submissions are re-dispatched onto healthy
-// boards (resuming from checkpoints when the target board runs the
-// checkpoint subsystem), and work that exhausts its retry budget
-// surfaces as a distinct terminal Failed result — never silently
-// dropped, never double-counted.
+// The cluster's placement policy: the dispatch modes, and hedged
+// dispatch of SLO-critical submissions. Everything else about failure
+// domains (health-filtered candidates, parking, evacuation, migration,
+// retry budgets) lives in internal/frontend.
 
 import (
-	"fmt"
-	"math"
-
 	"nimblock/internal/admit"
-	"nimblock/internal/health"
+	"nimblock/internal/frontend"
 	"nimblock/internal/hv"
 	"nimblock/internal/sim"
 )
 
-// parkedWork is one unit of dispatchable work waiting for a placeable
-// board: either a fresh submission that arrived while every board was
-// down, or an evacuee carried off a dead board.
-type parkedWork struct {
-	sub    *submission
-	ticket *admit.Ticket
-	// snaps and workDone travel with an evacuee: surviving checkpoints
-	// to seed into the next board, and the fabric time the dead board
-	// already spent (wasted unless the snapshots carry part of it).
-	snaps    []hv.Snapshot
-	workDone sim.Duration
-	// redispatch marks evacuees, so placement books the re-dispatch and
-	// wasted/migrated work into the failover stats.
-	redispatch bool
-}
-
 // hedge tracks one submission placed on two boards. The first copy to
 // retire wins; the loser is aborted. The admission ticket is held here
-// (not in the per-board ticket maps) so it is released exactly once.
+// (not in the core's bindings) so it is released exactly once.
 type hedge struct {
 	copies map[int]int64 // board -> board-local submission ID
 	ticket *admit.Ticket
 	done   bool
 }
 
-// initHealth arms the failure-domain layer when configured. With no
-// Health options and no board faults the cluster behaves exactly as it
-// did without this layer — no monitor, no polls, no extra events.
-func (c *Cluster) initHealth() error {
-	if c.cfg.Health == nil && len(c.cfg.BoardFaults) == 0 {
-		return nil
-	}
-	opt := health.Options{}
-	if c.cfg.Health != nil {
-		opt = *c.cfg.Health
-	}
-	opt = opt.WithDefaults()
-	if opt.Tracker.Seed == 0 {
-		opt.Tracker.Seed = c.cfg.Seed
-	}
-	c.hopt = opt
-	ins := health.NewInstruments(opt.Registry)
-	hooks := health.Hooks{
-		Progress:  func(b int) uint64 { return c.boards[b].Progress() },
-		Busy:      func(b int) bool { return c.boards[b].PendingCount() > 0 },
-		OnDead:    c.boardDead,
-		OnFreeze:  func(b int) { c.boards[b].Freeze() },
-		OnDegrade: func(b int, factor float64) { c.boards[b].SetSlowdown(factor) },
-		OnRevive:  c.boardRevive,
-	}
-	c.mon = health.NewMonitor(c.eng, len(c.boards), opt.Tracker, hooks, ins)
-	if err := c.mon.Schedule(c.cfg.BoardFaults); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	c.retries = map[int]int{}
-	c.failed = map[int]string{}
-	c.lastOn = map[int]int{}
-	c.hedges = map[int]*hedge{}
-	c.done = map[int]Result{}
-	return nil
-}
-
-// placeable lists the boards dispatch may use right now, filtered to
-// the best (lowest) health score so degraded boards only receive work
-// when no clean board is available.
-func (c *Cluster) placeable() []int {
-	now := c.eng.Now()
-	var cands []int
-	best := int(^uint(0) >> 1)
-	for b := range c.boards {
-		t := c.mon.Tracker(b)
-		if !t.Placeable(now) {
-			continue
-		}
-		s := t.Score()
-		if s < best {
-			best = s
-			cands = cands[:0]
-		}
-		if s == best {
-			cands = append(cands, b)
-		}
-	}
-	return cands
-}
-
-// pickAmong applies the dispatch policy over a candidate set; nil means
-// every board (the health-off fast path). Load and pending ties break
-// toward the lowest board index — strict "<" keeps the earliest
-// minimum — so placement is deterministic regardless of which boards
-// happen to be healthy.
+// pickAmong applies the dispatch policy over a non-empty candidate set
+// in board order. Load and pending ties break toward the lowest board
+// index — strict "<" keeps the earliest minimum — so placement is
+// deterministic regardless of which boards happen to be healthy.
 func (c *Cluster) pickAmong(cands []int) int {
-	all := cands == nil
-	in := func(b int) bool {
-		if all {
-			return true
-		}
-		for _, x := range cands {
-			if x == b {
-				return true
-			}
-		}
-		return false
-	}
-	n := len(c.boards)
 	switch c.cfg.Dispatch {
 	case LeastLoaded:
 		best, bestLoad := -1, sim.Duration(0)
-		for i := 0; i < n; i++ {
-			if !in(i) {
-				continue
-			}
-			if l := c.boards[i].OutstandingEstimate(); best < 0 || l < bestLoad {
-				best, bestLoad = i, l
+		for _, b := range cands {
+			if l := c.core.Board(b).OutstandingEstimate(); best < 0 || l < bestLoad {
+				best, bestLoad = b, l
 			}
 		}
 		return best
 	case LeastPending:
 		best, bestN := -1, 0
-		for i := 0; i < n; i++ {
-			if !in(i) {
-				continue
-			}
-			if p := c.boards[i].PendingCount(); best < 0 || p < bestN {
-				best, bestN = i, p
+		for _, b := range cands {
+			if p := c.core.Board(b).PendingCount(); best < 0 || p < bestN {
+				best, bestN = b, p
 			}
 		}
 		return best
 	case HeteroAware:
 		best, bestScore := -1, 0.0
-		for i := 0; i < n; i++ {
-			if !in(i) {
-				continue
-			}
-			if s := c.heteroScore(i); best < 0 || s < bestScore {
-				best, bestScore = i, s
+		for _, b := range cands {
+			if s := c.heteroScore(b); best < 0 || s < bestScore {
+				best, bestScore = b, s
 			}
 		}
 		return best
 	case RandomBoard:
-		if all {
-			return c.rng.Intn(n)
-		}
 		return cands[c.rng.Intn(len(cands))]
-	default: // RoundRobin: advance the cursor to the next usable board.
-		for k := 0; k < n; k++ {
-			b := (c.next + k) % n
-			if in(b) {
-				c.next = (b + 1) % n
-				return b
+	default: // RoundRobin: the first candidate at or after the cursor, wrapping.
+		b := cands[0]
+		for _, x := range cands {
+			if x >= c.next {
+				b = x
+				break
 			}
 		}
-		return -1
+		c.next = (b + 1) % c.core.Boards()
+		return b
 	}
 }
 
-// heteroScore is the HeteroAware placement score of board i: estimated
-// outstanding seconds stretched by the board's latency scale, divided
-// by its usable slot count — a completion-time proxy for the next unit
-// of work. The +1 makes empty boards rank by capability (fast, wide
-// boards first); a board with no usable slots ranks last. Equal scores
-// break toward the lowest board index via pickAmong's strict "<".
+// heteroScore is the HeteroAware placement score of board i over its
+// estimated outstanding seconds (see frontend.PlacementScore). Equal
+// scores break toward the lowest board index via pickAmong's strict "<".
 func (c *Cluster) heteroScore(i int) float64 {
-	usable := c.boards[i].Board().UsableSlots()
-	if usable == 0 {
-		return math.Inf(1)
-	}
-	scale := c.boards[i].Board().LatencyScale()
-	return (1 + c.boards[i].OutstandingEstimate().Seconds()) * scale / float64(usable)
+	b := c.core.Board(i)
+	return frontend.PlacementScore(b.Board(), b.OutstandingEstimate().Seconds())
 }
 
-// park shelves work until a board becomes placeable again.
-func (c *Cluster) park(p parkedWork) {
-	c.parked = append(c.parked, p)
-}
-
-// unpark retries placement for everything parked; work that still has
-// no placeable board stays parked.
-func (c *Cluster) unpark() {
-	if len(c.parked) == 0 {
-		return
+// hedgeDispatch places a submission at or above the hedge priority on
+// the two best candidate boards. It returns false when fewer than two
+// boards can take it, and the core falls back to a single placement.
+func (c *Cluster) hedgeDispatch(idx int, t *admit.Ticket) bool {
+	sub := c.subs[idx]
+	if sub.priority < c.hedgeAt {
+		return false
 	}
-	rest := c.parked[:0]
-	for _, p := range c.parked {
-		target := c.pick()
-		if target < 0 {
-			rest = append(rest, p)
-			continue
-		}
-		c.place(p, target)
-	}
-	c.parked = rest
-}
-
-// place lands one unit of work (fresh, parked, or evacuated) on target,
-// seeding any surviving checkpoints so migrated items resume instead of
-// re-executing, and booking the re-dispatch accounting.
-func (c *Cluster) place(p parkedWork, target int) {
-	sub := p.sub
-	id, err := c.submitTo(target, sub)
-	if err != nil {
-		c.errs = append(c.errs, fmt.Errorf("cluster: submission %d (%s) on board %d: %w", sub.idx, sub.g.Name(), target, err))
-		if c.ctrl != nil {
-			c.ctrl.Release(p.ticket)
-		}
-		return
-	}
-	st := c.mon.StatsRef()
-	ins := c.mon.Instruments()
-	var migrated sim.Duration
-	if len(p.snaps) > 0 && c.boardConfig(target).Checkpoint.Enabled {
-		c.boards[target].SeedCheckpoints(id, p.snaps)
-		for _, s := range p.snaps {
-			migrated += s.Progress
-		}
-		st.MigratedItems += len(p.snaps)
-		st.MigratedWork += migrated
-		if ins != nil {
-			ins.MigratedItems.Add(int64(len(p.snaps)))
-			ins.MigratedWork.Add(migrated.Seconds())
-		}
-	}
-	if p.redispatch {
-		wasted := p.workDone - migrated
-		if wasted < 0 {
-			wasted = 0
-		}
-		st.Redispatched++
-		st.WastedWork += wasted
-		if ins != nil {
-			ins.Redispatched.Inc()
-			ins.WastedWork.Add(wasted.Seconds())
-		}
-	}
-	c.placed[sub.idx] = target
-	c.lastOn[sub.idx] = target
-	c.idxOf[target][id] = sub.idx
-	if p.ticket != nil {
-		c.tickets[target][id] = p.ticket
-	}
-	c.mon.Kick()
-}
-
-// hedgeDispatch places an SLO-critical submission on the two best
-// placeable boards. It returns false when fewer than two boards can
-// take it, and the caller falls back to a single placement.
-func (c *Cluster) hedgeDispatch(sub *submission, t *admit.Ticket) bool {
-	cands := c.placeable()
+	cands := c.core.Candidates()
 	if len(cands) < 2 {
 		return false
 	}
@@ -282,239 +96,69 @@ func (c *Cluster) hedgeDispatch(sub *submission, t *admit.Ticket) bool {
 	second := c.pickAmong(rest)
 	id1, err := c.submitTo(first, sub)
 	if err != nil {
-		c.errs = append(c.errs, fmt.Errorf("cluster: submission %d (%s) on board %d: %w", sub.idx, sub.g.Name(), first, err))
-		if c.ctrl != nil {
-			c.ctrl.Release(t)
-		}
+		c.core.Fault(err, t)
 		return true
 	}
 	id2, err := c.submitTo(second, sub)
 	if err != nil {
 		// The twin failed to submit: keep the single healthy placement.
-		c.errs = append(c.errs, fmt.Errorf("cluster: hedge twin for submission %d on board %d: %w", sub.idx, second, err))
-		c.placed[sub.idx] = first
-		c.lastOn[sub.idx] = first
-		c.idxOf[first][id1] = sub.idx
-		if t != nil {
-			c.tickets[first][id1] = t
-		}
-		c.mon.Kick()
+		c.core.Fault(err, nil)
+		c.core.Bind(first, id1, idx, t)
 		return true
 	}
-	c.hedges[sub.idx] = &hedge{copies: map[int]int64{first: id1, second: id2}, ticket: t}
-	c.placed[sub.idx] = first
-	c.lastOn[sub.idx] = first
-	c.idxOf[first][id1] = sub.idx
-	c.idxOf[second][id2] = sub.idx
-	st := c.mon.StatsRef()
-	st.Hedged++
-	if ins := c.mon.Instruments(); ins != nil {
+	c.hedges[idx] = &hedge{copies: map[int]int64{first: id1, second: id2}, ticket: t}
+	c.core.Bind(second, id2, idx, nil)
+	c.core.Bind(first, id1, idx, nil) // bound last: failure reports name the primary copy's board
+	mon := c.core.Monitor()
+	mon.StatsRef().Hedged++
+	if ins := mon.Instruments(); ins != nil {
 		ins.Hedged.Inc()
 	}
-	c.mon.Kick()
 	return true
 }
 
-// retired is the failure-domain half of the retire hook: it advances
-// the board's breaker probation, settles hedges (aborting the loser
-// copy), and wakes parked work.
-func (c *Cluster) retired(board int, id int64) {
-	c.mon.Tracker(board).ReportSuccess()
-	if idx, ok := c.idxOf[board][id]; ok {
-		if h := c.hedges[idx]; h != nil && !h.done {
-			h.done = true
-			c.placed[idx] = board
-			c.lastOn[idx] = board
-			st := c.mon.StatsRef()
-			ins := c.mon.Instruments()
-			for b, cid := range h.copies {
-				if b == board && cid == id {
-					continue
-				}
-				if ok, spent := c.boards[b].Abort(cid); ok {
-					st.HedgeCancelled++
-					st.WastedWork += spent
-					if ins != nil {
-						ins.HedgeWins.Inc()
-						ins.WastedWork.Add(spent.Seconds())
-					}
-				}
-				delete(c.idxOf[b], cid)
-			}
-			if h.ticket != nil && c.ctrl != nil {
-				c.ctrl.Release(h.ticket)
-				h.ticket = nil
-				if c.ctrl.QueueDepth() > 0 {
-					c.eng.After(0, c.pump)
-				}
-			}
-		}
-	}
-	if len(c.parked) > 0 {
-		c.eng.After(0, c.unpark)
-	}
-}
-
-// boardDead fails a dead board's work over. Results that retired before
-// the death are harvested now — the board is rebuilt immediately and
-// its replacement restarts local IDs, so the old bookkeeping must be
-// settled before the maps reset. Unfinished work is re-dispatched
-// (with surviving checkpoints), parked if no board can take it, or
-// failed once its retry budget runs out.
-func (c *Cluster) boardDead(b int) {
-	evs := c.boards[b].Evacuate()
-	results, err := c.boards[b].Collect()
-	if err != nil {
-		c.errs = append(c.errs, fmt.Errorf("cluster: harvesting dead board %d: %w", b, err))
-	}
-	for _, r := range results {
-		idx, ok := c.idxOf[b][r.AppID]
-		if !ok {
-			c.errs = append(c.errs, fmt.Errorf("cluster: dead board %d reported unknown app %d", b, r.AppID))
-			continue
-		}
-		c.done[idx] = Result{Result: r, Board: b}
-	}
-	oldIdx, oldTickets := c.idxOf[b], c.tickets[b]
-	// Rebuild now, while the tracker still refuses placements: the dead
-	// hypervisor can never serve again, and a revive only has to lift
-	// the breaker.
-	if h, err := c.newBoard(b); err != nil {
-		c.errs = append(c.errs, fmt.Errorf("cluster: rebuilding board %d: %w", b, err))
-	} else {
-		c.boards[b] = h
-	}
-	c.idxOf[b] = map[int64]int{}
-	c.tickets[b] = map[int64]*admit.Ticket{}
-	st := c.mon.StatsRef()
-	ins := c.mon.Instruments()
-	for _, ev := range evs {
-		idx, ok := oldIdx[ev.ID]
-		if !ok {
-			c.errs = append(c.errs, fmt.Errorf("cluster: dead board %d evacuated unknown app %d", b, ev.ID))
-			continue
-		}
-		ticket := oldTickets[ev.ID]
-		if h := c.hedges[idx]; h != nil && !h.done {
-			// One copy of a hedge died; its twin is still in flight.
-			delete(h.copies, b)
-			st.WastedWork += ev.WorkDone
-			if ins != nil {
-				ins.WastedWork.Add(ev.WorkDone.Seconds())
-			}
-			if len(h.copies) > 0 {
-				continue
-			}
-			// Both copies are gone: recover the ticket and fail over as
-			// ordinary work. The wasted work is already booked.
-			ticket = h.ticket
-			delete(c.hedges, idx)
-			ev.WorkDone = 0
-		}
-		c.failover(idx, ticket, ev.Snapshots, ev.WorkDone)
-	}
-}
-
-// failover re-dispatches one evacuated submission, parking it when no
-// board is placeable and failing it permanently once its retry budget
-// is exhausted.
-func (c *Cluster) failover(idx int, t *admit.Ticket, snaps []hv.Snapshot, workDone sim.Duration) {
-	c.retries[idx]++
-	if c.retries[idx] > c.hopt.RetryBudget {
-		st := c.mon.StatsRef()
-		st.WastedWork += workDone
-		if ins := c.mon.Instruments(); ins != nil {
-			ins.WastedWork.Add(workDone.Seconds())
-		}
-		c.fail(idx, "retries-exhausted", t)
+// hedgeRetired settles a hedge when one copy retires: the loser copy is
+// aborted, its spent fabric time booked as wasted, and the ticket the
+// hedge held released.
+func (c *Cluster) hedgeRetired(board int, id int64, idx int) {
+	h := c.hedges[idx]
+	if h == nil || h.done {
 		return
 	}
-	p := parkedWork{sub: c.subs[idx], ticket: t, snaps: snaps, workDone: workDone, redispatch: true}
-	target := c.pick()
-	if target < 0 {
-		c.park(p)
-		return
-	}
-	c.place(p, target)
-}
-
-// fail records a permanent loss: the submission surfaces from Run as a
-// Failed result instead of vanishing, and its admission slot is freed.
-func (c *Cluster) fail(idx int, reason string, t *admit.Ticket) {
-	c.failed[idx] = reason
-	if c.ctrl != nil && t != nil {
-		c.ctrl.Release(t)
-		if c.ctrl.QueueDepth() > 0 {
-			c.eng.After(0, c.pump)
+	h.done = true
+	mon := c.core.Monitor()
+	for b, cid := range h.copies {
+		if b == board && cid == id {
+			continue
 		}
-	}
-	st := c.mon.StatsRef()
-	st.FailedSubmissions++
-	if ins := c.mon.Instruments(); ins != nil {
-		ins.Failed.Inc()
-	}
-}
-
-// strand fails everything still parked when the run ends: no board
-// ever came back to take it.
-func (c *Cluster) strand() {
-	st := c.mon.StatsRef()
-	ins := c.mon.Instruments()
-	for _, p := range c.parked {
-		st.WastedWork += p.workDone
-		if ins != nil {
-			ins.WastedWork.Add(p.workDone.Seconds())
+		if ok, spent := c.core.Board(b).Abort(cid); ok {
+			mon.StatsRef().HedgeCancelled++
+			if ins := mon.Instruments(); ins != nil {
+				ins.HedgeWins.Inc()
+			}
+			c.core.Waste(spent)
 		}
-		c.fail(p.sub.idx, "stranded", p.ticket)
+		c.core.Forget(b, cid)
 	}
-	c.parked = nil
+	c.core.Release(h.ticket)
+	h.ticket = nil
 }
 
-// annotate overlays re-dispatch accounting on a completed result: the
-// response clock starts at the original arrival, not the re-dispatch,
-// so failover latency shows up in the metrics it actually cost.
-func (c *Cluster) annotate(idx int, r Result) Result {
-	if c.mon == nil {
-		return r
+// hedgeEvacuated claims a dead board's copy of a live hedge while its
+// twin is still in flight. Only the death of the last copy turns the
+// hedge back into ordinary failover, carrying the hedge's ticket; the
+// wasted work is booked here either way.
+func (c *Cluster) hedgeEvacuated(b, idx int, ev *hv.Evacuee, t *admit.Ticket) (*admit.Ticket, bool) {
+	h := c.hedges[idx]
+	if h == nil || h.done {
+		return t, false
 	}
-	r.Attempts = c.retries[idx] + 1
-	if c.retries[idx] > 0 {
-		sub := c.subs[idx]
-		r.Arrival = sub.arrival
-		if r.FirstLaunch >= 0 {
-			r.Wait = r.FirstLaunch.Sub(sub.arrival)
-		}
-		r.Response = r.Retire.Sub(sub.arrival)
+	delete(h.copies, b)
+	c.core.Waste(ev.WorkDone)
+	if len(h.copies) > 0 {
+		return nil, true
 	}
-	return r
-}
-
-// boardRevive runs when a dead board's scheduled recovery arrives. The
-// hypervisor was already rebuilt at death; what remains is waking
-// parked work once the circuit breaker re-admits the board.
-func (c *Cluster) boardRevive(b int) {
-	at := c.mon.Tracker(b).ReadmitAt()
-	c.eng.At(at, c.unpark)
-}
-
-// FailoverStats reports the fleet's failover accounting; the zero Stats
-// when the failure-domain layer is off.
-func (c *Cluster) FailoverStats() health.Stats {
-	if c.mon == nil {
-		return health.Stats{}
-	}
-	return c.mon.Stats()
-}
-
-// BoardStates reports every board's health state; nil when the
-// failure-domain layer is off.
-func (c *Cluster) BoardStates() []health.State {
-	if c.mon == nil {
-		return nil
-	}
-	out := make([]health.State, len(c.boards))
-	for b := range c.boards {
-		out[b] = c.mon.Tracker(b).State()
-	}
-	return out
+	delete(c.hedges, idx)
+	ev.WorkDone = 0
+	return h.ticket, false
 }

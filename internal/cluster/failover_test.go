@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nimblock/internal/admit"
 	"nimblock/internal/apps"
 	"nimblock/internal/faults"
 	"nimblock/internal/health"
@@ -308,12 +309,12 @@ func TestRecoveredBoardServesAgain(t *testing.T) {
 
 // TestFailoverConservation extends the conservation property to board
 // deaths: across random workloads, board-level fault schedules, retry
-// budgets, hedging, and checkpointing, every submission ends as exactly
-// one of {completed, failed-after-retries} under every dispatch policy
-// — never lost, never double-counted — and the failover counters agree
-// with the results.
+// budgets, hedging, checkpointing, and (on odd seeds) admission
+// control, every submission ends as exactly one of {completed,
+// rejected, failed} under every dispatch policy — never lost, never
+// double-counted — every admission ticket is released exactly once, and
+// the failover counters agree with the results.
 func TestFailoverConservation(t *testing.T) {
-	pool := []string{apps.LeNet, apps.ImageCompression, apps.Rendering3D, apps.OpticalFlow}
 	policies := []Dispatch{RoundRobin, LeastLoaded, LeastPending, RandomBoard}
 	for seed := int64(0); seed < 20; seed++ {
 		for _, d := range policies {
@@ -322,68 +323,107 @@ func TestFailoverConservation(t *testing.T) {
 				t.Parallel()
 				rng := rand.New(rand.NewSource(seed))
 				boards := 1 + rng.Intn(3)
-				cfg := Config{Dispatch: d, Seed: seed, HV: hv.DefaultConfig()}
-				if rng.Intn(2) == 0 {
-					cfg.HV.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 30 * sim.Millisecond}
+				var adm *admit.Config
+				if seed%2 == 1 {
+					arng := rand.New(rand.NewSource(^seed))
+					adm = &admit.Config{Capacity: arng.Intn(12), MaxInFlight: 1 + arng.Intn(4)}
 				}
-				hopt := &health.Options{RetryBudget: 1 + rng.Intn(3)}
-				if rng.Intn(2) == 0 && boards > 1 {
-					hopt.HedgePriority = 5
-				}
-				cfg.Health = hopt
-				var events []faults.BoardEvent
-				for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-					b := rng.Intn(boards)
-					at := sim.Time(rng.Int63n(int64(3 * sim.Second)))
-					var recover sim.Time
-					if rng.Intn(2) == 0 {
-						recover = at + sim.Time(1+rng.Int63n(int64(10*sim.Second)))
-					}
-					switch rng.Intn(3) {
-					case 0:
-						events = append(events, faults.BoardEvent{Kind: faults.BoardCrash, Board: b, At: at, Recover: recover})
-					case 1:
-						events = append(events, faults.BoardEvent{Kind: faults.BoardHang, Board: b, At: at, Recover: recover})
-					default:
-						events = append(events, faults.BoardEvent{
-							Kind: faults.BoardDegrade, Board: b, At: at,
-							Until: at + sim.Time(1+rng.Int63n(int64(5*sim.Second))), Factor: 1.5 + rng.Float64()*6,
-						})
-					}
-				}
-				_, c := newFailoverCluster(t, boards, cfg, events)
-				n := 6 + rng.Intn(10)
-				for i := 0; i < n; i++ {
-					g := apps.MustGraph(pool[rng.Intn(len(pool))])
-					arrival := sim.Time(rng.Int63n(int64(2 * sim.Second)))
-					if err := c.Submit(g, 1+rng.Intn(3), 1+rng.Intn(9), arrival); err != nil {
-						t.Fatal(err)
-					}
-				}
-				res, err := c.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res) != n {
-					t.Fatalf("%d results for %d submissions", len(res), n)
-				}
-				completed, rejected, failed := classify(t, c, res)
-				if rejected != 0 {
-					t.Fatalf("no admission configured but %d rejected", rejected)
-				}
-				if completed+failed != n {
-					t.Fatalf("conservation broken: %d completed + %d failed != %d", completed, failed, n)
-				}
-				st := c.FailoverStats()
-				if failed != st.FailedSubmissions {
-					t.Fatalf("%d failed results but stats count %d", failed, st.FailedSubmissions)
-				}
-				for i, r := range res {
-					if !r.Failed && !r.Rejected && r.Attempts > hopt.RetryBudget+1 {
-						t.Fatalf("result %d used %d attempts with budget %d", i, r.Attempts, hopt.RetryBudget)
-					}
-				}
+				runFailoverScenario(t, rng, boards, d, seed, adm)
 			})
+		}
+	}
+}
+
+// FuzzFailoverConservation drives the failover conservation property
+// from fuzzed inputs: a seed for the workload and the board fault plan,
+// the board count, the dispatch mode, and an admission configuration
+// (capacity and in-flight window; both zero disables admission).
+func FuzzFailoverConservation(f *testing.F) {
+	f.Add(int64(0), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(2), uint8(4), uint8(6), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, boards, mode, capacity, inFlight uint8) {
+		var adm *admit.Config
+		if capacity != 0 || inFlight != 0 {
+			adm = &admit.Config{Capacity: int(capacity % 16), MaxInFlight: int(inFlight % 8)}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		runFailoverScenario(t, rng, 1+int(boards%4), Dispatch(mode%5), seed, adm)
+	})
+}
+
+// runFailoverScenario draws a random failover run from rng — checkpoint
+// and hedging switches, a retry budget, a board fault plan, and a
+// workload — on the given fleet, runs it, and checks conservation,
+// exactly-once ticket release, and the failover counters.
+func runFailoverScenario(t *testing.T, rng *rand.Rand, boards int, d Dispatch, seed int64, adm *admit.Config) {
+	t.Helper()
+	pool := []string{apps.LeNet, apps.ImageCompression, apps.Rendering3D, apps.OpticalFlow}
+	cfg := Config{Dispatch: d, Seed: seed, HV: hv.DefaultConfig(), Admission: adm}
+	if rng.Intn(2) == 0 {
+		cfg.HV.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 30 * sim.Millisecond}
+	}
+	hopt := &health.Options{RetryBudget: 1 + rng.Intn(3)}
+	if rng.Intn(2) == 0 && boards > 1 {
+		hopt.HedgePriority = 5
+	}
+	cfg.Health = hopt
+	var events []faults.BoardEvent
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		b := rng.Intn(boards)
+		at := sim.Time(rng.Int63n(int64(3 * sim.Second)))
+		var recover sim.Time
+		if rng.Intn(2) == 0 {
+			recover = at + sim.Time(1+rng.Int63n(int64(10*sim.Second)))
+		}
+		switch rng.Intn(3) {
+		case 0:
+			events = append(events, faults.BoardEvent{Kind: faults.BoardCrash, Board: b, At: at, Recover: recover})
+		case 1:
+			events = append(events, faults.BoardEvent{Kind: faults.BoardHang, Board: b, At: at, Recover: recover})
+		default:
+			events = append(events, faults.BoardEvent{
+				Kind: faults.BoardDegrade, Board: b, At: at,
+				Until: at + sim.Time(1+rng.Int63n(int64(5*sim.Second))), Factor: 1.5 + rng.Float64()*6,
+			})
+		}
+	}
+	_, c := newFailoverCluster(t, boards, cfg, events)
+	n := 6 + rng.Intn(10)
+	for i := 0; i < n; i++ {
+		g := apps.MustGraph(pool[rng.Intn(len(pool))])
+		arrival := sim.Time(rng.Int63n(int64(2 * sim.Second)))
+		if err := c.Submit(g, 1+rng.Intn(3), 1+rng.Intn(9), arrival); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != n {
+		t.Fatalf("%d results for %d submissions", len(res), n)
+	}
+	completed, rejected, failed := classify(t, c, res)
+	if completed+rejected+failed != n {
+		t.Fatalf("conservation broken: %d completed + %d rejected + %d failed != %d", completed, rejected, failed, n)
+	}
+	as := c.AdmissionStats()
+	if adm == nil && rejected != 0 {
+		t.Fatalf("no admission configured but %d rejected", rejected)
+	}
+	if rejected != as.Shed+as.RejectedDeadline+as.RejectedQuota {
+		t.Fatalf("%d rejected results vs admission stats %+v", rejected, as)
+	}
+	if adm != nil && (as.Dispatched != as.Completed || as.Dispatched != as.Admitted-as.Evicted || completed+failed != as.Dispatched) {
+		t.Fatalf("tickets not released exactly once: %d completed + %d failed, stats %+v", completed, failed, as)
+	}
+	st := c.FailoverStats()
+	if failed != st.FailedSubmissions {
+		t.Fatalf("%d failed results but stats count %d", failed, st.FailedSubmissions)
+	}
+	for i, r := range res {
+		if !r.Failed && !r.Rejected && r.Attempts > hopt.RetryBudget+1 {
+			t.Fatalf("result %d used %d attempts with budget %d", i, r.Attempts, hopt.RetryBudget)
 		}
 	}
 }
@@ -396,19 +436,60 @@ func TestPickTieBreaksDeterministically(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			// Health off: idle boards tie on load.
 			_, c := newCluster(t, 4, d)
-			if b := c.pick(); b != 0 {
+			if b := c.pickAmong(c.core.Candidates()); b != 0 {
 				t.Fatalf("%s picked board %d on an idle fleet, want 0", d, b)
 			}
 			// Health on: same tie, now through the placeable filter.
 			_, ch := newFailoverCluster(t, 4, Config{Dispatch: d, Seed: 8, Health: &health.Options{}}, nil)
-			if b := ch.pick(); b != 0 {
+			if b := ch.pickAmong(ch.core.Candidates()); b != 0 {
 				t.Fatalf("%s picked board %d with health armed, want 0", d, b)
 			}
 			// A degraded board 0 loses the tie to the first clean board.
-			ch.mon.Tracker(0).MarkDegraded()
-			if b := ch.pick(); b != 1 {
+			ch.core.Monitor().Tracker(0).MarkDegraded()
+			if b := ch.pickAmong(ch.core.Candidates()); b != 1 {
 				t.Fatalf("%s picked board %d with board 0 degraded, want 1", d, b)
 			}
 		})
+	}
+}
+
+// TestStrandedQueueFailsAtHorizon kills the only board for good while
+// admitted work still waits behind the in-flight window: the evacuee
+// and every submission queued behind it must come back Failed
+// "stranded", with each admission ticket released exactly once.
+func TestStrandedQueueFailsAtHorizon(t *testing.T) {
+	events := []faults.BoardEvent{{Kind: faults.BoardCrash, Board: 0, At: sim.Time(50 * sim.Millisecond)}}
+	cfg := Config{
+		Admission: &admit.Config{Capacity: 8, MaxInFlight: 1},
+		Health:    &health.Options{RetryBudget: 2},
+	}
+	_, c := newFailoverCluster(t, 1, cfg, events)
+	g := apps.MustGraph(apps.LeNet)
+	for i := 0; i < 4; i++ {
+		if err := c.Submit(g, 2, 3, sim.Time(i)*sim.Time(100*sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !r.Failed || r.FailReason != "stranded" {
+			t.Fatalf("result %d = %+v, want Failed stranded", i, r)
+		}
+		wantBoard, wantAttempts := -1, 0
+		if i == 0 {
+			wantBoard, wantAttempts = 0, 1 // the evacuee ran on board 0 once
+		}
+		if r.Board != wantBoard || r.Attempts != wantAttempts {
+			t.Fatalf("result %d on board %d after %d attempts, want %d/%d", i, r.Board, r.Attempts, wantBoard, wantAttempts)
+		}
+	}
+	if as := c.AdmissionStats(); as.Dispatched != 4 || as.Completed != 4 {
+		t.Fatalf("admission stats %+v, want 4 tickets dispatched and released", as)
+	}
+	if st := c.FailoverStats(); st.FailedSubmissions != 4 {
+		t.Fatalf("FailedSubmissions = %d, want 4", st.FailedSubmissions)
 	}
 }

@@ -98,7 +98,7 @@ func TestPickBoundaries(t *testing.T) {
 				p.deployed[b][fn] = true
 			}
 			copy(p.outstanding, tc.outstanding)
-			board, cold := p.pick(fn)
+			board, cold := p.pick(fn, p.core.Candidates())
 			if board != tc.wantBoard || cold != tc.wantCold {
 				t.Fatalf("pick = (%d, %v), want (%d, %v)", board, cold, tc.wantBoard, tc.wantCold)
 			}

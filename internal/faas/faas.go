@@ -14,16 +14,19 @@
 // platform accepts; rejected invocations come back from Run as Rejected
 // results, so a traffic spike sheds load instead of queueing without
 // bound.
+//
+// The board set, admission, and board-level failover are the shared
+// internal/frontend core; this package supplies the function registry,
+// warm/cold placement, and invocation results.
 package faas
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"nimblock/internal/admit"
 	"nimblock/internal/faults"
+	"nimblock/internal/frontend"
 	"nimblock/internal/health"
 	"nimblock/internal/hv"
 	"nimblock/internal/sched"
@@ -129,106 +132,61 @@ type Stats struct {
 	Rejections  int
 }
 
-// invKey links a board-local application ID back to the invocation that
-// produced it.
-type invKey struct {
-	board   int
-	localID int64
-}
-
+// invocation is the platform's record of one Invoke call.
 type invocation struct {
 	function string
 	invoked  sim.Time
 	items    int
-	cold     bool
-	board    int
-	// attempts counts successful placements; retries counts board
-	// deaths survived so far (failover bookkeeping).
-	attempts int
-	retries  int
+	cold     bool // the latest placement paid a cold start
+	placed   bool // placed at least once (counted in Stats.Invocations)
 }
 
 // Platform is the serverless front-end.
 type Platform struct {
 	eng         *sim.Engine
 	cfg         Config
-	boards      []hv.Instance
+	core        *frontend.Core
 	deployed    []map[string]bool
 	outstanding []int // per-board dispatched-not-retired invocations
 	funcs       map[string]Function
-	inv         map[invKey]*invocation
-	tickets     map[invKey]*admit.Ticket
-	ctrl        *admit.Controller
-	rejects     []Result
-	errs        []error
+	invs        []*invocation // submission index -> invocation
 	stats       Stats
-	expected    int
-
-	// Failure-domain state (nil/empty when Config.Health is off; see
-	// failover.go).
-	mkPolicy func() sched.Scheduler // retained to rebuild dead boards
-	mon      *health.Monitor
-	hopt     health.Options
-	parked   []parkedInv
-	done     []Result // results settled before Run (harvested or failed)
 }
 
 // New builds a platform; mkPolicy supplies one scheduler per board.
 func New(eng *sim.Engine, cfg Config, mkPolicy func() sched.Scheduler) (*Platform, error) {
-	if cfg.Boards < 1 {
-		return nil, fmt.Errorf("faas: need at least one board")
-	}
 	if cfg.ColdStart < 0 {
 		return nil, fmt.Errorf("faas: negative cold start")
 	}
-	if mkPolicy == nil {
-		return nil, fmt.Errorf("faas: nil policy factory")
+	var mk func(hv.Config) sched.Scheduler
+	if mkPolicy != nil {
+		mk = func(hv.Config) sched.Scheduler { return mkPolicy() }
 	}
-	if cfg.BoardConfigs != nil && len(cfg.BoardConfigs) != cfg.Boards {
-		return nil, fmt.Errorf("faas: %d board configs for %d boards", len(cfg.BoardConfigs), cfg.Boards)
-	}
-	p := &Platform{
-		eng:      eng,
-		cfg:      cfg,
-		funcs:    map[string]Function{},
-		inv:      map[invKey]*invocation{},
-		tickets:  map[invKey]*admit.Ticket{},
-		mkPolicy: mkPolicy,
-	}
-	if cfg.Admission != nil {
-		ctrl, err := admit.New(*cfg.Admission)
-		if err != nil {
-			return nil, fmt.Errorf("faas: %w", err)
-		}
-		p.ctrl = ctrl
-	}
-	for i := 0; i < cfg.Boards; i++ {
-		h, err := p.newBoard(i)
-		if err != nil {
-			return nil, err
-		}
-		p.boards = append(p.boards, h)
-		p.deployed = append(p.deployed, map[string]bool{})
-		p.outstanding = append(p.outstanding, 0)
-	}
-	if err := p.initHealth(); err != nil {
+	p := &Platform{eng: eng, cfg: cfg, funcs: map[string]Function{}}
+	core, err := frontend.New(eng, frontend.Config{
+		Name:         "faas",
+		Boards:       cfg.Boards,
+		HV:           cfg.HV,
+		BoardConfigs: cfg.BoardConfigs,
+		Admission:    cfg.Admission,
+		Health:       cfg.Health,
+		BoardFaults:  cfg.BoardFaults,
+	}, mk, frontend.Hooks{
+		Place:   p.place,
+		Retired: func(board int, _ int64, _ int) { p.outstanding[board]-- },
+		// A dead board's bitstream deployments die with it.
+		Lost: func(board int) { p.deployed[board], p.outstanding[board] = map[string]bool{}, 0 },
+	})
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// newBoard builds (or rebuilds, after a recovery) board i's hypervisor
-// with the platform's retire hook chained onto any user-provided one.
-func (p *Platform) newBoard(i int) (hv.Instance, error) {
-	bcfg := p.boardConfig(i)
-	board, user := i, bcfg.OnRetire
-	bcfg.OnRetire = func(id int64) {
-		if user != nil {
-			user(id)
-		}
-		p.onRetire(board, id)
+	p.core = core
+	p.deployed = make([]map[string]bool, cfg.Boards)
+	for i := range p.deployed {
+		p.deployed[i] = map[string]bool{}
 	}
-	return hv.New(p.eng, bcfg, p.mkPolicy())
+	p.outstanding = make([]int, cfg.Boards)
+	return p, nil
 }
 
 // Register adds a function to the registry. Functions must be registered
@@ -257,90 +215,30 @@ func (p *Platform) Invoke(function string, items int, at sim.Time) error {
 	if items < 1 {
 		return fmt.Errorf("faas: invocation of %q with %d items", function, items)
 	}
-	p.expected++
-	p.eng.At(at, func() { p.arrive(function, items, at) })
+	idx := p.core.Add()
+	p.invs = append(p.invs, &invocation{function: function, invoked: at, items: items})
+	p.eng.At(at, func() { p.arrive(idx) })
 	return nil
 }
 
 // arrive runs the admission decision (if configured) at the invocation
-// instant and dispatches or records the outcome.
-func (p *Platform) arrive(function string, items int, invoked sim.Time) {
-	in := &invocation{function: function, invoked: invoked, items: items}
-	if p.ctrl == nil {
-		p.dispatch(in, nil)
-		return
-	}
-	fn := p.funcs[function]
-	_, evicted, out := p.ctrl.Offer(admit.Request{
-		Tenant:   fn.Tenant,
-		Priority: fn.Priority,
-		Estimate: p.estimate(fn.Graph, items),
-		SLO:      fn.SLO,
-		Arrival:  p.eng.Now(),
-		Payload:  in,
-	}, p.minLoad())
-	if out != admit.Admitted {
-		p.reject(in, out.String())
-		return
-	}
-	if evicted != nil {
-		p.reject(evicted.Request().Payload.(*invocation), admit.Shed.String())
-	}
-	p.pump()
-}
-
-// estimate is the admission-time work estimate: single-slot latency on
-// the platform's fastest-case board, optimistic across heterogeneous
-// fleets so the deadline test never rejects work a fast board could
-// have finished in time.
-func (p *Platform) estimate(g *taskgraph.Graph, items int) sim.Duration {
-	best := hv.SingleSlotLatencyFor(p.boardConfig(0).Board, g, items)
-	for i := 1; i < len(p.boards); i++ {
-		if e := hv.SingleSlotLatencyFor(p.boardConfig(i).Board, g, items); e < best {
-			best = e
-		}
-	}
-	return best
-}
-
-// pump dispatches every invocation the controller clears.
-func (p *Platform) pump() {
-	for _, t := range p.ctrl.Dispatchable() {
-		p.dispatch(t.Request().Payload.(*invocation), t)
-	}
-}
-
-// reject records an admission rejection for reporting from Run.
-func (p *Platform) reject(in *invocation, reason string) {
-	p.stats.Rejections++
-	p.rejects = append(p.rejects, Result{
-		Function:     in.function,
-		Board:        -1,
-		InvokedAt:    in.invoked,
-		Items:        in.items,
-		Rejected:     true,
-		RejectReason: reason,
-	})
-}
-
-// dispatch places an invocation now. Submit failures are recorded and
-// surfaced from Run, never panicked: one bad invocation must not take
-// down the platform.
-func (p *Platform) dispatch(in *invocation, t *admit.Ticket) {
-	p.place(parkedInv{in: in, ticket: t})
-}
-
-// place lands one invocation (fresh, parked, or evacuated) on a board,
-// seeding any surviving checkpoints so migrated items resume instead of
-// re-executing. With no placeable board it parks the invocation until
-// one recovers.
-func (p *Platform) place(pk parkedInv) {
-	in := pk.in
+// instant and dispatches whatever it clears.
+func (p *Platform) arrive(idx int) {
+	in := p.invs[idx]
 	fn := p.funcs[in.function]
-	board, cold := p.pick(in.function)
+	p.core.Arrive(idx, fn.Graph, in.items, admit.Request{Tenant: fn.Tenant, Priority: fn.Priority, SLO: fn.SLO})
+	p.core.Pump()
+}
+
+// place lands one invocation (fresh, parked, or evacuated) on the board
+// pick chooses among cands, paying the cold start on a board that does
+// not hold the function's bitstreams yet.
+func (p *Platform) place(idx int, cands []int) (int, int64, error) {
+	in := p.invs[idx]
+	fn := p.funcs[in.function]
+	board, cold := p.pick(in.function, cands)
 	if board < 0 {
-		p.parked = append(p.parked, pk)
-		return
+		return -1, 0, nil
 	}
 	arrival := p.eng.Now()
 	if cold {
@@ -349,16 +247,12 @@ func (p *Platform) place(pk parkedInv) {
 	var id int64
 	var err error
 	if fn.Tenant != "" {
-		id, err = p.boards[board].SubmitTenant(fn.Graph, in.items, fn.Priority, arrival, fn.Tenant, fn.Weight)
+		id, err = p.core.Board(board).SubmitTenant(fn.Graph, in.items, fn.Priority, arrival, fn.Tenant, fn.Weight)
 	} else {
-		id, err = p.boards[board].SubmitID(fn.Graph, in.items, fn.Priority, arrival)
+		id, err = p.core.Board(board).SubmitID(fn.Graph, in.items, fn.Priority, arrival)
 	}
 	if err != nil {
-		p.errs = append(p.errs, fmt.Errorf("faas: invocation of %q: %w", in.function, err))
-		if p.ctrl != nil {
-			p.ctrl.Release(pk.ticket) // free the admission slot the failed dispatch held
-		}
-		return
+		return board, 0, fmt.Errorf("faas: invocation of %q: %w", in.function, err)
 	}
 	if cold {
 		p.deployed[board][in.function] = true
@@ -366,50 +260,21 @@ func (p *Platform) place(pk parkedInv) {
 	} else {
 		p.stats.WarmStarts++
 	}
-	if in.attempts == 0 {
+	if !in.placed {
 		p.stats.Invocations++
+		in.placed = true
 	}
-	in.attempts++
 	p.outstanding[board]++
-	in.cold, in.board = cold, board
-	key := invKey{board, id}
-	p.inv[key] = in
-	if pk.ticket != nil {
-		p.tickets[key] = pk.ticket
-	}
-	p.settleMigration(board, id, pk)
+	in.cold = cold
+	return board, id, nil
 }
 
-// onRetire keeps the per-board outstanding count honest and releases the
-// retiring invocation's admission slot; promotion of queued work happens
-// on the next event tick, outside the hypervisor's retire processing.
-func (p *Platform) onRetire(board int, id int64) {
-	key := invKey{board, id}
-	if _, ok := p.inv[key]; !ok {
-		return
-	}
-	p.outstanding[board]--
-	if p.mon != nil {
-		p.mon.Tracker(board).ReportSuccess()
-		if len(p.parked) > 0 {
-			p.eng.After(0, p.unpark)
-		}
-	}
-	if t, ok := p.tickets[key]; ok {
-		delete(p.tickets, key)
-		p.ctrl.Release(t)
-		if p.ctrl.QueueDepth() > 0 {
-			p.eng.After(0, p.pump)
-		}
-	}
-}
-
-// pick chooses a board with warm affinity: the least-busy board that
-// already holds the function's bitstreams, unless every warm board is at
-// or over the scale-up threshold and a cold board is strictly less
-// loaded, in which case the cold start is worth paying. Load ties break
-// toward the lowest board index (strict "<"), so placement is
-// deterministic. Boundary behavior, pinned by tests:
+// pick chooses a board among cands with warm affinity: the least-busy
+// board that already holds the function's bitstreams, unless every warm
+// board is at or over the scale-up threshold and a cold board is
+// strictly less loaded, in which case the cold start is worth paying.
+// Load ties break toward the lowest board index (strict "<"), so
+// placement is deterministic. Boundary behavior, pinned by tests:
 //
 //   - no warm board: cheapest cold board, cold start;
 //   - all boards warm (nowhere to scale to): least-loaded warm board,
@@ -417,14 +282,11 @@ func (p *Platform) onRetire(board int, id int64) {
 //   - ScaleUp <= 0: eager scaling — any warm backlog justifies a
 //     strictly less-loaded cold board (an idle warm board still wins);
 //   - single board: always that board, cold exactly once per function.
-func (p *Platform) pick(function string) (board int, cold bool) {
+func (p *Platform) pick(function string, cands []int) (board int, cold bool) {
 	warmBest, coldBest := -1, -1
 	var warmScore, coldScore float64
 	warmLoad := 0
-	for i := range p.boards {
-		if p.mon != nil && !p.mon.Tracker(i).Placeable(p.eng.Now()) {
-			continue
-		}
+	for _, i := range cands {
 		score := p.score(i)
 		if p.deployed[i][function] {
 			if warmBest == -1 || score < warmScore {
@@ -436,9 +298,6 @@ func (p *Platform) pick(function string) (board int, cold bool) {
 		}
 	}
 	if warmBest == -1 {
-		if coldBest == -1 {
-			return -1, false // nothing placeable right now
-		}
 		return coldBest, true
 	}
 	threshold := p.cfg.ScaleUp
@@ -451,140 +310,84 @@ func (p *Platform) pick(function string) (board int, cold bool) {
 	return warmBest, false
 }
 
-// score ranks a board for placement: the outstanding invocation count,
-// stretched by the board's latency scale and divided by its usable slot
-// count, so a slow or narrow board looks busier than a fast wide board
-// at the same queue depth. On a homogeneous platform every factor
-// cancels and the score orders exactly like the raw count did, ties
-// still breaking toward the lowest board index through strict "<".
+// score ranks a board for placement by its outstanding invocation count
+// (see frontend.PlacementScore), so a slow or narrow board looks busier
+// than a fast wide board at the same queue depth. On a homogeneous
+// platform every factor cancels and the score orders exactly like the
+// raw count, ties still breaking toward the lowest board index through
+// strict "<".
 func (p *Platform) score(i int) float64 {
-	usable := p.boards[i].Board().UsableSlots()
-	if usable == 0 {
-		return math.Inf(1)
-	}
-	return float64(1+p.outstanding[i]) * p.boards[i].Board().LatencyScale() / float64(usable)
-}
-
-// boardConfig resolves the effective hv.Config of board i.
-func (p *Platform) boardConfig(i int) hv.Config {
-	if p.cfg.BoardConfigs != nil {
-		return p.cfg.BoardConfigs[i]
-	}
-	return p.cfg.HV
+	return frontend.PlacementScore(p.core.Board(i).Board(), float64(p.outstanding[i]))
 }
 
 // Energy sums the per-board energy reports.
-func (p *Platform) Energy() hv.EnergyStats {
-	var total hv.EnergyStats
-	for _, b := range p.boards {
-		es := b.Energy()
-		total.StaticJoules += es.StaticJoules
-		total.ActiveJoules += es.ActiveJoules
-		total.OccupiedSlotSeconds += es.OccupiedSlotSeconds
-		total.UsableSlotSeconds += es.UsableSlotSeconds
-	}
-	return total
-}
+func (p *Platform) Energy() hv.EnergyStats { return p.core.Energy() }
 
 // TenantServices merges delivered per-tenant fabric time across boards.
-func (p *Platform) TenantServices() map[string]sim.Duration {
-	out := map[string]sim.Duration{}
-	for _, b := range p.boards {
-		for tenant, d := range b.TenantServices() {
-			out[tenant] += d
-		}
-	}
-	return out
-}
-
-// minLoad is the least-loaded board's outstanding work estimate, the
-// admission controller's view of how soon a new invocation could start.
-func (p *Platform) minLoad() sim.Duration {
-	best, any := sim.Duration(0), false
-	for i := range p.boards {
-		if p.mon != nil && !p.mon.Tracker(i).Placeable(p.eng.Now()) {
-			continue
-		}
-		if l := p.boards[i].OutstandingEstimate(); !any || l < best {
-			best, any = l, true
-		}
-	}
-	if !any {
-		// Nothing placeable: admission sees an effectively infinite queue.
-		return p.cfg.HV.Horizon.Sub(0)
-	}
-	return best
-}
+func (p *Platform) TenantServices() map[string]sim.Duration { return p.core.TenantServices() }
 
 // Stats returns platform counters.
-func (p *Platform) Stats() Stats { return p.stats }
+func (p *Platform) Stats() Stats {
+	st := p.stats
+	as := p.core.AdmissionStats()
+	st.Rejections = as.Shed + as.RejectedDeadline + as.RejectedQuota
+	return st
+}
 
 // AdmissionStats reports the admission controller's counters; the zero
 // Stats when admission is disabled.
-func (p *Platform) AdmissionStats() admit.Stats {
-	if p.ctrl == nil {
-		return admit.Stats{}
-	}
-	return p.ctrl.Stats()
-}
+func (p *Platform) AdmissionStats() admit.Stats { return p.core.AdmissionStats() }
+
+// FailoverStats reports the platform's failover accounting; the zero
+// Stats when the failure-domain layer is off.
+func (p *Platform) FailoverStats() health.Stats { return p.core.FailoverStats() }
+
+// BoardStates reports every board's health state; nil when the
+// failure-domain layer is off.
+func (p *Platform) BoardStates() []health.State { return p.core.BoardStates() }
 
 // Boards reports the cluster size.
-func (p *Platform) Boards() int { return len(p.boards) }
+func (p *Platform) Boards() int { return p.core.Boards() }
 
 // Outstanding reports dispatched-not-retired invocations on one board
 // (for tests and reports).
 func (p *Platform) Outstanding(board int) int { return p.outstanding[board] }
 
 // Run drives the simulation until every accepted invocation completes
-// and returns per-invocation results — completed and rejected — ordered
-// by invocation time (ties by board, rejections first). Dispatch-time
-// submit failures accumulated during the run are returned joined.
+// and returns one result per invocation — completed, rejected, or
+// failed — ordered by invocation time, ties by board (rejections first)
+// and then by invocation order. Dispatch-time submit failures
+// accumulated during the run are returned joined.
 func (p *Platform) Run() ([]Result, error) {
-	// Drain rather than run to the horizon: DrainUntil leaves the clock
-	// at the last fired event (the platform's makespan), so Energy
-	// sampled after Run prices static power over time actually spanned
-	// by work, not over the idle tail out to the horizon.
-	p.eng.DrainUntil(p.cfg.HV.Horizon)
-	if p.mon != nil {
-		p.strand()
-	}
-	if err := errors.Join(p.errs...); err != nil {
+	outs, err := p.core.Run()
+	if err != nil {
 		return nil, err
 	}
-	out := append([]Result(nil), p.rejects...)
-	out = append(out, p.done...)
-	for bi, b := range p.boards {
-		results, err := b.Collect()
-		if err != nil {
-			return nil, fmt.Errorf("faas: board %d: %w", bi, err)
+	res := make([]Result, len(outs))
+	for idx, o := range outs {
+		in := p.invs[idx]
+		r := Result{
+			Function:     in.function,
+			Board:        o.Board,
+			InvokedAt:    in.invoked,
+			Items:        in.items,
+			Rejected:     o.Rejected,
+			RejectReason: o.RejectReason,
+			Failed:       o.Failed,
+			FailReason:   o.FailReason,
+			Attempts:     o.Attempts,
 		}
-		for _, r := range results {
-			info, ok := p.inv[invKey{bi, r.AppID}]
-			if !ok {
-				return nil, fmt.Errorf("faas: board %d app %d has no invocation record", bi, r.AppID)
-			}
-			out = append(out, Result{
-				Function:  info.function,
-				Board:     bi,
-				Cold:      info.cold,
-				InvokedAt: info.invoked,
-				Latency:   r.Retire.Sub(info.invoked),
-				Items:     info.items,
-				Attempts:  info.attempts,
-			})
+		if !o.Rejected && !o.Failed {
+			r.Cold = in.cold
+			r.Latency = o.Result.Retire.Sub(in.invoked)
 		}
+		res[idx] = r
 	}
-	if p.ctrl != nil && p.ctrl.QueueDepth() > 0 {
-		return nil, fmt.Errorf("faas: %d admitted invocations still queued at horizon", p.ctrl.QueueDepth())
-	}
-	if len(out) != p.expected {
-		return nil, fmt.Errorf("faas: %d results for %d invocations", len(out), p.expected)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].InvokedAt != out[j].InvokedAt {
-			return out[i].InvokedAt < out[j].InvokedAt
+	sort.SliceStable(res, func(i, j int) bool {
+		if res[i].InvokedAt != res[j].InvokedAt {
+			return res[i].InvokedAt < res[j].InvokedAt
 		}
-		return out[i].Board < out[j].Board
+		return res[i].Board < res[j].Board
 	})
-	return out, nil
+	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nimblock/internal/admit"
 	"nimblock/internal/apps"
 	"nimblock/internal/faults"
 	"nimblock/internal/health"
@@ -187,7 +188,9 @@ func TestFaaSCheckpointMigration(t *testing.T) {
 
 // TestFaaSConservationUnderBoardFaults is the serverless counterpart of
 // the cluster conservation property: random fault schedules, retry
-// budgets, and checkpointing never lose or double-count an invocation.
+// budgets, checkpointing, and (on odd seeds) admission control never
+// lose or double-count an invocation, and every admission ticket is
+// released exactly once.
 func TestFaaSConservationUnderBoardFaults(t *testing.T) {
 	pool := []string{apps.LeNet, apps.ImageCompression, apps.Rendering3D}
 	for seed := int64(0); seed < 20; seed++ {
@@ -201,6 +204,10 @@ func TestFaaSConservationUnderBoardFaults(t *testing.T) {
 				cfg.HV.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 30 * sim.Millisecond}
 			}
 			cfg.Health = &health.Options{RetryBudget: 1 + rng.Intn(3)}
+			if seed%2 == 1 {
+				arng := rand.New(rand.NewSource(^seed))
+				cfg.Admission = &admit.Config{Capacity: arng.Intn(12), MaxInFlight: 1 + arng.Intn(4)}
+			}
 			var events []faults.BoardEvent
 			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 				b := rng.Intn(boards)
@@ -239,11 +246,18 @@ func TestFaaSConservationUnderBoardFaults(t *testing.T) {
 				t.Fatalf("%d results for %d invocations", len(res), n)
 			}
 			completed, rejected, failed := classifyInv(t, res)
-			if rejected != 0 {
+			if completed+rejected+failed != n {
+				t.Fatalf("conservation broken: %d + %d + %d != %d", completed, rejected, failed, n)
+			}
+			as := p.AdmissionStats()
+			if cfg.Admission == nil && rejected != 0 {
 				t.Fatalf("no admission configured but %d rejected", rejected)
 			}
-			if completed+failed != n {
-				t.Fatalf("conservation broken: %d + %d != %d", completed, failed, n)
+			if rejected != p.Stats().Rejections || rejected != as.Shed+as.RejectedDeadline+as.RejectedQuota {
+				t.Fatalf("%d rejected results vs stats %+v / %+v", rejected, p.Stats(), as)
+			}
+			if cfg.Admission != nil && (as.Dispatched != as.Completed || as.Dispatched != as.Admitted-as.Evicted || completed+failed != as.Dispatched) {
+				t.Fatalf("tickets not released exactly once: %d completed + %d failed, stats %+v", completed, failed, as)
 			}
 			st := p.FailoverStats()
 			if failed != st.FailedSubmissions {
@@ -255,5 +269,62 @@ func TestFaaSConservationUnderBoardFaults(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaaSStrandedQueueFailsAtHorizon is the serverless counterpart of
+// the cluster's stranded-queue regression: with the only board dead for
+// good, the evacuee and the invocations queued behind the in-flight
+// window all fail as stranded and release their tickets exactly once.
+func TestFaaSStrandedQueueFailsAtHorizon(t *testing.T) {
+	events := []faults.BoardEvent{{Kind: faults.BoardCrash, Board: 0, At: sim.Time(50 * sim.Millisecond)}}
+	p := newFailoverPlatform(t, Config{
+		Boards:    1,
+		ScaleUp:   1,
+		Admission: &admit.Config{Capacity: 8, MaxInFlight: 1},
+		Health:    &health.Options{RetryBudget: 2},
+	}, events)
+	registerSuite(t, p)
+	for i := 0; i < 4; i++ {
+		if err := p.Invoke(apps.LeNet, 2, sim.Time(i)*sim.Time(100*sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 4 {
+		t.Fatalf("%d results for 4 invocations", len(res))
+	}
+	for i, r := range res {
+		if !r.Failed || r.FailReason != "stranded" {
+			t.Fatalf("result %d = %+v, want Failed stranded", i, r)
+		}
+	}
+	if as := p.AdmissionStats(); as.Dispatched != 4 || as.Completed != 4 {
+		t.Fatalf("admission stats %+v, want 4 tickets dispatched and released", as)
+	}
+}
+
+// TestFaaSAvoidsDegradedBoard pins the shared candidate rule: a
+// degraded board gets work only when no clean board is placeable, even
+// when it would win the placement tie on index.
+func TestFaaSAvoidsDegradedBoard(t *testing.T) {
+	events := []faults.BoardEvent{{
+		Kind: faults.BoardDegrade, Board: 0, Factor: 4,
+		At: 0, Until: sim.Time(100 * sim.Second),
+	}}
+	p := newFailoverPlatform(t, Config{Boards: 2}, events)
+	registerSuite(t, p)
+	if err := p.Invoke(apps.LeNet, 1, sim.Time(sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Failed || res[0].Board != 1 {
+		t.Fatalf("results %+v, want the invocation on the clean board 1", res)
 	}
 }

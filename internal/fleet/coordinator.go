@@ -186,10 +186,7 @@ func (f *Fleet) collect() ([]Result, error) {
 				filled++
 			}
 			es := b.Energy()
-			f.stats.Energy.StaticJoules += es.StaticJoules
-			f.stats.Energy.ActiveJoules += es.ActiveJoules
-			f.stats.Energy.OccupiedSlotSeconds += es.OccupiedSlotSeconds
-			f.stats.Energy.UsableSlotSeconds += es.UsableSlotSeconds
+			f.stats.Energy = f.stats.Energy.Add(es)
 			occupied = append(occupied, es.OccupiedSlotSeconds)
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"nimblock/internal/apps"
+	"nimblock/internal/frontend"
 	"nimblock/internal/hv"
 	"nimblock/internal/obs"
 	"nimblock/internal/sched"
@@ -246,22 +247,16 @@ func (f *Fleet) estimate(g int, app string, graph *taskgraph.Graph, batch int) s
 	return d
 }
 
-// score ranks global board g for the next placement: estimated
-// outstanding seconds (barrier snapshot plus work routed this epoch)
-// stretched by the board's latency scale, divided by its usable slot
-// count — the cluster's hetero-aware score lifted fleet-wide. Down
-// boards rank +Inf; ties break toward the lowest global index.
+// score ranks global board g for the next placement by its estimated
+// outstanding seconds, barrier snapshot plus work routed this epoch
+// (see frontend.PlacementScore) — the cluster's hetero-aware score
+// lifted fleet-wide. Down boards rank +Inf; ties break toward the
+// lowest global index.
 func (f *Fleet) score(g int) float64 {
 	if f.down[g] {
 		return math.Inf(1)
 	}
-	b := f.Board(g).Board()
-	usable := b.UsableSlots()
-	if usable == 0 {
-		return math.Inf(1)
-	}
-	out := f.outSnap[g] + f.routed[g]
-	return (1 + out.Seconds()) * b.LatencyScale() / float64(usable)
+	return frontend.PlacementScore(f.Board(g).Board(), (f.outSnap[g] + f.routed[g]).Seconds())
 }
 
 // pick selects the board for the next placement; -1 when nothing is

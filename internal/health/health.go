@@ -269,6 +269,10 @@ func (t *Tracker) Revive(now sim.Time) sim.Time {
 	return t.readmitAt
 }
 
+// Stalled reports whether the last liveness poll found the board busy
+// with no progress.
+func (t *Tracker) Stalled() bool { return t.misses > 0 }
+
 // ReadmitAt reports when a recovering board becomes placeable again.
 func (t *Tracker) ReadmitAt() sim.Time { return t.readmitAt }
 
@@ -296,11 +300,12 @@ func (t *Tracker) EndDrain() {
 
 // NoteLiveness feeds one poll of the board's monotonic progress
 // counter. With work outstanding and no progress since the previous
-// poll, the board first becomes suspect (draining — no new placements)
-// and, after LivenessMisses consecutive static polls, dead. Progress
+// poll, the board first becomes suspect (a healthy board drains — no
+// new placements) and, after LivenessMisses consecutive static polls,
+// dead; a recovering board on probation dies the same way. Progress
 // clears suspicion. It returns the state transition the poll caused.
 func (t *Tracker) NoteLiveness(progress uint64, busy bool) (died bool) {
-	if t.state == Dead || t.state == Recovering {
+	if t.state == Dead {
 		return false
 	}
 	if progress != t.lastProgress || !busy {

@@ -164,13 +164,23 @@ func TestNoteLiveness(t *testing.T) {
 	if !died || tr.State() != Dead {
 		t.Fatalf("liveness did not declare death: died=%v state=%v", died, tr.State())
 	}
-	// Dead and recovering boards ignore further polls.
+	// Dead boards ignore further polls.
 	if tr.NoteLiveness(3, true) {
 		t.Fatal("dead board died again")
 	}
 	tr.Revive(0)
 	if tr.NoteLiveness(3, true) {
 		t.Fatal("recovering board died from stale progress")
+	}
+	// A rebuilt board that stalls during probation does not drain, but
+	// dies after the same number of static busy polls.
+	for i := 0; i < 2; i++ {
+		if tr.NoteLiveness(3, true) || tr.State() != Recovering || !tr.Stalled() {
+			t.Fatalf("probation miss %d: state %v stalled %v", i+1, tr.State(), tr.Stalled())
+		}
+	}
+	if !tr.NoteLiveness(3, true) || tr.State() != Dead {
+		t.Fatalf("stalled recovering board not declared dead: %v", tr.State())
 	}
 }
 

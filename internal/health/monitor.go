@@ -182,13 +182,16 @@ func (m *Monitor) Kick() {
 }
 
 // poll compares every board's progress counter against the previous
-// interval, suspecting and then declaring frozen boards dead.
+// interval, suspecting and then declaring frozen boards dead. A
+// recovering board keeps the poll armed only once it stalls, so a
+// rebuilt board that hangs during probation is still caught while a
+// working one adds no polls.
 func (m *Monitor) poll() {
 	m.armed = false
 	again := false
 	for b, t := range m.trackers {
 		st := t.State()
-		if st == Dead || st == Recovering {
+		if st == Dead {
 			continue
 		}
 		busy := m.hooks.Busy(b)
@@ -200,7 +203,7 @@ func (m *Monitor) poll() {
 			m.hooks.OnDead(b)
 			continue
 		}
-		if busy || t.State() == Draining {
+		if busy && (st != Recovering || t.Stalled()) || t.State() == Draining {
 			again = true
 		}
 	}

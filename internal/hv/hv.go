@@ -492,6 +492,16 @@ type EnergyStats struct {
 // TotalJoules is the run's total energy under the power model.
 func (e EnergyStats) TotalJoules() float64 { return e.StaticJoules + e.ActiveJoules }
 
+// Add sums two energy reports term by term (aggregating boards).
+func (e EnergyStats) Add(o EnergyStats) EnergyStats {
+	return EnergyStats{
+		StaticJoules:        e.StaticJoules + o.StaticJoules,
+		ActiveJoules:        e.ActiveJoules + o.ActiveJoules,
+		OccupiedSlotSeconds: e.OccupiedSlotSeconds + o.OccupiedSlotSeconds,
+		UsableSlotSeconds:   e.UsableSlotSeconds + o.UsableSlotSeconds,
+	}
+}
+
 // Energy evaluates the board's power model at the current virtual time.
 // With no power configured (the default) every term is zero.
 func (h *Hypervisor) Energy() EnergyStats {
