@@ -97,6 +97,11 @@ type slotState struct {
 	itemOpen      bool
 	openItem      itemKey
 	offline       bool
+	app           int64 // occupant since the last reconfiguration start
+	// abandoned marks a stream whose application was abandoned
+	// mid-reconfiguration: the board drops its completion silently, so
+	// the next reconfiguration start on the slot ends it.
+	abandoned bool
 }
 
 type itemKey struct {
@@ -198,6 +203,10 @@ func (c *Checker) observeLocked(e trace.Event) {
 		c.retired[e.AppID] = e.At
 	case trace.KindReconfigStart:
 		s := c.slot(e.Slot)
+		if s.abandoned {
+			s.reconfiguring, s.abandoned = false, false
+		}
+		s.app = e.AppID
 		if s.offline {
 			c.violatef("reconfig start on offline slot: %v", e)
 		}
@@ -358,6 +367,46 @@ func (c *Checker) observeLocked(e trace.Event) {
 		}
 		*s = slotState{offline: true}
 	}
+}
+
+// Abandon forgets an application that left the board without trace
+// events: a hedge copy cancelled by hv.Abort, or a submission handed
+// back by hv.Evacuate. Its open items count as aborted, the slots it
+// loaded are free again, and it no longer counts toward the
+// arrival/retire balance Finish checks. A slot it was still
+// reconfiguring keeps streaming (retries may follow) until the next
+// reconfiguration start on it; CheckEnergy does not hold across that
+// span, since the checker cannot see when the stream ended.
+func (c *Checker) Abandon(appID int64, at sim.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.accrueOcc(at)
+	for _, s := range c.slots {
+		if s.app != appID || s.offline {
+			continue
+		}
+		if s.itemOpen {
+			c.aborted[s.openItem]++
+			s.itemOpen = false
+		}
+		if s.loaded {
+			s.loaded = false
+			c.occCount--
+		}
+		if s.reconfiguring {
+			s.abandoned = true
+		}
+	}
+	delete(c.arrived, appID)
+}
+
+// Seed registers a snapshot migrated in from another board
+// (hv.SeedCheckpoints), so a restore from it is checked against the
+// progress it captured like any snapshot saved on this board.
+func (c *Checker) Seed(appID int64, task, item int, progress sim.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.snapshots[itemKey{appID, task, item}] = progress
 }
 
 // observeXfer applies the CAP serialization spacing to checkpoint state
