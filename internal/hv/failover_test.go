@@ -214,3 +214,37 @@ func TestSlowdownStretchesItems(t *testing.T) {
 		t.Fatalf("4x degrade did not slow the board: %v vs %v", slowed, clean)
 	}
 }
+
+// TestAbortSpentNonDecreasingAcrossSave pins Abort's cost across a
+// periodic checkpoint save. OpticalFlow's first item runs from 0.08 s;
+// its first 64 MiB save pauses it from 0.180 s to 0.812 s. The compute
+// folded into the paused attempt is spent work, so an abort later in
+// the run never reports less than an abort earlier.
+func TestAbortSpentNonDecreasingAcrossSave(t *testing.T) {
+	cfg := hv.DefaultConfig()
+	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 50 * sim.Millisecond, StateBytes: 64 << 20}
+	spentAt := func(ms float64) sim.Duration {
+		eng, h := newFailoverHV(t, cfg)
+		id, err := h.SubmitID(apps.MustGraph(apps.OpticalFlow), 2, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := sim.Time(sim.Milliseconds(ms))
+		var ok bool
+		var spent sim.Duration
+		eng.At(at, func() { ok, spent = h.Abort(id) })
+		eng.RunUntil(at + 1)
+		if !ok {
+			t.Fatalf("abort at %v ms failed", ms)
+		}
+		return spent
+	}
+	prev, prevMs := sim.Duration(-1), 0.0
+	for _, ms := range []float64{179.9, 180.1, 500, 811.999, 812.001, 820} {
+		spent := spentAt(ms)
+		if spent < prev {
+			t.Fatalf("abort at %v ms spent %v, less than %v at %v ms", ms, spent, prev, prevMs)
+		}
+		prev, prevMs = spent, ms
+	}
+}
