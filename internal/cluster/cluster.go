@@ -192,8 +192,8 @@ func New(eng *sim.Engine, cfg Config, mkPolicy func(board hv.Config) sched.Sched
 // Boards reports the cluster size.
 func (c *Cluster) Boards() int { return c.core.Boards() }
 
-// Board exposes one board's backend (for tests and reports).
-func (c *Cluster) Board(i int) hv.Instance { return c.core.Board(i) }
+// Board exposes one board's hypervisor (for tests and reports).
+func (c *Cluster) Board(i int) *hv.Hypervisor { return c.core.Board(i) }
 
 // AdmissionStats reports the admission controller's counters; the zero
 // Stats when admission is disabled.

@@ -97,7 +97,7 @@ type Stats struct {
 // a private clock between epoch barriers.
 type shard struct {
 	eng    *sim.Engine
-	boards []hv.Instance
+	boards []*hv.Hypervisor
 	global []int           // local board index -> global board index
 	idxOf  []map[int64]int // local board -> board-local ID -> submission index
 }
@@ -207,9 +207,9 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 // Boards reports the fleet size.
 func (f *Fleet) Boards() int { return f.cfg.Boards }
 
-// Board exposes one board's backend by global index (for tests and
+// Board exposes one board's hypervisor by global index (for tests and
 // reports).
-func (f *Fleet) Board(g int) hv.Instance {
+func (f *Fleet) Board(g int) *hv.Hypervisor {
 	return f.shards[f.shardOf[g]].boards[f.localOf[g]]
 }
 

@@ -105,7 +105,7 @@ type Core struct {
 	cfg      Config
 	hooks    Hooks
 	mkPolicy func(hv.Config) sched.Scheduler
-	boards   []hv.Instance
+	boards   []*hv.Hypervisor
 	bound    []map[int64]binding // board -> local ID -> submission
 	subs     []entry             // submission index -> record
 	all      []int               // every board index: the health-off candidate set
@@ -157,7 +157,7 @@ func New(eng *sim.Engine, cfg Config, mkPolicy func(hv.Config) sched.Scheduler, 
 
 // newBoard builds (or rebuilds, after a death) board i's hypervisor
 // with the core's retire hook chained after any user-provided one.
-func (c *Core) newBoard(i int) (hv.Instance, error) {
+func (c *Core) newBoard(i int) (*hv.Hypervisor, error) {
 	bcfg := c.boardConfig(i)
 	board, user := i, bcfg.OnRetire
 	bcfg.OnRetire = func(id int64) {
@@ -181,7 +181,7 @@ func (c *Core) boardConfig(i int) hv.Config {
 func (c *Core) Boards() int { return len(c.boards) }
 
 // Board exposes board i's current hypervisor generation.
-func (c *Core) Board(i int) hv.Instance { return c.boards[i] }
+func (c *Core) Board(i int) *hv.Hypervisor { return c.boards[i] }
 
 // Energy sums the per-board energy reports; each board integrates its
 // own power model, so heterogeneous sets aggregate correctly.

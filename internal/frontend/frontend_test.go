@@ -167,7 +167,7 @@ func TestCandidatesHealthRule(t *testing.T) {
 // outgoing generation, and Lost runs once the new one is in place.
 func TestRebuildSeesOutgoingBoard(t *testing.T) {
 	var f *testFront
-	var atFactory []hv.Instance
+	var atFactory []*hv.Hypervisor
 	var lost []int
 	eng := sim.NewEngine()
 	cfg := Config{

@@ -1,0 +1,217 @@
+package hv
+
+// Reconfiguration, data buffers, and inter-slot hand-offs: everything
+// between the policy asking for a task in a slot and the task's items
+// finding their input data there.
+
+import (
+	"fmt"
+
+	"nimblock/internal/bitstream"
+	"nimblock/internal/interconnect"
+	"nimblock/internal/sched"
+	"nimblock/internal/sim"
+	"nimblock/internal/trace"
+)
+
+// prodInfo records where and when a (task, item) was produced, for
+// interconnect hand-off computation.
+type prodInfo struct {
+	at   sim.Time
+	slot int
+}
+
+// Reconfigure implements sched.World: configure app's task into the slot.
+func (h *Hypervisor) Reconfigure(slot int, a *sched.App, task int) error {
+	if slot < 0 || slot >= len(h.slots) {
+		return h.fail(fmt.Errorf("hv: reconfigure slot %d out of range", slot))
+	}
+	if h.slots[slot].app != nil {
+		return h.fail(fmt.Errorf("hv: reconfigure occupied slot %d", slot))
+	}
+	if a == nil || a.Retired() {
+		return h.fail(fmt.Errorf("hv: reconfigure slot %d for retired or nil app", slot))
+	}
+	if !a.Configurable(task) {
+		return h.fail(fmt.Errorf("hv: %s task %d not configurable (state %v)", a.Name, task, a.TaskState(task)))
+	}
+	img, err := h.store.Lookup(a.Name, task, slot)
+	if err != nil {
+		return h.fail(err)
+	}
+	if err := a.MarkConfiguring(task, slot); err != nil {
+		return h.fail(err)
+	}
+	h.slots[slot] = slotRuntime{app: a, task: task, curItem: -1}
+	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindReconfigStart, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
+	if err := h.board.Reconfigure(slot, img, func(err error) { h.reconfigDone(slot, a, task, img, err) }); err != nil {
+		return h.fail(err)
+	}
+	return nil
+}
+
+func (h *Hypervisor) reconfigDone(slot int, a *sched.App, task int, img *bitstream.Image, err error) {
+	if h.halted() {
+		return // frozen or dead: the board never sees the completion
+	}
+	if a.Retired() {
+		// Hedge-cancelled mid-reconfiguration (a configuring task never
+		// lets an app retire normally): drop the stream's result and
+		// free the slot for live work.
+		if err == nil {
+			if h.vacate(slot) != nil {
+				return
+			}
+		} else {
+			h.resetSlot(slot)
+		}
+		h.wake(sched.ReasonSlotFree)
+		return
+	}
+	if err != nil {
+		// Unrecoverable fault: give the task back to the policy.
+		h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindFault, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
+		if e := a.MarkConfigFailed(task); e != nil {
+			h.fail(e)
+			return
+		}
+		h.resetSlot(slot)
+		if !h.board.SlotUsable(slot) {
+			// The fault was fatal: the board already retired the slot.
+			h.noteOffline(slot)
+		} else if th := h.cfg.QuarantineThreshold; th > 0 && h.board.SlotStats(slot).Faults >= th {
+			h.quarantine(slot)
+		}
+		h.poke(sched.ReasonSlotFree)
+		return
+	}
+	if e := a.MarkActive(task); e != nil {
+		h.fail(e)
+		return
+	}
+	h.slots[slot].active = true
+	res := &h.records[a.ID].res
+	res.Reconfig += h.board.ReconfigTime(img)
+	res.Reconfigurations++
+	h.slotBusy[slot] += h.board.ReconfigTime(img)
+	if e := h.allocOutputBuffer(a, task); e != nil {
+		h.fail(e)
+		return
+	}
+	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindReconfigDone, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
+	h.tryStart(slot)
+	h.poke(sched.ReasonReconfigDone)
+}
+
+// taskLabels pre-formats the output-buffer labels for the task indices
+// any real graph uses; taskLabel falls back to formatting past that.
+var taskLabels = [...]string{
+	"task0.out", "task1.out", "task2.out", "task3.out",
+	"task4.out", "task5.out", "task6.out", "task7.out",
+	"task8.out", "task9.out", "task10.out", "task11.out",
+	"task12.out", "task13.out", "task14.out", "task15.out",
+}
+
+func taskLabel(t int) string {
+	if t >= 0 && t < len(taskLabels) {
+		return taskLabels[t]
+	}
+	return fmt.Sprintf("task%d.out", t)
+}
+
+// allocOutputBuffer gives the task a place to write results; consumers
+// hold references until they finish the batch. Re-activations after
+// preemption reuse the existing buffer.
+func (h *Hypervisor) allocOutputBuffer(a *sched.App, task int) error {
+	r := h.records[a.ID]
+	if _, exists := r.bufOut[task]; exists {
+		return nil
+	}
+	refs := len(a.Graph.Succ(task))
+	if refs == 0 {
+		refs = 1 // sink: released when the task itself completes
+	}
+	b, err := h.mem.Allocate(r.owner(), taskLabel(task), h.cfg.BufferBytes, refs)
+	if err != nil {
+		return err
+	}
+	if r.bufOut == nil {
+		r.bufOut = map[int]int64{}
+	}
+	r.bufOut[task] = b.ID
+	return nil
+}
+
+// finishTask relinquishes buffers and frees the slot.
+func (h *Hypervisor) finishTask(slot int, a *sched.App, task int) error {
+	bufOut := h.records[a.ID].bufOut
+	// Drop one reference on each predecessor's output: this consumer is done.
+	for _, p := range a.Graph.Pred(task) {
+		if id, ok := bufOut[p]; ok {
+			if err := h.mem.Release(id); err != nil {
+				return err
+			}
+		}
+	}
+	// Sink tasks own their single output reference.
+	if len(a.Graph.Succ(task)) == 0 {
+		if id, ok := bufOut[task]; ok {
+			if err := h.mem.Release(id); err != nil {
+				return err
+			}
+		}
+	}
+	if err := h.vacate(slot); err != nil {
+		return err
+	}
+	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindTaskDone, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
+	return nil
+}
+
+// recordProduction notes where a (task, item) output was produced so
+// consumer-side hand-offs can be priced. Only needed for explicit
+// interconnect models.
+func (h *Hypervisor) recordProduction(a *sched.App, task, item, slot int) {
+	if h.ic.Kind() == interconnect.Folded {
+		return
+	}
+	r := h.records[a.ID]
+	if r.prodAt == nil {
+		r.prodAt = map[[2]int]prodInfo{}
+	}
+	r.prodAt[[2]int{task, item}] = prodInfo{at: h.eng.Now(), slot: slot}
+}
+
+// dataReadyAt reports when every predecessor's output for the item has
+// arrived at the consumer slot, pricing each hand-off exactly once.
+func (h *Hypervisor) dataReadyAt(a *sched.App, task, slot, item int) sim.Time {
+	if h.ic.Kind() == interconnect.Folded || len(a.Graph.Pred(task)) == 0 {
+		return h.eng.Now()
+	}
+	r := h.records[a.ID]
+	if r.handoff == nil {
+		r.handoff = map[[3]int]sim.Time{}
+	}
+	var ready sim.Time
+	for _, p := range a.Graph.Pred(task) {
+		key := [3]int{p, task, item}
+		at, ok := r.handoff[key]
+		if !ok {
+			prod, have := r.prodAt[[2]int{p, item}]
+			if !have {
+				// Bulk mode: readiness was granted by whole-batch
+				// completion; price the hand-off from the pred's last
+				// known production of this item index. Fall back to
+				// "already resident" if untracked.
+				at = h.eng.Now()
+			} else {
+				at = h.ic.TransferDone(prod.at, prod.slot, slot)
+			}
+			r.handoff[key] = at
+		}
+		if at > ready {
+			ready = at
+		}
+	}
+	return ready
+}
