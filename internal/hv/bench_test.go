@@ -56,3 +56,32 @@ func BenchmarkSingleSlotLatency(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOutstandingEstimate measures the load signal a dispatcher
+// reads per board: a board holding 16 pending applications mid-run, the
+// fleet barrier's per-board cost.
+func BenchmarkOutstandingEstimate(b *testing.B) {
+	eng := sim.NewEngine()
+	h, err := hv.New(eng, hv.DefaultConfig(), core.New(core.DefaultOptions(), hv.DefaultConfig().Board))
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := apps.Names()
+	for i := 0; i < 16; i++ {
+		at := sim.Time(i) * 50 * sim.Time(sim.Millisecond)
+		if err := h.Submit(apps.MustGraph(names[i%len(names)]), 10+i%10, 3, at); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng.RunUntil(sim.Time(sim.Second))
+	if n := h.PendingCount(); n != 16 {
+		b.Fatalf("pending = %d mid-run, want 16", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h.OutstandingEstimate() <= 0 {
+			b.Fatal("no outstanding work")
+		}
+	}
+}
