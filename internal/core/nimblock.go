@@ -40,20 +40,11 @@ type Options struct {
 // DefaultOptions enables the full algorithm.
 func DefaultOptions() Options { return Options{Preemption: true, Pipelining: true} }
 
-// satKey caches saturation analyses per application shape and per board
-// size, so goal numbers recompute when faults shrink the usable board.
-type satKey struct {
-	name  string
-	batch int
-	slots int
-}
-
 // Scheduler is the Nimblock policy.
 type Scheduler struct {
 	opts  Options
-	board fpga.Config
 	pool  *sched.TokenPool
-	cache map[satKey]saturate.Result
+	plans *saturate.Planner
 	cands []*sched.App // scratch, reused across Schedule calls
 }
 
@@ -63,9 +54,8 @@ type Scheduler struct {
 func New(opts Options, board fpga.Config) *Scheduler {
 	return &Scheduler{
 		opts:  opts,
-		board: board,
 		pool:  sched.NewTokenPool(),
-		cache: map[satKey]saturate.Result{},
+		plans: saturate.NewPlanner(board, opts.Pipelining),
 	}
 }
 
@@ -96,34 +86,6 @@ func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	s.selectAndLaunch(w, s.cands)
 }
 
-// analysis returns the cached saturation analysis for the application on
-// a board with the given number of usable slots. The analysis is computed
-// from HLS estimates only; on the real system it runs in parallel with
-// synthesis, firmly off the user flow's critical path, so treating it as
-// pre-computed here is faithful. Re-analysing at a reduced slot count
-// when faults quarantine part of the board is cheap for the same reason.
-func (s *Scheduler) analysis(a *sched.App, slots int) saturate.Result {
-	key := satKey{name: a.Name, batch: a.Batch, slots: slots}
-	if r, ok := s.cache[key]; ok {
-		return r
-	}
-	board := s.board
-	board.Slots = slots
-	r, err := saturate.AnalyzeCached(a.Graph, a.Report, a.Batch, board, s.opts.Pipelining)
-	if err != nil {
-		// Conservative fallback: the universally best second slot.
-		r = saturate.Result{Goal: 2, MaxUseful: a.Graph.NumTasks()}
-	}
-	if r.Goal < 1 {
-		r.Goal = 1
-	}
-	if r.MaxUseful < r.Goal {
-		r.MaxUseful = r.Goal
-	}
-	s.cache[key] = r
-	return r
-}
-
 // reallocate recomputes SlotsAllocated for every pending application
 // (Section 4.2). It runs on every scheduling opportunity, which subsumes
 // the paper's "periodic intervals plus candidate-pool changes" triggers.
@@ -152,7 +114,7 @@ func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
 		if remaining == 0 {
 			return
 		}
-		an := s.analysis(a, usable)
+		an := s.plans.Plan(a, usable)
 		a.Goal = an.Goal
 		add := an.Goal - a.SlotsAllocated
 		if add > remaining {
@@ -170,7 +132,7 @@ func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
 		if remaining == 0 {
 			return
 		}
-		an := s.analysis(a, usable)
+		an := s.plans.Plan(a, usable)
 		add := an.MaxUseful - a.SlotsAllocated
 		if add > remaining {
 			add = remaining

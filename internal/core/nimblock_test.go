@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"nimblock/internal/apps"
 	"nimblock/internal/fpga"
 	"nimblock/internal/hls"
 	"nimblock/internal/sched"
+	"nimblock/internal/sched/energy"
 	"nimblock/internal/sim"
 )
 
@@ -354,17 +356,74 @@ func TestAnalysisFallbackSane(t *testing.T) {
 	s := New(DefaultOptions(), board())
 	a := mkApp(t, 1, apps.AlexNet, 5, 3, 0)
 	slots := board().Slots
-	an := s.analysis(a, slots)
+	an := s.plans.Plan(a, slots)
 	if an.Goal < 1 || an.MaxUseful < an.Goal {
 		t.Fatalf("analysis = %+v", an)
 	}
 	// Cached result is stable.
-	an2 := s.analysis(a, slots)
-	if an.Goal != an2.Goal || an.MaxUseful != an2.MaxUseful {
+	an2 := s.plans.Plan(a, slots)
+	if an != an2 {
 		t.Fatal("analysis cache unstable")
 	}
 	// A degraded board caps the useful allocation at its usable size.
-	if deg := s.analysis(a, 2); deg.Goal > 2 || deg.MaxUseful > 2 {
+	if deg := s.plans.Plan(a, 2); deg.Goal > 2 || deg.MaxUseful > 2 {
 		t.Fatalf("degraded analysis = %+v, want goal and max within 2 slots", deg)
+	}
+}
+
+// Goal numbers and allocations must follow the usable board size as
+// faults quarantine slots and repairs restore them: a scheduler whose
+// apps carry plans memoized at another size must decide exactly like a
+// freshly built scheduler planning from scratch at the current size.
+func TestPlanMemoFollowsUsableSlots(t *testing.T) {
+	type shape struct {
+		name  string
+		batch int
+	}
+	shapes := []shape{{apps.AlexNet, 5}, {apps.OpticalFlow, 10}, {apps.LeNet, 2}}
+	policies := map[string]func() sched.Scheduler{
+		"Nimblock":       func() sched.Scheduler { return New(DefaultOptions(), board()) },
+		"NimblockEnergy": func() sched.Scheduler { return energy.New(board()) },
+	}
+	// world builds a 10-slot board with slots [usable, 10) offline and
+	// the CAP busy, so Schedule only accrues tokens and reallocates.
+	world := func(usable int) *fakeWorld {
+		w := newFakeWorld(10)
+		for s := usable; s < 10; s++ {
+			w.offline[s] = true
+		}
+		w.capBusy = true
+		for i, sh := range shapes {
+			w.apps = append(w.apps, mkApp(t, int64(i+1), sh.name, sh.batch, 3, sim.Time(i)))
+		}
+		return w
+	}
+	for name, build := range policies {
+		s, w := build(), world(10)
+		var decisions [][]int // per step: goal and allocation of each app
+		for _, usable := range []int{10, 6, 10} {
+			clear(w.offline)
+			for slot := usable; slot < 10; slot++ {
+				w.offline[slot] = true
+			}
+			s.Schedule(w, sched.ReasonTick)
+			fresh := world(usable)
+			build().Schedule(fresh, sched.ReasonTick)
+			var step []int
+			for i, a := range w.apps {
+				ref := fresh.apps[i]
+				// Phase 2 assigns Goal only to apps it reaches before
+				// the budget runs out; others keep their last goal.
+				if a.SlotsAllocated != ref.SlotsAllocated || (ref.Goal > 0 && a.Goal != ref.Goal) {
+					t.Fatalf("%s at %d usable slots: %s goal/alloc %d/%d, fresh scheduler %d/%d",
+						name, usable, a.Name, a.Goal, a.SlotsAllocated, ref.Goal, ref.SlotsAllocated)
+				}
+				step = append(step, ref.Goal, a.SlotsAllocated)
+			}
+			decisions = append(decisions, step)
+		}
+		if slices.Equal(decisions[0], decisions[1]) {
+			t.Fatalf("%s: decisions %v identical at 10 and 6 usable slots; the scenario does not exercise a re-plan", name, decisions[0])
+		}
 	}
 }

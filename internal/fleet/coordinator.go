@@ -77,14 +77,20 @@ func (f *Fleet) advance(end sim.Time) int64 {
 // same epoch boundary, and reports the fleet's true pending count.
 func (f *Fleet) barrier() int {
 	pending := 0
-	perShard := make([]int, len(f.shards))
+	var perShard []int // per-shard pending, tallied only for the gauges
+	if f.gauges != nil {
+		perShard = f.gauges.perShard
+		clear(perShard)
+	}
 	for g := 0; g < f.cfg.Boards; g++ {
 		b := f.Board(g)
 		f.outSnap[g] = b.OutstandingEstimate()
 		f.routed[g] = 0
 		p := b.PendingCount()
 		pending += p
-		perShard[f.shardOf[g]] += p
+		if perShard != nil {
+			perShard[f.shardOf[g]] += p
+		}
 	}
 	f.pendEst = pending
 	if f.gauges != nil {

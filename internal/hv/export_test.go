@@ -1,0 +1,14 @@
+package hv
+
+import "nimblock/internal/sched"
+
+// UnretiredApps lists every submission the board still keeps a record
+// for, arrived or still in transit, so tests can recompute board-wide
+// estimates from the apps alone.
+func (h *Hypervisor) UnretiredApps() []*sched.App {
+	out := make([]*sched.App, 0, len(h.records))
+	for _, r := range h.records {
+		out = append(out, r.app)
+	}
+	return out
+}

@@ -192,6 +192,22 @@ func (b *lifecycleBoard) digest(t *testing.T, w *bytes.Buffer) []hv.Result {
 	return res
 }
 
+// checkOutstanding recomputes the board's outstanding work from scratch,
+// as the HLS estimate of every item not yet done over the submissions
+// the board has not retired, and compares it with the running estimate.
+func checkOutstanding(t *testing.T, h *hv.Hypervisor, when string) {
+	t.Helper()
+	var want sim.Duration
+	for _, a := range h.UnretiredApps() {
+		for task := 0; task < a.Graph.NumTasks(); task++ {
+			want += a.Report.Task(task).Latency * sim.Duration(a.Batch-a.DoneCount(task))
+		}
+	}
+	if got := h.OutstandingEstimate(); got != want {
+		t.Fatalf("%s at %v: OutstandingEstimate %v, from scratch %v", when, h.Now(), got, want)
+	}
+}
+
 // runLifecycle runs one scenario, checks the invariants every run must
 // hold, and returns its outcome.
 func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
@@ -207,30 +223,46 @@ func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
 		ids[i] = id
 	}
 	out := lifecycleOutcome{submitted: len(seq), spent: -1}
+	// Every scheduled operation also checks the running outstanding
+	// estimate against a from-scratch sum, before and after it acts.
 	if c.slowAt > 0 {
-		b.eng.At(c.slowAt, func() { b.h.SetSlowdown(c.slowFactor) })
-		b.eng.At(c.slowUntil, func() { b.h.SetSlowdown(1) })
+		b.eng.At(c.slowAt, func() {
+			checkOutstanding(t, b.h, "slowdown")
+			b.h.SetSlowdown(c.slowFactor)
+		})
+		b.eng.At(c.slowUntil, func() {
+			checkOutstanding(t, b.h, "speedup")
+			b.h.SetSlowdown(1)
+		})
 	}
 	if c.abortAt > 0 {
 		id := ids[c.abortIdx%len(ids)]
 		b.eng.At(c.abortAt, func() {
+			checkOutstanding(t, b.h, "abort")
 			if ok, spent := b.h.Abort(id); ok {
 				out.aborted, out.spent = 1, spent
 				b.chk.Abandon(id, b.eng.Now())
 			}
+			checkOutstanding(t, b.h, "after abort")
 		})
 	}
 	var evs []hv.Evacuee
 	if c.freezeAt > 0 {
-		b.eng.At(c.freezeAt, b.h.Freeze)
+		b.eng.At(c.freezeAt, func() {
+			checkOutstanding(t, b.h, "freeze")
+			b.h.Freeze()
+		})
 		b.eng.At(c.freezeAt.Add(sim.Second), func() {
+			checkOutstanding(t, b.h, "evacuate")
 			evs = b.h.Evacuate()
 			for _, ev := range evs {
 				b.chk.Abandon(ev.ID, b.eng.Now())
 			}
+			checkOutstanding(t, b.h, "after evacuate")
 		})
 	}
 	b.eng.RunUntil(lifecycleConfig(c).Horizon)
+	checkOutstanding(t, b.h, "drained")
 
 	var w bytes.Buffer
 	res := b.digest(t, &w)

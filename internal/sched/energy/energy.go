@@ -30,19 +30,10 @@ import (
 	"nimblock/internal/sched"
 )
 
-// satKey caches saturation analyses per application shape and board
-// size, exactly like core.
-type satKey struct {
-	name  string
-	batch int
-	slots int
-}
-
 // Scheduler is the NimblockEnergy policy.
 type Scheduler struct {
-	board fpga.Config
 	pool  *sched.TokenPool
-	cache map[satKey]saturate.Result
+	plans *saturate.Planner
 	cands []*sched.App // scratch, reused across Schedule calls
 }
 
@@ -50,9 +41,8 @@ type Scheduler struct {
 // like the given configuration.
 func New(board fpga.Config) *Scheduler {
 	return &Scheduler{
-		board: board,
 		pool:  sched.NewTokenPool(),
-		cache: map[satKey]saturate.Result{},
+		plans: saturate.NewPlanner(board, true),
 	}
 }
 
@@ -91,29 +81,6 @@ func (s *Scheduler) orderByDeficit(w sched.World, cands []*sched.App) {
 	})
 }
 
-// analysis mirrors core.Scheduler.analysis: cached saturation analysis
-// at the current usable slot count, with a conservative fallback.
-func (s *Scheduler) analysis(a *sched.App, slots int) saturate.Result {
-	key := satKey{name: a.Name, batch: a.Batch, slots: slots}
-	if r, ok := s.cache[key]; ok {
-		return r
-	}
-	board := s.board
-	board.Slots = slots
-	r, err := saturate.AnalyzeCached(a.Graph, a.Report, a.Batch, board, true)
-	if err != nil {
-		r = saturate.Result{Goal: 2, MaxUseful: a.Graph.NumTasks()}
-	}
-	if r.Goal < 1 {
-		r.Goal = 1
-	}
-	if r.MaxUseful < r.Goal {
-		r.MaxUseful = r.Goal
-	}
-	s.cache[key] = r
-	return r
-}
-
 // reallocate is core's phases 1 and 2 only: one slot per candidate,
 // then up to each candidate's goal number. The missing phase 3 is the
 // energy lever — slots past every goal stay free and draw no active
@@ -139,7 +106,7 @@ func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
 		if remaining == 0 {
 			return
 		}
-		an := s.analysis(a, usable)
+		an := s.plans.Plan(a, usable)
 		a.Goal = an.Goal
 		add := an.Goal - a.SlotsAllocated
 		if add > remaining {

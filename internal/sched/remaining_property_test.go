@@ -1,0 +1,89 @@
+package sched
+
+import (
+	"math/rand"
+	"testing"
+
+	"nimblock/internal/apps"
+	"nimblock/internal/sim"
+)
+
+// remainingFromScratch is the differential oracle for the running
+// RemainingEstimate: the HLS estimate of every item not yet done.
+func remainingFromScratch(a *App) sim.Duration {
+	var total sim.Duration
+	for t := 0; t < a.Graph.NumTasks(); t++ {
+		total += a.Report.Task(t).Latency * sim.Duration(a.Batch-a.DoneCount(t))
+	}
+	return total
+}
+
+// randomStep applies one random legal lifecycle transition to a random
+// task, the way a hypervisor would: configure, activate, start and
+// finish items, and kill, checkpoint-preempt or batch-preempt an active
+// task. It names the transition applied, or "" when the drawn task had
+// none.
+func randomStep(a *App, rng *rand.Rand) (string, error) {
+	t := rng.Intn(a.Graph.NumTasks())
+	switch a.TaskState(t) {
+	case TaskIdle:
+		if a.Configurable(t) {
+			return "configure", a.MarkConfiguring(t, t)
+		}
+	case TaskConfiguring:
+		return "activate", a.MarkActive(t)
+	case TaskActive:
+		r := rng.Intn(20)
+		switch {
+		case r == 0:
+			_, err := a.MarkKilled(t)
+			return "kill", err
+		case r == 1:
+			_, err := a.MarkCheckpointPreempted(t)
+			return "checkpoint-preempt", err
+		case r == 2 && a.InflightItem(t) < 0:
+			return "preempt", a.MarkPreempted(t)
+		case a.InflightItem(t) >= 0:
+			_, err := a.MarkItemDone(t, a.InflightItem(t))
+			return "item-done", err
+		default:
+			if i := a.NextReadyItem(t, true); i >= 0 {
+				return "item-start", a.MarkItemStarted(t, i)
+			}
+		}
+	}
+	return "", nil
+}
+
+// Property: on every catalog graph and batch size, after every legal
+// lifecycle step — including kills and preemptions that lose or keep
+// in-flight work — the running RemainingEstimate equals the sum over
+// tasks of estimate x items not yet done.
+func TestRemainingEstimateMatchesFromScratch(t *testing.T) {
+	for _, name := range apps.Names() {
+		g := apps.MustGraph(name)
+		for batch := 1; batch <= 30; batch++ {
+			rng := rand.New(rand.NewSource(int64(batch)))
+			a := mkApp(t, 1, name, batch, 3, 0)
+			if got, want := a.RemainingEstimate(), remainingFromScratch(a); got != want {
+				t.Fatalf("%s batch %d: new app estimate %v, want %v", name, batch, got, want)
+			}
+			limit := 100 * g.NumTasks() * batch
+			for step := 0; !a.Done() && step < limit; step++ {
+				op, err := randomStep(a, rng)
+				if err != nil {
+					t.Fatalf("%s batch %d step %d %s: %v", name, batch, step, op, err)
+				}
+				if got, want := a.RemainingEstimate(), remainingFromScratch(a); got != want {
+					t.Fatalf("%s batch %d step %d after %s: estimate %v, from scratch %v", name, batch, step, op, got, want)
+				}
+			}
+			if !a.Done() {
+				t.Fatalf("%s batch %d: not done after %d steps", name, batch, limit)
+			}
+			if got := a.RemainingEstimate(); got != 0 {
+				t.Fatalf("%s batch %d: done app estimates %v left", name, batch, got)
+			}
+		}
+	}
+}

@@ -94,7 +94,7 @@ type World interface {
 	CAPBusy() bool
 	// Apps lists applications that have arrived and not yet retired, in
 	// arrival order. Slices and Apps must be treated as read-only except
-	// for the scheduler-owned fields (Tokens, SlotsAllocated, Goal).
+	// for the scheduler-owned fields (Tokens, SlotsAllocated, Goal, Plan).
 	Apps() []*App
 	// SlotOccupant reports the application and task configured (or being
 	// configured) in a slot; ok is false for free slots.
@@ -153,7 +153,7 @@ func (s TaskState) String() string {
 
 // App is the runtime state of one submitted application. Mechanical
 // fields are maintained by the hypervisor through the Mark* methods;
-// Tokens, SlotsAllocated, and Goal belong to the scheduling policy.
+// Tokens, SlotsAllocated, Goal, and Plan belong to the scheduling policy.
 type App struct {
 	ID       int64
 	Name     string
@@ -180,14 +180,23 @@ type App struct {
 	SlotsAllocated int
 	// Goal is the saturation-point goal number (Nimblock).
 	Goal int
+	// Plan memoizes the app's saturation plan for the board size it was
+	// last planned at (Nimblock).
+	Plan Plan
 
-	state    []TaskState
-	slot     []int
-	done     []bool // task-major: task t item i at t*Batch+i
-	doneCnt  []int
-	inflight []int
-	tasksFin int
-	retired  bool
+	state     []TaskState
+	slot      []int
+	done      []bool // task-major: task t item i at t*Batch+i
+	doneCnt   []int
+	inflight  []int
+	tasksFin  int
+	retired   bool
+	remaining sim.Duration // RemainingEstimate, lowered as items finish
+
+	// TokenPool accrual state: whether the app has been given its
+	// initial tokens, and the instant it last accrued.
+	tokenSeen bool
+	tokenAt   sim.Time
 
 	cfgScratch []int // reused by ConfigurableTasks
 }
@@ -225,8 +234,18 @@ func NewApp(id int64, g *taskgraph.Graph, report *hls.Report, batch, priority in
 	for i := 0; i < n; i++ {
 		a.slot[i] = -1
 		a.inflight[i] = -1
+		a.remaining += report.Task(i).Latency * sim.Duration(batch)
 	}
 	return a, nil
+}
+
+// Plan is a saturation plan: the goal number and the most slots the app
+// can still use on a board with Slots usable slots. The zero Plan means
+// not yet planned.
+type Plan struct {
+	Slots     int
+	Goal      int
+	MaxUseful int
 }
 
 // TaskState reports the state of task t.
@@ -346,17 +365,10 @@ func (a *App) NextReadyItem(t int, pipelining bool) int {
 }
 
 // RemainingEstimate is the HLS-estimated work left: sum over tasks of
-// estimate x remaining items. PREMA uses it for shortest-first selection.
-func (a *App) RemainingEstimate() sim.Duration {
-	var total sim.Duration
-	for t := 0; t < a.Graph.NumTasks(); t++ {
-		rem := a.Batch - a.doneCnt[t]
-		if rem > 0 {
-			total += a.Report.Task(t).Latency * sim.Duration(rem)
-		}
-	}
-	return total
-}
+// estimate x remaining items. PREMA uses it for shortest-first selection
+// and dispatchers as a board's load signal, so it is kept up to date as
+// items finish rather than summed on demand.
+func (a *App) RemainingEstimate() sim.Duration { return a.remaining }
 
 // MarkConfiguring transitions task t to TaskConfiguring in the given slot.
 func (a *App) MarkConfiguring(t, slot int) error {
@@ -459,6 +471,7 @@ func (a *App) MarkItemDone(t, i int) (taskDone bool, err error) {
 	a.inflight[t] = -1
 	a.done[t*a.Batch+i] = true
 	a.doneCnt[t]++
+	a.remaining -= a.Report.Task(t).Latency
 	if a.doneCnt[t] == a.Batch {
 		a.state[t] = TaskDone
 		a.slot[t] = -1

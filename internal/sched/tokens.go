@@ -27,42 +27,35 @@ const DefaultAlpha = 1.0
 // Degradation is normalized by the HLS-estimated isolated batch latency,
 // so short applications degrade (and therefore accumulate tokens) faster
 // than long ones for the same wait — PREMA's intent.
+//
+// Each application's accrual state (whether it has been given its
+// initial tokens, and when it last accrued) lives on the App itself.
+// Every app is scheduled by exactly one policy instance and leaves the
+// pending list for good when it retires, so the pool keeps no per-app
+// state and has nothing to forget.
 type TokenPool struct {
 	// Alpha scales accumulation; DefaultAlpha if zero-constructed via
 	// NewTokenPool.
 	Alpha float64
-
-	seen map[int64]sim.Time // app ID -> last accumulation time
-	live map[int64]bool     // scratch for Accumulate's retirement sweep
 }
 
 // NewTokenPool returns a pool with the default alpha.
 func NewTokenPool() *TokenPool {
-	return &TokenPool{Alpha: DefaultAlpha, seen: map[int64]sim.Time{}}
+	return &TokenPool{Alpha: DefaultAlpha}
 }
 
 // Accumulate initializes tokens for new applications and accrues tokens
-// for waiting ones, integrating degradation since the previous call.
-// It then recomputes the candidate pool. Retired apps are forgotten.
+// for waiting ones, integrating degradation since each one's previous
+// accrual. It then recomputes the candidate pool.
 func (p *TokenPool) Accumulate(now sim.Time, apps []*App) {
-	if p.seen == nil {
-		p.seen = map[int64]sim.Time{}
-	}
-	if p.live == nil {
-		p.live = map[int64]bool{}
-	}
-	live := p.live
-	clear(live)
 	for _, a := range apps {
-		live[a.ID] = true
-		last, ok := p.seen[a.ID]
-		if !ok {
+		if !a.tokenSeen {
 			// Arrival queue -> pending queue: initial tokens = priority.
 			a.Tokens = float64(a.Priority)
-			p.seen[a.ID] = now
+			a.tokenSeen, a.tokenAt = true, now
 			continue
 		}
-		dt := now.Sub(last)
+		dt := now.Sub(a.tokenAt)
 		if dt <= 0 {
 			continue
 		}
@@ -75,12 +68,7 @@ func (p *TokenPool) Accumulate(now sim.Time, apps []*App) {
 		}
 		degradation := float64(dt) / float64(est)
 		a.Tokens += p.Alpha * float64(a.Priority) * degradation
-		p.seen[a.ID] = now
-	}
-	for id := range p.seen {
-		if !live[id] {
-			delete(p.seen, id)
-		}
+		a.tokenAt = now
 	}
 	p.updateCandidates(now, apps)
 }

@@ -118,13 +118,61 @@ func TestCandidatesOrderedByPoolAge(t *testing.T) {
 	}
 }
 
-func TestRetiredAppsForgotten(t *testing.T) {
+// Accrual state lives on the apps, so accumulating over a pending list
+// that apps join and leave allocates nothing.
+func TestAccumulateZeroAlloc(t *testing.T) {
 	p := NewTokenPool()
-	a := mkApp(t, 1, apps.LeNet, 5, 9, 0)
+	var all []*App
+	for i := 0; i < 8; i++ {
+		all = append(all, mkApp(t, int64(i+1), apps.LeNet, 5, PriorityLevels[i%3], 0))
+	}
+	now := sim.Time(0)
+	step := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		now = now.Add(sim.Millisecond)
+		// A sliding window: one app leaves the front or rejoins the back.
+		lo := step % 4
+		p.Accumulate(now, all[lo:lo+4])
+		step++
+	})
+	if allocs != 0 {
+		t.Fatalf("Accumulate allocates %v times per call", allocs)
+	}
+}
+
+// A late joiner starts at exactly its priority, while apps already seen
+// keep accruing from their own last accrual instant.
+func TestLateJoinerStartsAtPriority(t *testing.T) {
+	p := NewTokenPool()
+	a := mkApp(t, 1, apps.LeNet, 5, 3, 0)
+	b := mkApp(t, 2, apps.LeNet, 5, 9, 0)
+	late := mkApp(t, 3, apps.LeNet, 5, 1, 0)
 	p.Accumulate(0, []*App{a})
-	p.Accumulate(sim.Time(sim.Second), nil) // app retired
-	if len(p.seen) != 0 {
-		t.Fatalf("pool still tracks %d retired apps", len(p.seen))
+	p.Accumulate(sim.Time(sim.Second), []*App{a, b})
+	if b.Tokens != 9 {
+		t.Fatalf("joiner tokens = %v, want priority 9", b.Tokens)
+	}
+	// Reference accrual on fresh apps, each fed only its own instants:
+	// a at 0, 1 s, 2 s and b from 1 s.
+	refA := mkApp(t, 1, apps.LeNet, 5, 3, 0)
+	refB := mkApp(t, 2, apps.LeNet, 5, 9, 0)
+	ref := NewTokenPool()
+	for _, at := range []sim.Time{0, sim.Time(sim.Second), 2 * sim.Time(sim.Second)} {
+		ref.Accumulate(at, []*App{refA})
+	}
+	ref.Accumulate(sim.Time(sim.Second), []*App{refB})
+	ref.Accumulate(2*sim.Time(sim.Second), []*App{refB})
+
+	p.Accumulate(2*sim.Time(sim.Second), []*App{a, b, late})
+	if late.Tokens != 1 {
+		t.Fatalf("late joiner tokens = %v, want priority 1", late.Tokens)
+	}
+	if a.Tokens != refA.Tokens || b.Tokens != refB.Tokens {
+		t.Fatalf("accrual a=%v b=%v, want %v %v from each app's own last instant",
+			a.Tokens, b.Tokens, refA.Tokens, refB.Tokens)
+	}
+	if a.Tokens <= 3 || b.Tokens <= 9 {
+		t.Fatalf("seen apps did not accrue: a=%v b=%v", a.Tokens, b.Tokens)
 	}
 }
 
