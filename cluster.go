@@ -238,10 +238,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		HV:           hcfg,
 		BoardConfigs: boardConfigs,
 		Dispatch:     d,
-		Seed:        cfg.Seed,
-		Admission:   cfg.Admission.internal(),
-		Health:      cfg.Health.internal(),
-		BoardFaults: boardFaults,
+		Seed:         cfg.Seed,
+		Admission:    cfg.Admission.internal(),
+		Health:       cfg.Health.internal(),
+		BoardFaults:  boardFaults,
 	}, mk)
 	if err != nil {
 		return nil, err

@@ -172,7 +172,7 @@ func New(eng *sim.Engine, cfg Config, mkPolicy func(board hv.Config) sched.Sched
 		c.hedgeAt, c.hedges = cfg.Health.HedgePriority, map[int]*hedge{}
 		hooks.Dispatch, hooks.Retired, hooks.Evacuated = c.hedgeDispatch, c.hedgeRetired, c.hedgeEvacuated
 	}
-	core, err := frontend.New(eng, frontend.Config{
+	core, err := frontend.New([]*sim.Engine{eng}, frontend.Config{
 		Name:         "cluster",
 		Boards:       cfg.Boards,
 		HV:           cfg.HV,
@@ -228,7 +228,7 @@ func (c *Cluster) SubmitWith(g *taskgraph.Graph, batch, priority int, arrival si
 	if g == nil {
 		return fmt.Errorf("cluster: nil graph")
 	}
-	sub := &submission{idx: c.core.Add(), g: g, batch: batch, priority: priority, opts: opts}
+	sub := &submission{idx: c.core.Add(g.Name(), batch, priority, arrival), g: g, batch: batch, priority: priority, opts: opts}
 	c.subs = append(c.subs, sub)
 	c.eng.At(arrival, func() {
 		// Buffer and drain once all arrivals at this instant are in: the
@@ -298,7 +298,7 @@ func (c *Cluster) Run() ([]Result, error) {
 	}
 	res := make([]Result, len(outs))
 	for idx, o := range outs {
-		r := Result{
+		res[idx] = Result{
 			Result:       o.Result,
 			Board:        o.Board,
 			Rejected:     o.Rejected,
@@ -307,11 +307,6 @@ func (c *Cluster) Run() ([]Result, error) {
 			FailReason:   o.FailReason,
 			Attempts:     o.Attempts,
 		}
-		if o.Rejected || o.Failed {
-			sub := c.subs[idx]
-			r.App, r.Batch, r.Priority = sub.g.Name(), sub.batch, sub.priority
-		}
-		res[idx] = r
 	}
 	return res, nil
 }

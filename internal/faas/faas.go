@@ -163,7 +163,7 @@ func New(eng *sim.Engine, cfg Config, mkPolicy func() sched.Scheduler) (*Platfor
 		mk = func(hv.Config) sched.Scheduler { return mkPolicy() }
 	}
 	p := &Platform{eng: eng, cfg: cfg, funcs: map[string]Function{}}
-	core, err := frontend.New(eng, frontend.Config{
+	core, err := frontend.New([]*sim.Engine{eng}, frontend.Config{
 		Name:         "faas",
 		Boards:       cfg.Boards,
 		HV:           cfg.HV,
@@ -209,13 +209,14 @@ func (p *Platform) Register(name string, fn Function) error {
 // Invoke schedules an invocation of a registered function at the given
 // time with the given number of independent inputs.
 func (p *Platform) Invoke(function string, items int, at sim.Time) error {
-	if _, ok := p.funcs[function]; !ok {
+	fn, ok := p.funcs[function]
+	if !ok {
 		return fmt.Errorf("faas: unknown function %q", function)
 	}
 	if items < 1 {
 		return fmt.Errorf("faas: invocation of %q with %d items", function, items)
 	}
-	idx := p.core.Add()
+	idx := p.core.Add(fn.Graph.Name(), items, fn.Priority, at)
 	p.invs = append(p.invs, &invocation{function: function, invoked: at, items: items})
 	p.eng.At(at, func() { p.arrive(idx) })
 	return nil

@@ -15,7 +15,6 @@ package fleet
 // — the shard-determinism property the tests pin.
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -32,8 +31,8 @@ func (f *Fleet) workers() int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(f.shards) {
-		w = len(f.shards)
+	if w > len(f.engs) {
+		w = len(f.engs)
 	}
 	return w
 }
@@ -46,8 +45,8 @@ func (f *Fleet) advance(end sim.Time) int64 {
 	w := f.workers()
 	if w <= 1 {
 		var total int64
-		for _, sh := range f.shards {
-			total += int64(sh.eng.RunUntil(end))
+		for _, eng := range f.engs {
+			total += int64(eng.RunUntil(end))
 		}
 		return total
 	}
@@ -62,10 +61,10 @@ func (f *Fleet) advance(end sim.Time) int64 {
 			defer wg.Done()
 			for {
 				s := int(next.Add(1)) - 1
-				if s >= len(f.shards) {
+				if s >= len(f.engs) {
 					return
 				}
-				total.Add(int64(f.shards[s].eng.RunUntil(end)))
+				total.Add(int64(f.engs[s].RunUntil(end)))
 			}
 		}()
 	}
@@ -89,7 +88,7 @@ func (f *Fleet) barrier() int {
 		p := b.PendingCount()
 		pending += p
 		if perShard != nil {
-			perShard[f.shardOf[g]] += p
+			perShard[f.core.Shard(g)] += p
 		}
 	}
 	f.pendEst = pending
@@ -149,20 +148,15 @@ func (f *Fleet) Run(stream *workload.Stream) ([]Result, error) {
 		}
 	}
 	f.stats.Makespan = now
-	if err := errors.Join(f.errs...); err != nil {
-		return nil, err
-	}
 	return f.collect()
 }
 
 // pending reports whether any board still holds unfinished work; used
 // only for the degenerate empty-stream first iteration.
 func (f *Fleet) pending() bool {
-	for _, sh := range f.shards {
-		for _, b := range sh.boards {
-			if b.PendingCount() > 0 {
-				return true
-			}
+	for g := 0; g < f.cfg.Boards; g++ {
+		if f.Board(g).PendingCount() > 0 {
+			return true
 		}
 	}
 	return false
@@ -173,39 +167,28 @@ func (f *Fleet) pending() bool {
 // epoch boundary so energy integrates over identical spans regardless
 // of sharding.
 func (f *Fleet) collect() ([]Result, error) {
-	out := make([]Result, f.subs)
-	filled := 0
-	occupied := make([]float64, 0, f.cfg.Boards)
-	for s, sh := range f.shards {
-		for l, b := range sh.boards {
-			g := sh.global[l]
-			results, err := b.Collect()
-			if err != nil {
-				return nil, fmt.Errorf("fleet: board %d: %w", g, err)
-			}
-			for _, r := range results {
-				idx, ok := sh.idxOf[l][r.AppID]
-				if !ok {
-					return nil, fmt.Errorf("fleet: board %d reported unknown app %d", g, r.AppID)
-				}
-				out[idx] = Result{Result: r, Shard: s, Board: g}
-				filled++
-			}
-			es := b.Energy()
-			f.stats.Energy = f.stats.Energy.Add(es)
-			occupied = append(occupied, es.OccupiedSlotSeconds)
+	outs, err := f.core.Outcomes()
+	if err != nil {
+		return nil, err
+	}
+	res := make([]Result, len(outs))
+	for idx, o := range outs {
+		res[idx] = Result{Result: o.Result, Shard: -1, Board: o.Board, Rejected: o.Rejected, RejectReason: o.RejectReason}
+		if o.Rejected {
+			f.stats.Rejected++
+		} else {
+			res[idx].Shard = f.core.Shard(o.Board)
+			f.stats.Completed++
 		}
 	}
-	for idx, r := range f.rejected {
-		out[idx] = r
-		filled++
+	f.stats.Submitted = len(outs)
+	f.stats.Energy = f.core.Energy()
+	occupied := make([]float64, f.cfg.Boards)
+	for g := range occupied {
+		occupied[g] = f.Board(g).Energy().OccupiedSlotSeconds
 	}
-	if filled != f.subs {
-		return nil, fmt.Errorf("fleet: %d results for %d submissions", filled, f.subs)
-	}
-	f.stats.Completed = filled - f.stats.Rejected
 	f.stats.BoardFairness = metrics.JainIndex(occupied)
-	return out, nil
+	return res, nil
 }
 
 // Stats reports the aggregate counters of a finished run.

@@ -4,15 +4,16 @@
 // below.
 //
 // The single-engine cluster front-end tops out when one event queue
-// carries every board. The fleet splits the boards into N shards, each
-// a cluster-style group of hypervisors on its own sim.Engine, and
-// advances the shards in lockstep epochs: route the epoch's arrivals,
-// run every shard to the epoch boundary (in parallel, one worker per
-// shard at most), synchronize, repeat. Placement reads per-board state
-// only at epoch barriers — where every shard's clock sits at the same
-// instant — plus deterministic in-epoch accumulation, so results are
-// byte-identical for any shard count and any worker count: the same
-// discipline internal/experiments/pool.go uses for parallel runs.
+// carries every board. The fleet deals its boards across N shard
+// engines (the board set, its bindings and its outcomes live in a
+// frontend.Core, as the cluster's do) and advances the shards in
+// lockstep epochs: route the epoch's arrivals, run every shard to the
+// epoch boundary (in parallel, one worker per shard at most),
+// synchronize, repeat. Placement reads per-board state only at epoch
+// barriers — where every shard's clock sits at the same instant — plus
+// deterministic in-epoch accumulation, so results are byte-identical
+// for any shard count and any worker count: the same discipline
+// internal/experiments/pool.go uses for parallel runs.
 //
 // Workloads arrive as a workload.Stream, pulled one event at a time as
 // epochs advance; a fleet run over millions of arrivals holds O(1)
@@ -22,7 +23,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"nimblock/internal/apps"
 	"nimblock/internal/frontend"
@@ -93,36 +93,22 @@ type Stats struct {
 	BoardFairness float64
 }
 
-// shard is one engine group: a slice of the global board list living on
-// a private clock between epoch barriers.
-type shard struct {
-	eng    *sim.Engine
-	boards []*hv.Hypervisor
-	global []int           // local board index -> global board index
-	idxOf  []map[int64]int // local board -> board-local ID -> submission index
-}
-
-// Fleet is the two-level scheduler.
+// Fleet is the two-level scheduler: placement policy over a
+// frontend.Core that owns the boards, dealt across the shard engines.
 type Fleet struct {
-	cfg    Config
-	mk     func(hv.Config) sched.Scheduler
-	shards []*shard
-	// Global-board lookup tables and placement state.
-	shardOf []int
-	localOf []int
+	cfg  Config
+	engs []*sim.Engine // shard -> engine
+	core *frontend.Core
+	// Placement state, by global board index.
 	down    []bool         // health mask: true = not placeable
 	outSnap []sim.Duration // barrier snapshot of OutstandingEstimate
 	routed  []sim.Duration // estimates routed since the last barrier
 	pendEst int            // barrier pending + routed since, for shedding
 
-	graphs  sync.Map // app name -> *taskgraph.Graph, O(apps) not O(events)
+	graphs  map[string]*taskgraph.Graph // O(apps), not O(events)
 	estMemo map[estKey]sim.Duration
 
-	subs     int
-	rejected map[int]Result
-	errs     []error
-	stats    Stats
-
+	stats  Stats
 	gauges *instruments
 }
 
@@ -137,81 +123,43 @@ type estKey struct {
 // New builds a fleet; mkPolicy supplies a fresh scheduling policy per
 // board and receives the board's configuration, as in internal/cluster.
 func New(cfg Config, mkPolicy func(hv.Config) sched.Scheduler) (*Fleet, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("fleet: need at least one shard, got %d", cfg.Shards)
-	}
-	if cfg.Boards < cfg.Shards {
-		return nil, fmt.Errorf("fleet: %d boards across %d shards", cfg.Boards, cfg.Shards)
-	}
-	if mkPolicy == nil {
-		return nil, fmt.Errorf("fleet: nil policy factory")
-	}
-	if cfg.BoardConfigs != nil && len(cfg.BoardConfigs) != cfg.Boards {
-		return nil, fmt.Errorf("fleet: %d board configs for %d boards", len(cfg.BoardConfigs), cfg.Boards)
-	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 100 * sim.Millisecond
 	}
 	f := &Fleet{
-		cfg:      cfg,
-		mk:       mkPolicy,
-		shardOf:  make([]int, cfg.Boards),
-		localOf:  make([]int, cfg.Boards),
-		down:     make([]bool, cfg.Boards),
-		outSnap:  make([]sim.Duration, cfg.Boards),
-		routed:   make([]sim.Duration, cfg.Boards),
-		estMemo:  map[estKey]sim.Duration{},
-		rejected: map[int]Result{},
+		cfg:     cfg,
+		graphs:  map[string]*taskgraph.Graph{},
+		estMemo: map[estKey]sim.Duration{},
 	}
-	// Deal boards to shards in contiguous blocks, remainder spread over
-	// the leading shards, so board g's identity never depends on the
-	// shard count.
-	per, extra := cfg.Boards/cfg.Shards, cfg.Boards%cfg.Shards
-	g := 0
 	for s := 0; s < cfg.Shards; s++ {
-		n := per
-		if s < extra {
-			n++
-		}
-		sh := &shard{eng: sim.NewEngine()}
-		for k := 0; k < n; k++ {
-			bcfg := f.boardConfig(g)
-			b, err := hv.New(sh.eng, bcfg, mkPolicy(bcfg))
-			if err != nil {
-				return nil, fmt.Errorf("fleet: board %d: %w", g, err)
-			}
-			sh.boards = append(sh.boards, b)
-			sh.global = append(sh.global, g)
-			sh.idxOf = append(sh.idxOf, map[int64]int{})
-			f.shardOf[g] = s
-			f.localOf[g] = k
-			g++
-		}
-		f.shards = append(f.shards, sh)
+		f.engs = append(f.engs, sim.NewEngine())
 	}
+	core, err := frontend.New(f.engs, frontend.Config{
+		Name:         "fleet",
+		Boards:       cfg.Boards,
+		HV:           cfg.HV,
+		BoardConfigs: cfg.BoardConfigs,
+	}, mkPolicy, frontend.Hooks{})
+	if err != nil {
+		return nil, err
+	}
+	f.core = core
+	f.down = make([]bool, cfg.Boards)
+	f.outSnap = make([]sim.Duration, cfg.Boards)
+	f.routed = make([]sim.Duration, cfg.Boards)
 	f.initInstruments()
 	return f, nil
 }
 
-// boardConfig resolves the effective hv.Config of global board g.
-func (f *Fleet) boardConfig(g int) hv.Config {
-	if f.cfg.BoardConfigs != nil {
-		return f.cfg.BoardConfigs[g]
-	}
-	return f.cfg.HV
-}
-
-// Shards reports the shard count; Boards the global board count.
-func (f *Fleet) Shards() int { return len(f.shards) }
+// Shards reports the shard count.
+func (f *Fleet) Shards() int { return len(f.engs) }
 
 // Boards reports the fleet size.
 func (f *Fleet) Boards() int { return f.cfg.Boards }
 
 // Board exposes one board's hypervisor by global index (for tests and
 // reports).
-func (f *Fleet) Board(g int) *hv.Hypervisor {
-	return f.shards[f.shardOf[g]].boards[f.localOf[g]]
-}
+func (f *Fleet) Board(g int) *hv.Hypervisor { return f.core.Board(g) }
 
 // SetBoardDown marks a board unplaceable (or placeable again) at the
 // next routing decision — the fleet-level health mask. Work already on
@@ -221,15 +169,15 @@ func (f *Fleet) SetBoardDown(g int, down bool) { f.down[g] = down }
 // graph resolves an application name to its shared immutable task
 // graph; one graph per distinct app regardless of arrival count.
 func (f *Fleet) graph(name string) (*taskgraph.Graph, error) {
-	if g, ok := f.graphs.Load(name); ok {
-		return g.(*taskgraph.Graph), nil
+	if g, ok := f.graphs[name]; ok {
+		return g, nil
 	}
 	g, err := apps.Graph(name)
 	if err != nil {
 		return nil, err
 	}
-	got, _ := f.graphs.LoadOrStore(name, g)
-	return got.(*taskgraph.Graph), nil
+	f.graphs[name] = g
+	return g, nil
 }
 
 // estimate is the placement-time work estimate of one arrival on board
@@ -242,7 +190,7 @@ func (f *Fleet) estimate(g int, app string, graph *taskgraph.Graph, batch int) s
 	if d, ok := f.estMemo[key]; ok {
 		return d
 	}
-	d := hv.SingleSlotLatencyFor(f.boardConfig(g).Board, graph, batch)
+	d := f.Board(g).SingleSlotLatency(graph, batch)
 	f.estMemo[key] = d
 	return d
 }
@@ -273,60 +221,43 @@ func (f *Fleet) pick() int {
 
 // route places one arrival, or records its rejection.
 func (f *Fleet) route(ev workload.Event) {
-	idx := f.subs
-	f.subs++
-	f.stats.Submitted++
+	idx := f.core.Add(ev.App, ev.Batch, ev.Priority, ev.Arrival)
 	if f.gauges != nil {
 		f.gauges.submitted.Inc()
 	}
 	if f.cfg.MaxOutstanding > 0 && f.pendEst >= f.cfg.MaxOutstanding {
-		f.reject(idx, ev, "shed")
+		f.reject(idx, "shed")
 		return
 	}
 	graph, err := f.graph(ev.App)
 	if err != nil {
-		f.errs = append(f.errs, fmt.Errorf("fleet: submission %d: %w", idx, err))
-		f.reject(idx, ev, "invalid")
+		f.core.Fault(fmt.Errorf("fleet: submission %d: %w", idx, err), nil)
+		f.reject(idx, "invalid")
 		return
 	}
 	g := f.pick()
 	if g < 0 {
-		f.reject(idx, ev, "unplaceable")
+		f.reject(idx, "unplaceable")
 		return
 	}
-	s, l := f.shardOf[g], f.localOf[g]
-	id, err := f.shards[s].boards[l].SubmitID(graph, ev.Batch, ev.Priority, ev.Arrival)
+	id, err := f.Board(g).SubmitID(graph, ev.Batch, ev.Priority, ev.Arrival)
 	if err != nil {
-		f.errs = append(f.errs, fmt.Errorf("fleet: submission %d (%s) on board %d: %w", idx, ev.App, g, err))
-		f.reject(idx, ev, "submit-error")
+		f.core.Fault(fmt.Errorf("fleet: submission %d (%s) on board %d: %w", idx, ev.App, g, err), nil)
+		f.reject(idx, "submit-error")
 		return
 	}
-	f.shards[s].idxOf[l][id] = idx
+	f.core.Bind(g, id, idx, nil)
 	f.routed[g] += f.estimate(g, ev.App, graph, ev.Batch)
 	f.pendEst++
 	if f.gauges != nil {
-		f.gauges.shardSubmitted[s].Inc()
+		f.gauges.shardSubmitted[f.core.Shard(g)].Inc()
 	}
 }
 
 // reject records a fleet-level rejection for reporting from Run.
-func (f *Fleet) reject(idx int, ev workload.Event, reason string) {
-	f.stats.Rejected++
+func (f *Fleet) reject(idx int, reason string) {
+	f.core.Reject(idx, reason)
 	if f.gauges != nil {
 		f.gauges.rejected.Inc()
-	}
-	f.rejected[idx] = Result{
-		Result: hv.Result{
-			AppID:       -1,
-			App:         ev.App,
-			Batch:       ev.Batch,
-			Priority:    ev.Priority,
-			Arrival:     ev.Arrival,
-			FirstLaunch: -1,
-		},
-		Shard:        -1,
-		Board:        -1,
-		Rejected:     true,
-		RejectReason: reason,
 	}
 }

@@ -84,12 +84,12 @@ func TestFleetShedsAtMaxOutstanding(t *testing.T) {
 	f := newFleet(t, 2, 2, func(c *Config) { c.MaxOutstanding = 2 })
 	// A rapid burst far beyond two boards' capacity: the cap must shed
 	// the excess, and completed+rejected must still conserve.
-	res, err := f.Run(workload.NewStream(workload.Spec{
-		Scenario: workload.RealTime, Events: 40, FixedBatch: 8,
-	}, 3))
+	spec := workload.Spec{Scenario: workload.RealTime, Events: 40, FixedBatch: 8}
+	res, err := f.Run(workload.NewStream(spec, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	replay := workload.NewStream(spec, 3)
 	st := f.Stats()
 	if st.Rejected == 0 {
 		t.Fatal("no arrivals shed at MaxOutstanding=2")
@@ -98,10 +98,17 @@ func TestFleetShedsAtMaxOutstanding(t *testing.T) {
 		t.Fatalf("conservation broken: %+v", st)
 	}
 	shed := 0
-	for _, r := range res {
+	for i, r := range res {
+		ev, _ := replay.Next()
 		if r.Rejected {
 			if r.RejectReason != "shed" {
 				t.Fatalf("reject reason %q", r.RejectReason)
+			}
+			// A shed result carries the arrival's identity and nothing
+			// a board would have reported.
+			want := hv.Result{AppID: -1, App: ev.App, Batch: ev.Batch, Priority: ev.Priority, Arrival: ev.Arrival, FirstLaunch: -1}
+			if r.Result != want || r.Shard != -1 || r.Board != -1 {
+				t.Fatalf("shed result %d = %+v, want %+v on shard -1 board -1", i, r, want)
 			}
 			shed++
 		}
@@ -172,13 +179,13 @@ func TestFleetRegistryMetrics(t *testing.T) {
 		t.Fatalf("fleet_submitted_total = %d", n)
 	}
 	routed := int64(0)
-	for s := range f.shards {
+	for s := range f.engs {
 		routed += f.gauges.shardSubmitted[s].Value()
 	}
 	if routed != 12 {
 		t.Fatalf("per-shard submissions sum to %d", routed)
 	}
-	for s := range f.shards {
+	for s := range f.engs {
 		if p := f.gauges.shardPending[s].Value(); p != 0 {
 			t.Fatalf("shard %d pending %v after quiescence", s, p)
 		}

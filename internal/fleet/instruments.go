@@ -32,7 +32,7 @@ func (f *Fleet) initInstruments() {
 		pending:   reg.Gauge("fleet_pending", "Unfinished submissions across all shards at the last epoch barrier."),
 		epoch:     reg.Gauge("fleet_epoch_seconds", "Simulated time of the last completed epoch barrier."),
 	}
-	for s := range f.shards {
+	for s := range f.engs {
 		ins.shardSubmitted = append(ins.shardSubmitted, reg.Counter(
 			fmt.Sprintf("fleet_shard%d_submitted_total", s),
 			fmt.Sprintf("Submissions routed to shard %d.", s)))
@@ -40,6 +40,6 @@ func (f *Fleet) initInstruments() {
 			fmt.Sprintf("fleet_shard%d_pending", s),
 			fmt.Sprintf("Unfinished submissions on shard %d at the last epoch barrier.", s)))
 	}
-	ins.perShard = make([]int, len(f.shards))
+	ins.perShard = make([]int, len(f.engs))
 	f.gauges = ins
 }

@@ -40,7 +40,7 @@ func TestParseSpecRejects(t *testing.T) {
 		"",
 		"slots=0",
 		"slots=-3",
-		"scale=1",            // missing slots
+		"scale=1", // missing slots
 		"slots=4 scale=-1",
 		"slots=4 scale=NaN",
 		"slots=4 scale=Inf",

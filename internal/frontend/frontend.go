@@ -1,7 +1,7 @@
-// Package frontend is the core the cluster and serverless front-ends
-// share: the fleet-level half of the two-level shape (placement above,
-// per-board schedulers below) that both build over a set of
-// hypervisors on one virtual clock.
+// Package frontend is the core the cluster, serverless and fleet
+// front-ends share: the fleet-level half of the two-level shape
+// (placement above, per-board schedulers below) that all three build
+// over a set of hypervisors dealt across one or more shard engines.
 //
 // The Core owns everything the front-ends do the same way: building and
 // rebuilding the board set, admission (offer, rejection, tickets keyed
@@ -11,6 +11,10 @@
 // submission index. A front-end keeps only its policy: which candidate
 // board a unit of work goes to, how it is submitted there, and how its
 // outcomes are shaped.
+//
+// Admission and the failure domain read one clock, so they run only on
+// a single shard; a multi-shard board set is driven by its front-end's
+// own lockstep loop, which submits and binds work between barriers.
 package frontend
 
 import (
@@ -43,7 +47,8 @@ type Config struct {
 	Seed int64
 }
 
-// Hooks are the front-end's policy callbacks. Place is required.
+// Hooks are the front-end's policy callbacks. Place is required by a
+// front-end that hands arrivals to Arrive.
 type Hooks struct {
 	// Place picks a board for submission idx among cands (never empty)
 	// and submits the work there, returning the board and its local ID.
@@ -68,9 +73,10 @@ type Hooks struct {
 // Outcome is one submission's terminal state. For completed work Result
 // is the board's report with arrival, wait, and response re-based on
 // the original arrival when a board death forced re-dispatch. Rejected
-// and failed outcomes carry only AppID -1, the arrival, and
-// FirstLaunch -1 in Result; Board is -1 for rejections and the last
-// board that held failed work (-1 if none did).
+// and failed outcomes carry only the identity given to Add (app, batch,
+// priority, arrival), AppID -1 and FirstLaunch -1 in Result; Board is
+// -1 for rejections and the last board that held failed work (-1 if
+// none did).
 type Outcome struct {
 	Result       hv.Result
 	Board        int
@@ -85,10 +91,13 @@ type Outcome struct {
 
 // entry is the core's record of one submission index.
 type entry struct {
-	arrival sim.Time
-	retries int      // board deaths survived so far
-	last    int      // last board that held it; -1 before the first placement
-	out     *Outcome // terminal outcome; nil while the submission is live
+	app      string
+	batch    int
+	priority int
+	arrival  sim.Time
+	retries  int      // board deaths survived so far
+	last     int      // last board that held it; -1 before the first placement
+	out      *Outcome // terminal outcome; nil while the submission is live
 }
 
 // binding links a board-local ID to its submission and the admission
@@ -101,7 +110,11 @@ type binding struct {
 
 // Core is the shared front-end machinery over one board set.
 type Core struct {
+	// eng is the clock admission and the failure domain read: the first
+	// shard's, and the only one whenever either is armed.
 	eng      *sim.Engine
+	engs     []*sim.Engine // shard -> engine
+	shard    []int         // board -> shard
 	cfg      Config
 	hooks    Hooks
 	mkPolicy func(hv.Config) sched.Scheduler
@@ -120,11 +133,23 @@ type Core struct {
 	parked []parked
 }
 
-// New validates cfg and builds the board set; mkPolicy supplies a fresh
-// scheduling policy per board and receives the board's configuration.
-func New(eng *sim.Engine, cfg Config, mkPolicy func(hv.Config) sched.Scheduler, hooks Hooks) (*Core, error) {
+// New validates cfg and builds the board set over the shard engines
+// engs; mkPolicy supplies a fresh scheduling policy per board and
+// receives the board's configuration. Boards are dealt to shards in
+// contiguous blocks, the remainder spread over the leading shards, so
+// board i's identity never depends on the shard count.
+func New(engs []*sim.Engine, cfg Config, mkPolicy func(hv.Config) sched.Scheduler, hooks Hooks) (*Core, error) {
+	if len(engs) < 1 {
+		return nil, fmt.Errorf("%s: need at least one shard, got 0", cfg.Name)
+	}
 	if cfg.Boards < 1 {
 		return nil, fmt.Errorf("%s: need at least one board, got %d", cfg.Name, cfg.Boards)
+	}
+	if cfg.Boards < len(engs) {
+		return nil, fmt.Errorf("%s: %d boards across %d shards", cfg.Name, cfg.Boards, len(engs))
+	}
+	if len(engs) > 1 && (cfg.Admission != nil || cfg.Health != nil || len(cfg.BoardFaults) > 0) {
+		return nil, fmt.Errorf("%s: admission and board health need a single shard, got %d", cfg.Name, len(engs))
 	}
 	if mkPolicy == nil {
 		return nil, fmt.Errorf("%s: nil policy factory", cfg.Name)
@@ -132,7 +157,17 @@ func New(eng *sim.Engine, cfg Config, mkPolicy func(hv.Config) sched.Scheduler, 
 	if cfg.BoardConfigs != nil && len(cfg.BoardConfigs) != cfg.Boards {
 		return nil, fmt.Errorf("%s: %d board configs for %d boards", cfg.Name, len(cfg.BoardConfigs), cfg.Boards)
 	}
-	c := &Core{eng: eng, cfg: cfg, hooks: hooks, mkPolicy: mkPolicy}
+	c := &Core{eng: engs[0], engs: engs, cfg: cfg, hooks: hooks, mkPolicy: mkPolicy}
+	per, extra := cfg.Boards/len(engs), cfg.Boards%len(engs)
+	for s := range engs {
+		n := per
+		if s < extra {
+			n++
+		}
+		for ; n > 0; n-- {
+			c.shard = append(c.shard, s)
+		}
+	}
 	if cfg.Admission != nil {
 		ctrl, err := admit.New(*cfg.Admission)
 		if err != nil {
@@ -166,7 +201,7 @@ func (c *Core) newBoard(i int) (*hv.Hypervisor, error) {
 		}
 		c.onRetire(board, id)
 	}
-	return hv.New(c.eng, bcfg, c.mkPolicy(bcfg))
+	return hv.New(c.engs[c.shard[i]], bcfg, c.mkPolicy(bcfg))
 }
 
 // boardConfig resolves the effective hv.Config of board i.
@@ -182,6 +217,9 @@ func (c *Core) Boards() int { return len(c.boards) }
 
 // Board exposes board i's current hypervisor generation.
 func (c *Core) Board(i int) *hv.Hypervisor { return c.boards[i] }
+
+// Shard reports which shard engine board i runs on.
+func (c *Core) Shard(i int) int { return c.shard[i] }
 
 // Energy sums the per-board energy reports; each board integrates its
 // own power model, so heterogeneous sets aggregate correctly.
@@ -217,32 +255,32 @@ func PlacementScore(b *fpga.Board, load float64) float64 {
 	return (1 + load) * b.LatencyScale() / float64(usable)
 }
 
-// Add registers a new submission and returns its index.
-func (c *Core) Add() int {
-	c.subs = append(c.subs, entry{last: -1})
+// Add registers a new submission, identified by its application, batch
+// and priority and arriving at arrival, and returns its index.
+func (c *Core) Add(app string, batch, priority int, arrival sim.Time) int {
+	c.subs = append(c.subs, entry{app: app, batch: batch, priority: priority, arrival: arrival, last: -1})
 	return len(c.subs) - 1
 }
 
-// Arrive takes submission idx in now: with admission it is offered to
-// the controller (sized by g and batch; req carries tenant, priority
-// and SLO) and the caller drains cleared work with Pump; without, it is
-// dispatched immediately.
+// Arrive takes submission idx in at its arrival instant, which must be
+// now: with admission it is offered to the controller (sized by g and
+// batch; req carries tenant, priority and SLO) and the caller drains
+// cleared work with Pump; without, it is dispatched immediately.
 func (c *Core) Arrive(idx int, g *taskgraph.Graph, batch int, req admit.Request) {
-	c.subs[idx].arrival = c.eng.Now()
 	if c.ctrl == nil {
 		c.dispatch(idx, nil)
 		return
 	}
 	req.Estimate = c.estimate(g, batch)
-	req.Arrival = c.eng.Now()
+	req.Arrival = c.subs[idx].arrival
 	req.Payload = idx
 	_, evicted, out := c.ctrl.Offer(req, c.minLoad())
 	if out != admit.Admitted {
-		c.reject(idx, out.String())
+		c.Reject(idx, out.String())
 		return
 	}
 	if evicted != nil {
-		c.reject(evicted.Request().Payload.(int), admit.Shed.String())
+		c.Reject(evicted.Request().Payload.(int), admit.Shed.String())
 	}
 }
 
@@ -307,15 +345,17 @@ func (c *Core) minLoad() sim.Duration {
 	return best
 }
 
-// reject records an admission rejection.
-func (c *Core) reject(idx int, reason string) {
+// Reject records that submission idx never reached a board: an
+// admission outcome, or the front-end's own shed or placement refusal.
+func (c *Core) Reject(idx int, reason string) {
 	c.settle(idx, &Outcome{Result: c.unrun(idx), Board: -1, Rejected: true, RejectReason: reason})
 }
 
 // unrun is the Result of a submission that never completed: only its
-// arrival is known.
+// identity and arrival are known.
 func (c *Core) unrun(idx int) hv.Result {
-	return hv.Result{AppID: -1, Arrival: c.subs[idx].arrival, FirstLaunch: -1}
+	e := &c.subs[idx]
+	return hv.Result{AppID: -1, App: e.app, Batch: e.batch, Priority: e.priority, Arrival: e.arrival, FirstLaunch: -1}
 }
 
 // dispatch places one admitted submission, giving the front-end's
@@ -341,7 +381,7 @@ func (c *Core) Bind(b int, id int64, idx int, t *admit.Ticket) {
 // Forget drops board b's binding of local ID id (a cancelled copy).
 func (c *Core) Forget(b int, id int64) { delete(c.bound[b], id) }
 
-// Fault records a dispatch-time submit failure, surfaced from Run —
+// Fault records a dispatch-time submit failure, surfaced from Outcomes —
 // never a panic: a malformed submission must not take down the whole
 // run — and frees the admission slot the failed dispatch held.
 func (c *Core) Fault(err error, t *admit.Ticket) {
@@ -396,20 +436,29 @@ func (c *Core) completed(idx, board int, r hv.Result) Outcome {
 	return Outcome{Result: r, Board: board, Attempts: e.retries + 1}
 }
 
-// Run drives the engine until every board drains (bounded by the
-// horizon), then returns one outcome per submission index. Dispatch
-// failures accumulated during the run are returned joined.
+// Run drives every shard engine until its boards drain (bounded by the
+// horizon), then returns Outcomes.
 func (c *Core) Run() ([]Outcome, error) {
 	// Drain rather than run to the horizon: DrainUntil leaves the clock
 	// at the last fired event (the makespan), so Energy sampled after
 	// Run prices static power over time actually spanned by work, not
 	// over the idle tail out to the horizon.
-	c.eng.DrainUntil(c.cfg.HV.Horizon)
+	for _, e := range c.engs {
+		e.DrainUntil(c.cfg.HV.Horizon)
+	}
+	return c.Outcomes()
+}
+
+// Outcomes settles a drained run: work still parked or queued strands,
+// and every board's report is collected. It returns one outcome per
+// submission index; dispatch failures accumulated during the run are
+// returned joined.
+func (c *Core) Outcomes() ([]Outcome, error) {
 	c.strand()
 	if err := errors.Join(c.errs...); err != nil {
 		return nil, err
 	}
-	// Outcomes settled before Run were allocated one by one; the ones
+	// Outcomes settled earlier were allocated one by one; the ones
 	// collected here settle straight into their slot of out.
 	out := make([]Outcome, len(c.subs))
 	for i, b := range c.boards {

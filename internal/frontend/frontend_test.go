@@ -49,7 +49,7 @@ func newFront(t *testing.T, cfg Config, hooks Hooks) *testFront {
 	if hooks.Place == nil {
 		hooks.Place = f.place
 	}
-	c, err := New(f.eng, cfg, mkNimblock, hooks)
+	c, err := New([]*sim.Engine{f.eng}, cfg, mkNimblock, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func (f *testFront) place(idx int, cands []int) (int, int64, error) {
 }
 
 func (f *testFront) submit(name string, batch, priority int, at sim.Time) {
-	idx := f.core.Add()
+	idx := f.core.Add(name, batch, priority, at)
 	j := job{g: apps.MustGraph(name), batch: batch, priority: priority}
 	f.jobs = append(f.jobs, j)
 	f.eng.At(at, func() {
@@ -80,25 +80,77 @@ func (f *testFront) submit(name string, batch, priority int, at sim.Time) {
 }
 
 func TestNewValidation(t *testing.T) {
-	eng := sim.NewEngine()
 	place := func(int, []int) (int, int64, error) { return -1, 0, nil }
+	crash := []faults.BoardEvent{{Kind: faults.BoardCrash, Board: 0}}
 	cases := []struct {
-		name string
-		cfg  Config
-		mk   func(hv.Config) sched.Scheduler
-		want string
+		name   string
+		shards int
+		cfg    Config
+		mk     func(hv.Config) sched.Scheduler
+		want   string
 	}{
-		{"zero boards", Config{Name: "x"}, mkNimblock, "x: need at least one board, got 0"},
-		{"nil factory", Config{Name: "x", Boards: 1}, nil, "x: nil policy factory"},
-		{"board configs", Config{Name: "x", Boards: 2, BoardConfigs: []hv.Config{hv.DefaultConfig()}}, mkNimblock, "x: 1 board configs for 2 boards"},
-		{"admission", Config{Name: "x", Boards: 1, Admission: &admit.Config{Capacity: -1}}, mkNimblock, "x: admit:"},
-		{"board fault", Config{Name: "x", Boards: 1, BoardFaults: []faults.BoardEvent{{Kind: faults.BoardCrash, Board: 3}}}, mkNimblock, "x: health:"},
+		{"no shards", 0, Config{Name: "x", Boards: 1}, mkNimblock, "x: need at least one shard, got 0"},
+		{"zero boards", 1, Config{Name: "x"}, mkNimblock, "x: need at least one board, got 0"},
+		{"boards < shards", 4, Config{Name: "x", Boards: 3}, mkNimblock, "x: 3 boards across 4 shards"},
+		{"nil factory", 1, Config{Name: "x", Boards: 1}, nil, "x: nil policy factory"},
+		{"board configs", 1, Config{Name: "x", Boards: 2, BoardConfigs: []hv.Config{hv.DefaultConfig()}}, mkNimblock, "x: 1 board configs for 2 boards"},
+		{"admission", 1, Config{Name: "x", Boards: 1, Admission: &admit.Config{Capacity: -1}}, mkNimblock, "x: admit:"},
+		{"board fault", 1, Config{Name: "x", Boards: 1, BoardFaults: []faults.BoardEvent{{Kind: faults.BoardCrash, Board: 3}}}, mkNimblock, "x: health:"},
+		{"sharded admission", 2, Config{Name: "x", Boards: 2, Admission: &admit.Config{}}, mkNimblock, "x: admission and board health need a single shard, got 2"},
+		{"sharded health", 2, Config{Name: "x", Boards: 2, Health: &health.Options{}}, mkNimblock, "x: admission and board health need a single shard, got 2"},
+		{"sharded board faults", 2, Config{Name: "x", Boards: 2, BoardFaults: crash}, mkNimblock, "x: admission and board health need a single shard, got 2"},
 	}
 	for _, tc := range cases {
 		tc.cfg.HV = hv.DefaultConfig()
-		_, err := New(eng, tc.cfg, tc.mk, Hooks{Place: place})
+		engs := make([]*sim.Engine, tc.shards)
+		for s := range engs {
+			engs[s] = sim.NewEngine()
+		}
+		_, err := New(engs, tc.cfg, tc.mk, Hooks{Place: place})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestBoardsDealtInContiguousBlocks pins the shard dealing: 10 boards
+// over 4 shards land 3, 3, 2, 2 in board order, and each board's
+// events fire on its own shard's engine.
+func TestBoardsDealtInContiguousBlocks(t *testing.T) {
+	engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
+	c, err := New(engs, Config{Name: "x", Boards: 10, HV: hv.DefaultConfig()}, mkNimblock, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 0, 0, 1, 1, 1, 2, 2, 3, 3}
+	for b, s := range want {
+		if got := c.Shard(b); got != s {
+			t.Fatalf("board %d on shard %d, want %d", b, got, s)
+		}
+	}
+	g := apps.MustGraph(apps.LeNet)
+	for b := range want {
+		id, err := c.Board(b).SubmitID(g, 1, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Bind(b, id, c.Add(apps.LeNet, 1, 3, 0), nil)
+	}
+	for s, eng := range engs {
+		eng.Run()
+		for b, bs := range want {
+			if done := c.Board(b).PendingCount() == 0; done != (bs <= s) {
+				t.Fatalf("after draining shards 0..%d, board %d (shard %d) done = %v", s, b, bs, done)
+			}
+		}
+	}
+	outs, err := c.Outcomes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, o := range outs {
+		if o.Board != idx || o.Rejected || o.Result.App != apps.LeNet {
+			t.Fatalf("outcome %d = %+v, want board %d completed", idx, o, idx)
 		}
 	}
 }
@@ -175,7 +227,7 @@ func TestRebuildSeesOutgoingBoard(t *testing.T) {
 		BoardFaults: []faults.BoardEvent{{Kind: faults.BoardCrash, Board: 1, At: sim.Time(300 * sim.Millisecond)}},
 	}
 	f = &testFront{eng: eng}
-	c, err := New(eng, cfg, func(b hv.Config) sched.Scheduler {
+	c, err := New([]*sim.Engine{eng}, cfg, func(b hv.Config) sched.Scheduler {
 		if f.core != nil {
 			atFactory = append(atFactory, f.core.Board(1))
 		}
