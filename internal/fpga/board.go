@@ -174,6 +174,14 @@ type Board struct {
 	failPending []bool // permanent failure arrived while reconfiguring
 	freeScratch []int  // reused by FreeSlots
 
+	// The in-flight CAP stream: its request, the outcome drawn for the
+	// current attempt, and the time charged to it. completeFn is bound
+	// once in NewBoard, so streaming allocates nothing.
+	cur        reconfigRequest
+	curOut     ReconfigOutcome
+	curDur     sim.Duration
+	completeFn func()
+
 	// Energy accounting: piecewise-constant integrals of the occupied
 	// (reconfiguring or loaded) and usable (not offline) slot counts over
 	// virtual time, accrued lazily at every state transition. Pure
@@ -230,6 +238,7 @@ func NewBoard(eng *sim.Engine, cfg Config) (*Board, error) {
 	for i := 0; i < cfg.Slots; i++ {
 		b.slots = append(b.slots, &Slot{ID: i})
 	}
+	b.completeFn = b.complete
 	return b, nil
 }
 
@@ -371,33 +380,46 @@ func (b *Board) TransferState(slot int, bytes int64, onDone func(error)) error {
 	return nil
 }
 
-// pump starts the next queued reconfiguration if the CAP is idle.
+// pump starts the next queued reconfiguration if the CAP is idle. The
+// queue pops by copy-down, so later appends reuse its capacity.
 func (b *Board) pump() {
 	if b.busy || len(b.queue) == 0 {
 		return
 	}
-	req := b.queue[0]
-	b.queue = b.queue[1:]
+	b.cur = b.queue[0]
+	n := copy(b.queue, b.queue[1:])
+	b.queue[n] = reconfigRequest{}
+	b.queue = b.queue[:n]
 	b.busy = true
-	b.stream(req, 0)
+	b.stream(0)
 }
 
-// stream charges one attempt (plus backoff and any injected CAP stall)
-// to the busy CAP and schedules its completion. The fault outcome is
-// drawn up front — exactly one injector consultation per attempt.
-// Checkpoint state transfers skip the injector and never retry.
-func (b *Board) stream(req reconfigRequest, backoff sim.Duration) {
-	if req.xferBytes > 0 {
-		d := b.StateTransferTime(req.xferBytes)
-		b.eng.After(d, func() { b.finishTransfer(req, d) })
+// stream charges one attempt of the in-flight request (plus backoff and
+// any injected CAP stall) to the busy CAP and schedules its completion.
+// The fault outcome is drawn up front — exactly one injector
+// consultation per attempt. Checkpoint state transfers skip the
+// injector and never retry.
+func (b *Board) stream(backoff sim.Duration) {
+	if b.cur.xferBytes > 0 {
+		b.curDur = b.StateTransferTime(b.cur.xferBytes)
+		b.eng.After(b.curDur, b.completeFn)
 		return
 	}
-	d := b.ReconfigTime(req.img)
-	out := ReconfigOutcome{}
+	b.curOut = ReconfigOutcome{}
 	if b.inj != nil {
-		out = b.inj.ReconfigAttempt(b.eng.Now(), req.slot, req.tries)
+		b.curOut = b.inj.ReconfigAttempt(b.eng.Now(), b.cur.slot, b.cur.tries)
 	}
-	b.eng.After(backoff+d+out.Stall, func() { b.finish(req, out, d+out.Stall) })
+	b.curDur = b.ReconfigTime(b.cur.img) + b.curOut.Stall
+	b.eng.After(backoff+b.curDur, b.completeFn)
+}
+
+// complete ends the in-flight stream's current attempt.
+func (b *Board) complete() {
+	if b.cur.xferBytes > 0 {
+		b.finishTransfer()
+	} else {
+		b.finish()
+	}
 }
 
 // backoffFor is the capped exponential delay before retry n (n >= 1).
@@ -428,9 +450,10 @@ func (b *Board) notifyFault(slot, attempt int, class FaultClass, willRetry bool)
 // CAP. The slot keeps whatever state it had — a transfer mutates no
 // configuration, so even a slot that went offline mid-stream needs no
 // board-side handling (the hypervisor's callbacks guard for staleness).
-func (b *Board) finishTransfer(req reconfigRequest, d sim.Duration) {
+func (b *Board) finishTransfer() {
+	req := b.cur
 	b.stats.StateTransfers++
-	b.stats.StateTransferTime += d
+	b.stats.StateTransferTime += b.curDur
 	b.busy = false
 	b.pump()
 	if req.onDone != nil {
@@ -438,9 +461,11 @@ func (b *Board) finishTransfer(req reconfigRequest, d sim.Duration) {
 	}
 }
 
-// finish completes (or retries) the active reconfiguration.
-func (b *Board) finish(req reconfigRequest, out ReconfigOutcome, d sim.Duration) {
-	b.stats.ReconfigTime += d
+// finish completes (or retries) the active reconfiguration. It works on
+// a copy of the request because pump overwrites b.cur before onDone runs.
+func (b *Board) finish() {
+	req, out := b.cur, b.curOut
+	b.stats.ReconfigTime += b.curDur
 	if b.failPending[req.slot] {
 		// The region died while the stream was in flight; the attempt is
 		// lost regardless of its own outcome.
@@ -452,14 +477,14 @@ func (b *Board) finish(req reconfigRequest, out ReconfigOutcome, d sim.Duration)
 		b.stats.Faults++
 		b.slotStats[req.slot].Faults++
 		if req.tries < b.cfg.MaxRetries {
-			req.tries++
+			b.cur.tries++
 			b.stats.Retries++
 			b.slotStats[req.slot].Retries++
-			b.notifyFault(req.slot, req.tries-1, out.Class, true)
+			b.notifyFault(req.slot, req.tries, out.Class, true)
 			// Retry: stream the image again after backoff; the CAP stays
 			// busy — the single reconfiguration pipeline is blocked on
 			// the faulted stream.
-			b.stream(req, b.backoffFor(req.tries))
+			b.stream(b.backoffFor(b.cur.tries))
 			return
 		}
 		b.notifyFault(req.slot, req.tries, out.Class, false)
@@ -542,16 +567,10 @@ func (b *Board) SetOffline(slot int) error {
 // SlotUsable reports whether slot i is still in service.
 func (b *Board) SlotUsable(i int) bool { return b.slots[i].State != SlotOffline }
 
-// UsableSlots counts slots still in service.
-func (b *Board) UsableSlots() int {
-	n := 0
-	for _, s := range b.slots {
-		if s.State != SlotOffline {
-			n++
-		}
-	}
-	return n
-}
+// UsableSlots counts slots still in service. Every offline transition
+// goes through takeOffline, which keeps the energy model's usable count
+// exact, so this is that counter.
+func (b *Board) UsableSlots() int { return b.usable }
 
 // OfflineSlots lists the IDs of slots permanently out of service.
 func (b *Board) OfflineSlots() []int {

@@ -429,3 +429,77 @@ func TestRelocationGate(t *testing.T) {
 		t.Fatal("mismatched per-slot image accepted")
 	}
 }
+
+// UsableSlots is the counter takeOffline maintains, not a scan; it must
+// agree with the slot states through every way a slot leaves service: a
+// fatal fault mid-stream, SetOffline on a free, a reconfiguring, and a
+// released slot, repeated SetOffline calls, and a quarantine (SetOffline
+// of a free slot whose stream exhausted its retries).
+func TestUsableSlotsMatchesSlotStates(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxRetries = 1
+	cfg.NewInjector = func() Injector {
+		return slotInjector{5: FaultFatal, 6: FaultCRC}
+	}
+	eng, b := newBoard(t, cfg)
+	check := func(step string) {
+		t.Helper()
+		n := 0
+		for i := 0; i < b.NumSlots(); i++ {
+			if b.Slot(i).State != SlotOffline {
+				n++
+			}
+		}
+		if got := b.UsableSlots(); got != n {
+			t.Fatalf("%s: UsableSlots = %d, slot states say %d", step, got, n)
+		}
+	}
+	check("fresh board")
+	// Fatal fault during a stream.
+	b.Reconfigure(5, image(5), nil)
+	eng.Run()
+	check("fatal fault")
+	// Free slot, twice (idempotent).
+	b.SetOffline(0)
+	b.SetOffline(0)
+	check("SetOffline on a free slot")
+	// Reconfiguring slot: offline once the doomed stream lands.
+	b.Reconfigure(1, image(1), nil)
+	b.SetOffline(1)
+	check("SetOffline on a reconfiguring slot, stream in flight")
+	eng.Run()
+	check("SetOffline on a reconfiguring slot, stream landed")
+	// Loaded slot: refused, then accepted after release.
+	b.Reconfigure(2, image(2), nil)
+	eng.Run()
+	if err := b.SetOffline(2); err == nil {
+		t.Fatal("SetOffline of a loaded slot accepted")
+	}
+	check("refused SetOffline on a loaded slot")
+	b.Release(2)
+	b.SetOffline(2)
+	check("SetOffline after release")
+	// Quarantine: retries exhausted, the freed slot is retired.
+	b.Reconfigure(6, image(6), nil)
+	eng.Run()
+	if b.Slot(6).State != SlotFree || b.SlotStats(6).Faults != 2 {
+		t.Fatalf("slot 6 after exhausted retries: %v with %d faults", b.Slot(6).State, b.SlotStats(6).Faults)
+	}
+	b.SetOffline(6)
+	check("quarantine")
+	if got, want := b.UsableSlots(), b.NumSlots()-5; got != want {
+		t.Fatalf("UsableSlots = %d after five slots left service, want %d", got, want)
+	}
+}
+
+// slotInjector faults every reconfiguration attempt on the listed slots
+// with the given class.
+type slotInjector map[int]FaultClass
+
+func (s slotInjector) ReconfigAttempt(now sim.Time, slot, attempt int) ReconfigOutcome {
+	return ReconfigOutcome{Class: s[slot]}
+}
+func (s slotInjector) Exec(now sim.Time, app string, task, slot int) ExecOutcome {
+	return ExecOutcome{}
+}
+func (s slotInjector) PermanentFailures() []SlotFailure { return nil }

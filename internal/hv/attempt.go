@@ -58,7 +58,7 @@ func (h *Hypervisor) tryStart(slot int) {
 	// Inter-slot hand-off: the item's input data may still be in flight
 	// from producer slots; retry once it lands.
 	if avail := h.dataReadyAt(a, task, slot, item); avail > h.eng.Now() {
-		h.eng.At(avail, h.kickFns[slot])
+		h.eng.At(avail, h.fnsFor(slot).kick)
 		return
 	}
 	if err := a.MarkItemStarted(task, item); err != nil {
@@ -111,29 +111,31 @@ func (h *Hypervisor) startAttempt(slot int, a *sched.App, task, item int) {
 		rt.factor *= h.scale
 	}
 	if !h.restore(slot, a, task, item) {
-		h.beginRun(slot, a, task, item)
+		h.beginRun(slot)
 	}
 }
 
-// beginRun starts (or resumes) the compute stretch of the current
-// attempt and arms its completion, watchdog, and periodic-save timers.
-func (h *Hypervisor) beginRun(slot int, a *sched.App, task, item int) {
+// beginRun starts (or resumes) the compute stretch of the slot's
+// current attempt and arms its completion, watchdog, and periodic-save
+// timers.
+func (h *Hypervisor) beginRun(slot int) {
 	rt := &h.slots[slot]
-	nominal := a.Graph.Task(task).Latency
+	fns := h.fnsFor(slot)
+	nominal := rt.app.Graph.Task(rt.task).Latency
 	remaining := nominal - rt.base - rt.doneNominal
 	if remaining < 0 {
 		remaining = 0 // float rounding across pause/resume cycles
 	}
-	lat := stretchDur(remaining, rt.factor)
+	rt.stretch = stretchDur(remaining, rt.factor)
 	rt.itemStart = h.eng.Now()
 	if !rt.hung {
-		rt.itemEv = h.eng.AfterCancellable(lat, func() { h.itemDone(slot, a, task, item, lat) })
+		rt.itemEv = h.eng.After(rt.stretch, fns.itemDone)
 	}
 	if h.cfg.WatchdogFactor > 0 && rt.wdLeft > 0 {
-		rt.wdEv = h.eng.AfterCancellable(rt.wdLeft, func() { h.watchdogFire(slot, a, task, item) })
+		rt.wdEv = h.eng.After(rt.wdLeft, fns.watchdog)
 	}
 	if h.cfg.Checkpoint.Period > 0 && h.ckptOn() && !rt.hung {
-		h.armSave(slot, a, task, item)
+		h.armSave(slot)
 	}
 }
 
@@ -181,15 +183,15 @@ func (h *Hypervisor) attemptWall(rt *slotRuntime) sim.Duration {
 	return wall
 }
 
-func (h *Hypervisor) itemDone(slot int, a *sched.App, task, item int, lat sim.Duration) {
+// itemDone completes the slot's in-flight item: its completion timer
+// fired, and every path that ends or pauses an attempt cancels that
+// timer, so the slot still holds the attempt that armed it.
+func (h *Hypervisor) itemDone(slot int) {
 	if h.halted() {
 		return
 	}
 	rt := &h.slots[slot]
-	if rt.app != a || rt.task != task || rt.curItem != item {
-		h.fail(fmt.Errorf("hv: item completion for %s task %d item %d does not match slot %d state", a.Name, task, item, slot))
-		return
-	}
+	a, task, item := rt.app, rt.task, rt.curItem
 	h.stopTimers(rt)
 	rt.curItem = -1
 	taskDone, err := a.MarkItemDone(task, item)
@@ -202,7 +204,7 @@ func (h *Hypervisor) itemDone(slot int, a *sched.App, task, item int, lat sim.Du
 	// booked now, with the final stretch; save pauses were booked at
 	// each save. The snapshot is obsolete once the item completes.
 	r := h.records[a.ID]
-	run := lat + rt.doneWall
+	run := rt.stretch + rt.doneWall
 	r.dropSnapshot(task, item)
 	rt.base, rt.doneNominal, rt.doneWall = 0, 0, 0
 	r.res.Run += run
@@ -293,8 +295,12 @@ func (h *Hypervisor) doPreempt(slot int) {
 	h.wake(sched.ReasonSlotFree)
 }
 
-// resetSlot forgets the slot's occupant.
-func (h *Hypervisor) resetSlot(slot int) { h.slots[slot] = slotRuntime{curItem: -1} }
+// resetSlot forgets the slot's occupant, cancelling its timers so none
+// can fire for the next one.
+func (h *Hypervisor) resetSlot(slot int) {
+	h.stopTimers(&h.slots[slot])
+	h.slots[slot] = slotRuntime{curItem: -1}
+}
 
 // vacate releases the slot's region on the board and forgets its
 // occupant.
@@ -315,7 +321,6 @@ func (h *Hypervisor) vacate(slot int) error {
 func (h *Hypervisor) kill(slot int) (int, error) {
 	rt := &h.slots[slot]
 	a, task := rt.app, rt.task
-	h.stopTimers(rt)
 	if rt.curItem >= 0 {
 		h.settle(slot, rt)
 	}
@@ -329,14 +334,14 @@ func (h *Hypervisor) kill(slot int) (int, error) {
 // watchdogFire kills a task whose in-flight item outlived its deadline.
 // The item re-executes when the task is rescheduled — from its last
 // checkpoint when checkpointing is enabled, from scratch otherwise.
-func (h *Hypervisor) watchdogFire(slot int, a *sched.App, task, item int) {
+// Like itemDone, it fires only for the attempt that armed it; a save
+// pauses the attempt and cancels the watchdog until the run resumes.
+func (h *Hypervisor) watchdogFire(slot int) {
 	if h.halted() {
 		return
 	}
 	rt := &h.slots[slot]
-	if rt.app != a || rt.task != task || rt.curItem != item || rt.saving {
-		return // stale timer: the item completed or the slot moved on
-	}
+	a, task, item := rt.app, rt.task, rt.curItem
 	h.rec.WatchdogKills++
 	aborted, err := h.kill(slot)
 	if err != nil {

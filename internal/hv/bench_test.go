@@ -31,6 +31,37 @@ func BenchmarkHypervisorRun(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointedRun is BenchmarkHypervisorRun with the attempt
+// machinery BenchmarkHypervisorRun never exercises: a 50 ms periodic
+// checkpoint streaming through the CAP and a watchdog on every item.
+func BenchmarkCheckpointedRun(b *testing.B) {
+	cfg := hv.DefaultConfig()
+	cfg.WatchdogFactor = 3
+	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 50 * sim.Millisecond}
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		h, err := hv.New(eng, cfg, core.New(core.DefaultOptions(), cfg.Board))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range mixedWorkloadBench() {
+			if err := h.Submit(apps.MustGraph(s.name), s.batch, s.prio, s.at); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := h.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if h.Recovery().CheckpointSaves == 0 {
+			b.Fatal("no checkpoint saved")
+		}
+		events += eng.Fired()
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
 func mixedWorkloadBench() []submission {
 	return []submission{
 		{apps.ImageCompression, 5, 3, 0},

@@ -51,20 +51,16 @@ func (h *Hypervisor) taskStateBytes(a *sched.App, task int) int64 {
 }
 
 // armSave schedules the next periodic save of the running item.
-func (h *Hypervisor) armSave(slot int, a *sched.App, task, item int) {
-	rt := &h.slots[slot]
-	rt.ckptEv = h.eng.AfterCancellable(h.cfg.Checkpoint.Period, func() { h.periodicSave(slot, a, task, item) })
+func (h *Hypervisor) armSave(slot int) {
+	h.slots[slot].ckptEv = h.eng.After(h.cfg.Checkpoint.Period, h.fnsFor(slot).save)
 }
 
-// periodicSave is the periodic checkpoint timer. Saves of hung items
-// are pointless (no consistent progress) and are skipped.
-func (h *Hypervisor) periodicSave(slot int, a *sched.App, task, item int) {
+// periodicSave is the periodic checkpoint timer. It is armed only while
+// a non-hung item runs (a hung one has no consistent progress to save)
+// and cancelled whenever the run pauses or ends.
+func (h *Hypervisor) periodicSave(slot int) {
 	if h.halted() {
 		return
-	}
-	rt := &h.slots[slot]
-	if rt.app != a || rt.task != task || rt.curItem != item || rt.saving || rt.restoring || rt.hung {
-		return // stale timer
 	}
 	h.capture(slot, true)
 }
@@ -84,7 +80,7 @@ func (h *Hypervisor) capture(slot int, periodic bool) {
 	last, _ := h.records[a.ID].snapshot(task, item)
 	fresh := snap > last.progress
 	if periodic && !fresh {
-		h.armSave(slot, a, task, item)
+		h.armSave(slot)
 		return
 	}
 	h.pause(rt)
@@ -93,11 +89,9 @@ func (h *Hypervisor) capture(slot int, periodic bool) {
 		h.checkpointPreempt(slot, 0)
 		return
 	}
-	bytes := h.taskStateBytes(a, task)
-	start := h.eng.Now()
-	if err := h.board.TransferState(slot, bytes, func(error) {
-		h.captureDone(slot, a, task, item, ckptRecord{progress: snap, bytes: bytes}, start, periodic)
-	}); err != nil {
+	rt.snap = ckptRecord{progress: snap, bytes: h.taskStateBytes(a, task)}
+	rt.xferStart, rt.periodic = h.eng.Now(), periodic
+	if err := h.board.TransferState(slot, rt.snap.bytes, h.fnsFor(slot).captured); err != nil {
 		h.fail(err)
 	}
 }
@@ -107,28 +101,35 @@ func (h *Hypervisor) capture(slot int, periodic bool) {
 // releases the slot. Only periodic saves are traced as ckpt-save
 // events; an on-demand capture is reported by the checkpoint event that
 // releases the slot.
-func (h *Hypervisor) captureDone(slot int, a *sched.App, task, item int, snap ckptRecord, start sim.Time, periodic bool) {
+//
+// A CAP completion cannot be cancelled, so it may outlive the occupant
+// that started it (an abort or slot death reset the slot mid-save). It
+// then finds the slot not saving: the CAP is FIFO, and a freed slot must
+// reconfigure behind the in-flight transfer before it can save or
+// restore again. The same holds for restoreDone.
+func (h *Hypervisor) captureDone(slot int) {
 	if h.halted() {
 		return
 	}
 	rt := &h.slots[slot]
-	if rt.app != a || rt.task != task || rt.curItem != item || !rt.saving {
-		return // slot was reclaimed mid-save (permanent failure)
+	if !rt.saving {
+		return // the slot was reset mid-save
 	}
-	d := h.eng.Now().Sub(start)
-	h.records[a.ID].setSnapshot(task, item, snap)
+	a, task, item := rt.app, rt.task, rt.curItem
+	d := h.eng.Now().Sub(rt.xferStart)
+	h.records[a.ID].setSnapshot(task, item, rt.snap)
 	h.rec.CheckpointSaves++
 	h.rec.CheckpointOverhead += d
 	h.slotBusy[slot] += d
-	if periodic {
-		h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindCheckpointSave, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: item, Dur: d, Progress: snap.progress})
+	if rt.periodic {
+		h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindCheckpointSave, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: item, Dur: d, Progress: rt.snap.progress})
 	}
 	if rt.preempt {
 		h.checkpointPreempt(slot, d)
 		return
 	}
 	rt.saving = false
-	h.beginRun(slot, a, task, item)
+	h.beginRun(slot)
 }
 
 // settle books an attempt that ends without completing: wall compute up
@@ -195,10 +196,8 @@ func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
 	rt := &h.slots[slot]
 	rt.base = last.progress
 	rt.restoring = true
-	start := h.eng.Now()
-	if err := h.board.TransferState(slot, last.bytes, func(error) {
-		h.restoreDone(slot, a, task, item, last, probe.Corrupt, start)
-	}); err != nil {
+	rt.snap, rt.corrupt, rt.xferStart = last, probe.Corrupt, h.eng.Now()
+	if err := h.board.TransferState(slot, last.bytes, h.fnsFor(slot).restored); err != nil {
 		h.fail(err)
 	}
 	return true
@@ -206,19 +205,21 @@ func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
 
 // restoreDone completes a checkpoint restore: the state streamed back
 // through the CAP; either the item resumes from the snapshot or (corrupt
-// snapshot) re-executes from scratch with the transfer time spent.
-func (h *Hypervisor) restoreDone(slot int, a *sched.App, task, item int, last ckptRecord, corrupt bool, start sim.Time) {
+// snapshot) re-executes from scratch with the transfer time spent. A
+// stale completion finds the slot not restoring (see captureDone).
+func (h *Hypervisor) restoreDone(slot int) {
 	if h.halted() {
 		return
 	}
 	rt := &h.slots[slot]
-	if rt.app != a || rt.task != task || rt.curItem != item || !rt.restoring {
-		return // slot was reclaimed mid-restore (permanent failure)
+	if !rt.restoring {
+		return // the slot was reset mid-restore
 	}
-	d := h.eng.Now().Sub(start)
+	a, task, item, last := rt.app, rt.task, rt.curItem, rt.snap
+	d := h.eng.Now().Sub(rt.xferStart)
 	h.rec.CheckpointOverhead += d
 	h.slotBusy[slot] += d
-	if corrupt {
+	if rt.corrupt {
 		rt.base = 0
 		h.snapshotFault(slot, a, task, item, last, d)
 	} else {
@@ -233,7 +234,7 @@ func (h *Hypervisor) restoreDone(slot int, a *sched.App, task, item int, last ck
 		return
 	}
 	rt.restoring = false
-	h.beginRun(slot, a, task, item)
+	h.beginRun(slot)
 }
 
 // snapshotFault discards a snapshot found lost or corrupt at restore

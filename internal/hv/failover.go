@@ -177,7 +177,6 @@ func (h *Hypervisor) Abort(id int64) (bool, sim.Duration) {
 		if rt.app != app {
 			continue
 		}
-		h.stopTimers(rt)
 		if !rt.active {
 			continue // CAP stream in flight: reconfigDone drops it
 		}

@@ -5,8 +5,13 @@ import (
 
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
+	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
+	"nimblock/internal/obs"
+	"nimblock/internal/sched/fcfs"
+	"nimblock/internal/sched/schedtest"
 	"nimblock/internal/sim"
+	"nimblock/internal/trace"
 )
 
 func newFailoverHV(t *testing.T, cfg hv.Config) (*sim.Engine, *hv.Hypervisor) {
@@ -248,3 +253,88 @@ func TestAbortSpentNonDecreasingAcrossSave(t *testing.T) {
 		prev, prevMs = spent, ms
 	}
 }
+
+// staleTransferAbort aborts submission A on a one-slot board while a
+// checkpoint transfer of its first item streams through the CAP: a
+// periodic capture, or (restore) the restore of a snapshot seeded as if
+// migrated in. FCFS reconfigures the freed slot for B at once, so B's
+// stream queues behind A's transfer, whose completion is now stale. It
+// must find the slot neither saving nor restoring and leave B alone: B
+// keeps reconfiguring, runs every task once, and the invariant checker
+// sees nothing wrong.
+func staleTransferAbort(t *testing.T, restore bool) {
+	t.Helper()
+	chk := schedtest.NewChecker()
+	var events []trace.Event
+	cfg := hv.DefaultConfig()
+	cfg.Board.Slots = 1
+	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 50 * sim.Millisecond, StateBytes: 64 << 20}
+	cfg.Observer = obs.Tee(chk, obs.Func(func(e trace.Event) { events = append(events, e) }))
+	eng := sim.NewEngine()
+	h, err := hv.New(eng, cfg, fcfs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idA, err := h.SubmitID(apps.MustGraph(apps.OpticalFlow), 2, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gB := apps.MustGraph(apps.LeNet)
+	idB, err := h.SubmitID(gB, 1, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A's first item starts once its 80 ms reconfiguration lands; a
+	// 64 MiB transfer then holds the CAP for about 570 ms.
+	abortAt := sim.Time(500 * sim.Millisecond)
+	if restore {
+		snap := hv.Snapshot{Task: 0, Item: 0, Progress: 20 * sim.Millisecond, Bytes: 64 << 20}
+		h.SeedCheckpoints(idA, []hv.Snapshot{snap})
+		chk.Seed(idA, snap.Task, snap.Item, snap.Progress)
+		abortAt = sim.Time(300 * sim.Millisecond)
+	}
+	board := h.Board()
+	eng.At(abortAt, func() {
+		if !board.CAPBusy() || board.Slot(0).State != fpga.SlotLoaded || board.Stats().StateTransfers != 0 {
+			t.Fatalf("no state transfer in flight at %v: CAP busy %v, slot %v", abortAt, board.CAPBusy(), board.Slot(0).State)
+		}
+		if ok, _ := h.Abort(idA); !ok {
+			t.Fatal("abort of the transferring submission failed")
+		}
+		chk.Abandon(idA, eng.Now())
+	})
+	eng.At(abortAt+1, func() {
+		if a, _, ok := h.SlotOccupant(0); !ok || a.ID != idB || board.Slot(0).State != fpga.SlotReconfiguring {
+			t.Fatalf("freed slot not reconfiguring for B behind the stale transfer (occupied %v, slot %v)", ok, board.Slot(0).State)
+		}
+	})
+	res, err := h.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chk.Finish(len(res)); err != nil {
+		t.Fatal(err)
+	}
+	if board.Stats().StateTransfers == 0 {
+		t.Fatal("the stale transfer never completed")
+	}
+	if len(res) != 1 || res[0].AppID != idB || res[0].Reconfigurations != gB.NumTasks() {
+		t.Fatalf("results = %+v, want B alone with %d reconfigurations", res, gB.NumTasks())
+	}
+	rec := h.Recovery()
+	if rec.CheckpointSaves != 0 || rec.ResumedItems != 0 || rec.CheckpointFaults != 0 {
+		t.Fatalf("the stale transfer was booked: %+v", rec)
+	}
+	for _, e := range events {
+		switch e.Kind {
+		case trace.KindCheckpointSave, trace.KindRestore, trace.KindCheckpointFault, trace.KindCheckpoint:
+			if e.AppID != idB || e.Item < 0 {
+				t.Fatalf("stale transfer traced as %+v", e)
+			}
+		}
+	}
+}
+
+func TestStaleCaptureCompletionAfterAbort(t *testing.T) { staleTransferAbort(t, false) }
+
+func TestStaleRestoreCompletionAfterAbort(t *testing.T) { staleTransferAbort(t, true) }

@@ -154,8 +154,18 @@ type slotRuntime struct {
 	hung      bool // injected hang: no completion event is coming
 	itemEv    sim.EventID
 	wdEv      sim.EventID
-	ckptEv    sim.EventID // periodic checkpoint timer
-	itemStart sim.Time    // start of the current run stretch
+	ckptEv    sim.EventID  // periodic checkpoint timer
+	itemStart sim.Time     // start of the current run stretch
+	stretch   sim.Duration // wall length of the current run stretch, booked by itemDone
+
+	// The slot's in-flight CAP operation, read back by its completion:
+	// the image being configured, or the snapshot being saved or
+	// restored with the transfer's start and kind.
+	img       *bitstream.Image
+	snap      ckptRecord
+	xferStart sim.Time
+	periodic  bool // the capture in flight is a periodic save
+	corrupt   bool // the restore in flight will fail validation
 
 	// Per-attempt bookkeeping. An attempt is one
 	// MarkItemStarted..{done,killed,preempted} episode; periodic saves
@@ -243,11 +253,42 @@ type Hypervisor struct {
 	tenantSvc map[string]sim.Duration
 
 	// Pre-bound closures for the per-event hot path: scheduling a tick,
-	// wake, or data-ready retry must not allocate a fresh closure each
-	// time (these fire millions of times per run).
+	// wake, timer, or CAP completion must not allocate a fresh closure
+	// each time (these fire millions of times per run).
 	tickFn  func()
-	wakeFns [5]func() // indexed by sched.Reason
-	kickFns []func()  // per-slot tryStart retries
+	wakeFns [5]func()  // indexed by sched.Reason
+	fns     []*slotFns // per slot, bound on first use by fnsFor
+}
+
+// slotFns are one slot's engine and CAP callbacks. Each reads the
+// attempt or transfer it completes from the slot's slotRuntime, so one
+// set serves every occupant: arming a timer or starting a CAP stream
+// allocates nothing. They are safe to share across occupants because
+// resetSlot cancels the slot's timers (a handle cancels exactly its own
+// event), and a CAP completion that outlives its occupant finds the slot
+// not saving, not restoring, or the board halted (see captureDone).
+type slotFns struct {
+	kick, itemDone, watchdog, save   func()
+	captured, restored, reconfigured func(error)
+}
+
+// fnsFor returns the slot's callbacks, binding them on the slot's first
+// use: boards whose slots are never configured never pay for them.
+func (h *Hypervisor) fnsFor(slot int) *slotFns {
+	if f := h.fns[slot]; f != nil {
+		return f
+	}
+	f := &slotFns{
+		kick:         func() { h.tryStart(slot) },
+		itemDone:     func() { h.itemDone(slot) },
+		watchdog:     func() { h.watchdogFire(slot) },
+		save:         func() { h.periodicSave(slot) },
+		captured:     func(error) { h.captureDone(slot) },
+		restored:     func(error) { h.restoreDone(slot) },
+		reconfigured: func(err error) { h.reconfigDone(slot, err) },
+	}
+	h.fns[slot] = f
+	return f
 }
 
 // New builds a hypervisor on the given engine with the given policy.
@@ -336,11 +377,7 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 	h.scale = board.LatencyScale()
 	h.slots = make([]slotRuntime, board.NumSlots())
 	h.slotBusy = make([]sim.Duration, board.NumSlots())
-	h.kickFns = make([]func(), board.NumSlots())
-	for i := range h.kickFns {
-		slot := i
-		h.kickFns[i] = func() { h.tryStart(slot) }
-	}
+	h.fns = make([]*slotFns, board.NumSlots())
 	if cfg.EnableTrace {
 		h.log = trace.New()
 	}

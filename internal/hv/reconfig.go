@@ -7,7 +7,6 @@ package hv
 import (
 	"fmt"
 
-	"nimblock/internal/bitstream"
 	"nimblock/internal/interconnect"
 	"nimblock/internal/sched"
 	"nimblock/internal/sim"
@@ -42,18 +41,24 @@ func (h *Hypervisor) Reconfigure(slot int, a *sched.App, task int) error {
 	if err := a.MarkConfiguring(task, slot); err != nil {
 		return h.fail(err)
 	}
-	h.slots[slot] = slotRuntime{app: a, task: task, curItem: -1}
+	h.slots[slot] = slotRuntime{app: a, task: task, curItem: -1, img: img}
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindReconfigStart, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
-	if err := h.board.Reconfigure(slot, img, func(err error) { h.reconfigDone(slot, a, task, img, err) }); err != nil {
+	if err := h.board.Reconfigure(slot, img, h.fnsFor(slot).reconfigured); err != nil {
 		return h.fail(err)
 	}
 	return nil
 }
 
-func (h *Hypervisor) reconfigDone(slot int, a *sched.App, task int, img *bitstream.Image, err error) {
+// reconfigDone completes the slot's reconfiguration. The occupant set
+// by Reconfigure is still in place: only this completion resets a
+// reconfiguring slot (evacuation halts the board first), and an aborted
+// occupant stays until its stream lands.
+func (h *Hypervisor) reconfigDone(slot int, err error) {
 	if h.halted() {
 		return // frozen or dead: the board never sees the completion
 	}
+	rt := &h.slots[slot]
+	a, task, img := rt.app, rt.task, rt.img
 	if a.Retired() {
 		// Hedge-cancelled mid-reconfiguration (a configuring task never
 		// lets an app retire normally): drop the stream's result and
@@ -89,7 +94,7 @@ func (h *Hypervisor) reconfigDone(slot int, a *sched.App, task int, img *bitstre
 		h.fail(e)
 		return
 	}
-	h.slots[slot].active = true
+	rt.active = true
 	res := &h.records[a.ID].res
 	res.Reconfig += h.board.ReconfigTime(img)
 	res.Reconfigurations++

@@ -6,8 +6,11 @@ import (
 	"slices"
 )
 
-// EventID identifies a cancellable scheduled event. The zero EventID is
-// never issued.
+// EventID identifies a scheduled event for Cancel: the event's position
+// in the engine's slab in the low 32 bits and its generation in the high
+// 32. Releasing an event bumps its generation, so a handle to an event
+// that fired, was cancelled, or was recycled for a later schedule never
+// matches again. The zero EventID is never issued.
 type EventID int64
 
 // The pending-event store is a hierarchical timing wheel: wheelLevels
@@ -33,12 +36,12 @@ const (
 // from a per-engine freelist (chunked, intrusively linked through next)
 // and never touch the garbage collector on the steady-state path.
 type event struct {
-	at      Time
-	seq     int64 // schedule order; breaks ties deterministically
-	id      EventID
-	fn      func() // nil marks a cancelled event (tombstone)
-	next    *event // bucket chain, or freelist chain
-	tracked bool   // registered in live (cancellable)
+	at   Time
+	seq  int64  // schedule order; breaks ties deterministically
+	fn   func() // nil marks a cancelled event (tombstone)
+	next *event // bucket chain, or freelist chain
+	idx  uint32 // fixed slab position: chunks[idx/chunkEvents][idx%chunkEvents]
+	gen  uint32 // bumped on release; never zero
 }
 
 // wheelLevel is one ring of the timing wheel. occupied has bit s set iff
@@ -73,13 +76,14 @@ type Engine struct {
 	batchPos int
 	batchAt  Time
 
-	live     map[EventID]*event // cancellable events only; lazily created
+	// chunks is the event slab, in allocation order; an event's idx
+	// addresses it here, which is how Cancel resolves a handle.
+	chunks   []*[chunkEvents]event
 	freeList *event
 	pending  int   // scheduled events not yet fired or cancelled
 	dead     int   // tombstones still parked in the wheel/overflow/batch
 	fired    int64 // total events fired over the engine's lifetime
 	nextSeq  int64
-	nextID   EventID
 	stopped  bool
 }
 
@@ -104,10 +108,15 @@ func (e *Engine) Fired() int64 { return e.fired }
 // chunkEvents events instead of one per event.
 func (e *Engine) alloc() *event {
 	if e.freeList == nil {
-		chunk := make([]event, chunkEvents)
-		for i := range chunk[:chunkEvents-1] {
-			chunk[i].next = &chunk[i+1]
+		chunk := new([chunkEvents]event)
+		base := uint32(len(e.chunks) * chunkEvents)
+		for i := range chunk {
+			chunk[i].idx, chunk[i].gen = base+uint32(i), 1
+			if i+1 < chunkEvents {
+				chunk[i].next = &chunk[i+1]
+			}
 		}
+		e.chunks = append(e.chunks, chunk)
 		e.freeList = &chunk[0]
 	}
 	ev := e.freeList
@@ -118,11 +127,12 @@ func (e *Engine) alloc() *event {
 
 // release returns an event to the freelist, dropping the callback
 // reference so the freelist does not retain closures (and whatever they
-// capture).
+// capture), and retires its handle by bumping the generation.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.id = 0
-	ev.tracked = false
+	if ev.gen++; ev.gen == 0 {
+		ev.gen = 1
+	}
 	ev.next = e.freeList
 	e.freeList = ev
 }
@@ -154,25 +164,6 @@ func (e *Engine) insert(ev *event) {
 	ev.next = lv.slot[s]
 	lv.slot[s] = ev
 	lv.occupied |= 1 << uint(s)
-}
-
-// schedule validates and enqueues one event.
-func (e *Engine) schedule(at Time, fn func(), tracked bool) *event {
-	if fn == nil {
-		panic("sim: At called with nil callback")
-	}
-	if at < e.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past (at=%v now=%v)", at, e.now))
-	}
-	if at < e.base {
-		e.rewind(at)
-	}
-	e.nextSeq++
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.tracked = at, e.nextSeq, fn, tracked
-	e.insert(ev)
-	e.pending++
-	return ev
 }
 
 // rewind lowers the wheel reference to at and rebuilds every placement.
@@ -351,48 +342,41 @@ func (e *Engine) ensureNext() bool {
 	}
 }
 
-// At schedules fn to run at absolute time at. The event cannot be
-// cancelled — the common case, which skips all cancellation bookkeeping;
-// use AtCancellable when a handle is needed. Scheduling in the past
-// (before Now) panics: it would silently reorder causality.
-func (e *Engine) At(at Time, fn func()) {
-	e.schedule(at, fn, false)
+// At schedules fn to run at absolute time at and returns a handle that
+// Cancel accepts. Handles cost nothing to issue or keep; callers that
+// never cancel simply drop them. Scheduling in the past (before Now)
+// panics: it would silently reorder causality.
+func (e *Engine) At(at Time, fn func()) EventID {
+	if fn == nil {
+		panic("sim: At called with nil callback")
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("sim: event scheduled in the past (at=%v now=%v)", at, e.now))
+	}
+	if at < e.base {
+		e.rewind(at)
+	}
+	e.nextSeq++
+	ev := e.alloc()
+	ev.at, ev.seq, ev.fn = at, e.nextSeq, fn
+	e.insert(ev)
+	e.pending++
+	return EventID(int64(ev.gen)<<32 | int64(ev.idx))
 }
 
-// After schedules fn to run d after the current time. Negative delays are
-// clamped to zero. Like At, the event cannot be cancelled.
-func (e *Engine) After(d Duration, fn func()) {
+// After schedules fn to run d after the current time and returns its
+// cancellation handle. Negative delays are clamped to zero.
+func (e *Engine) After(d Duration, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
-	e.At(e.now.Add(d), fn)
+	return e.At(e.now.Add(d), fn)
 }
 
-// AtCancellable schedules fn at absolute time at and returns a handle that
-// Cancel accepts. It costs one map insert over At; reserve it for events
-// that may actually be cancelled (timeouts, watchdogs, preemptable work).
-func (e *Engine) AtCancellable(at Time, fn func()) EventID {
-	ev := e.schedule(at, fn, true)
-	e.nextID++
-	ev.id = e.nextID
-	if e.live == nil {
-		e.live = map[EventID]*event{}
-	}
-	e.live[ev.id] = ev
-	return ev.id
-}
-
-// AfterCancellable schedules fn to run d after the current time and
-// returns a cancellation handle. Negative delays are clamped to zero.
-func (e *Engine) AfterCancellable(d Duration, fn func()) EventID {
-	if d < 0 {
-		d = 0
-	}
-	return e.AtCancellable(e.now.Add(d), fn)
-}
-
-// Cancel removes a pending cancellable event. It reports whether the event
-// was still pending (false if it already fired or was cancelled).
+// Cancel removes a pending event. It reports whether the event was still
+// pending: false if it already fired or was cancelled, and false for a
+// handle whose slab slot has since been reused by another event — the
+// generation no longer matches, so the newer event is untouched.
 //
 // Cancellation is lazy: the event becomes a tombstone that the wheel
 // frees when its bucket is next touched, so Cancel never restructures
@@ -400,13 +384,15 @@ func (e *Engine) AfterCancellable(d Duration, fn func()) EventID {
 // sweep reclaims tombstone memory early if they ever outnumber live
 // events two to one.
 func (e *Engine) Cancel(id EventID) bool {
-	ev, ok := e.live[id]
-	if !ok {
+	idx := uint32(id)
+	if int(idx/chunkEvents) >= len(e.chunks) {
 		return false
 	}
-	delete(e.live, id)
+	ev := &e.chunks[idx/chunkEvents][idx%chunkEvents]
+	if ev.gen != uint32(id>>32) || ev.fn == nil {
+		return false
+	}
 	ev.fn = nil
-	ev.id = 0
 	e.pending--
 	e.dead++
 	if e.dead > sweepFloor && e.dead > 2*e.pending {
@@ -463,9 +449,6 @@ func (e *Engine) Step() bool {
 	ev := e.batch[e.batchPos]
 	e.batch[e.batchPos] = nil
 	e.batchPos++
-	if ev.tracked {
-		delete(e.live, ev.id)
-	}
 	e.now = ev.at
 	e.pending--
 	e.fired++

@@ -2,12 +2,13 @@ package sim
 
 // Microbenchmarks isolating the event-queue swap: schedule/fire
 // throughput, cancel-heavy timer churn, same-instant bursts, and the
-// mixed tracked/untracked profile the hypervisor actually generates.
+// timer profile the hypervisor actually generates.
 
 import "testing"
 
 // BenchmarkScheduleFire measures raw schedule+fire throughput: a
-// self-sustaining chain of untracked events, the engine's common case.
+// self-sustaining chain of events whose handles are dropped, the
+// engine's common case.
 func BenchmarkScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine()
@@ -46,8 +47,8 @@ func BenchmarkScheduleFireSpread(b *testing.B) {
 }
 
 // BenchmarkCancelHeavy models watchdog churn: every scheduled event gets
-// a cancellable timer that is cancelled before it fires. The old heap
-// paid an O(log n) heap.Remove per cancel; the wheel leaves a tombstone.
+// a timer that is cancelled before it fires. The old heap paid an
+// O(log n) heap.Remove per cancel; the wheel leaves a tombstone.
 func BenchmarkCancelHeavy(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine()
@@ -60,7 +61,7 @@ func BenchmarkCancelHeavy(b *testing.B) {
 			eng.Cancel(wd)
 		}
 		if n < b.N {
-			wd = eng.AfterCancellable(Seconds(3600), func() { b.Error("watchdog fired") })
+			wd = eng.After(Seconds(3600), func() { b.Error("watchdog fired") })
 			eng.After(Duration(5), tick)
 		}
 	}
@@ -99,10 +100,10 @@ func BenchmarkSameInstantBurst(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedTrackedUntracked interleaves plain events with
-// cancellable ones that mostly fire (the tryStart itemDone/watchdog
-// pairing), hitting both the live-map and tombstone paths.
-func BenchmarkMixedTrackedUntracked(b *testing.B) {
+// BenchmarkMixedCancelFire interleaves events whose handles are dropped
+// with timers that are kept and mostly fire (the itemDone/watchdog
+// pairing), hitting both the fire and tombstone paths.
+func BenchmarkMixedCancelFire(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine()
 	n := 0
@@ -113,7 +114,7 @@ func BenchmarkMixedTrackedUntracked(b *testing.B) {
 			return
 		}
 		if n%4 == 0 {
-			id := eng.AfterCancellable(Duration(3), func() { tick() })
+			id := eng.After(Duration(3), func() { tick() })
 			if n%8 == 0 {
 				eng.Cancel(id)
 				eng.After(Duration(3), tick)

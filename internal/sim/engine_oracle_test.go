@@ -2,7 +2,7 @@ package sim
 
 // The determinism oracle: the pre-wheel binary-heap engine, kept here as
 // a reference implementation. Randomized interleavings of
-// At/AtCancellable/Cancel/Step/Run/RunUntil are driven against both
+// At/After/Cancel/Step/Run/RunUntil are driven against both
 // engines and must produce identical firing orders, clock advancement,
 // Pending counts, and Cancel results — byte-identical traces are the
 // contract the wheel must honour.
@@ -15,12 +15,11 @@ import (
 
 // heapEvent mirrors the old event struct.
 type heapEvent struct {
-	at      Time
-	seq     int64
-	id      EventID
-	fn      func()
-	index   int
-	tracked bool
+	at    Time
+	seq   int64
+	id    EventID
+	fn    func()
+	index int
 }
 
 type refHeap []*heapEvent
@@ -57,7 +56,9 @@ func (h *refHeap) Pop() any {
 }
 
 // heapEngine is the old container/heap engine with the same API surface
-// as Engine.
+// as Engine. Its handles are sequence numbers kept in a live map: a
+// different mechanism from the wheel's slab generations, with the same
+// contract.
 type heapEngine struct {
 	now     Time
 	pq      refHeap
@@ -70,7 +71,7 @@ type heapEngine struct {
 func (e *heapEngine) Now() Time    { return e.now }
 func (e *heapEngine) Pending() int { return len(e.pq) }
 
-func (e *heapEngine) schedule(at Time, fn func(), tracked bool) *heapEvent {
+func (e *heapEngine) At(at Time, fn func()) EventID {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
@@ -78,24 +79,9 @@ func (e *heapEngine) schedule(at Time, fn func(), tracked bool) *heapEvent {
 		panic("sim: event scheduled in the past")
 	}
 	e.nextSeq++
-	ev := &heapEvent{at: at, seq: e.nextSeq, fn: fn, tracked: tracked}
-	heap.Push(&e.pq, ev)
-	return ev
-}
-
-func (e *heapEngine) At(at Time, fn func()) { e.schedule(at, fn, false) }
-
-func (e *heapEngine) After(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now.Add(d), fn)
-}
-
-func (e *heapEngine) AtCancellable(at Time, fn func()) EventID {
-	ev := e.schedule(at, fn, true)
 	e.nextID++
-	ev.id = e.nextID
+	ev := &heapEvent{at: at, seq: e.nextSeq, id: e.nextID, fn: fn}
+	heap.Push(&e.pq, ev)
 	if e.live == nil {
 		e.live = map[EventID]*heapEvent{}
 	}
@@ -103,11 +89,11 @@ func (e *heapEngine) AtCancellable(at Time, fn func()) EventID {
 	return ev.id
 }
 
-func (e *heapEngine) AfterCancellable(d Duration, fn func()) EventID {
+func (e *heapEngine) After(d Duration, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return e.AtCancellable(e.now.Add(d), fn)
+	return e.At(e.now.Add(d), fn)
 }
 
 func (e *heapEngine) Cancel(id EventID) bool {
@@ -127,9 +113,7 @@ func (e *heapEngine) Step() bool {
 		return false
 	}
 	ev := heap.Pop(&e.pq).(*heapEvent)
-	if ev.tracked {
-		delete(e.live, ev.id)
-	}
+	delete(e.live, ev.id)
 	e.now = ev.at
 	ev.fn()
 	return true
@@ -161,10 +145,8 @@ func (e *heapEngine) RunUntil(deadline Time) int {
 type simEngine interface {
 	Now() Time
 	Pending() int
-	At(Time, func())
-	After(Duration, func())
-	AtCancellable(Time, func()) EventID
-	AfterCancellable(Duration, func()) EventID
+	At(Time, func()) EventID
+	After(Duration, func()) EventID
 	Cancel(EventID) bool
 	Step() bool
 	Run() int
@@ -176,8 +158,6 @@ type simEngine interface {
 const (
 	opAt byte = iota
 	opAfter
-	opAtCancellable
-	opAfterCancellable
 	opCancel
 	opStep
 	opRun
@@ -189,7 +169,10 @@ const (
 // driveOps applies one op script to an engine and returns the trace:
 // every fired event as (tag, time), plus clock/pending/return-value
 // checkpoints after each op. Callbacks may schedule and cancel, so the
-// trace also exercises same-instant and in-callback paths.
+// trace also exercises same-instant and in-callback paths. Every kept
+// handle stays in the cancel pool after its event fires or is cancelled,
+// so Cancel is also driven on handles whose wheel slab slot has been
+// recycled by a later event.
 func driveOps(eng simEngine, data []byte) []int64 {
 	var trace []int64
 	record := func(tag int, at Time) {
@@ -213,19 +196,11 @@ func driveOps(eng simEngine, data []byte) []int64 {
 		case opAt:
 			t := tag
 			tag++
-			eng.At(eng.Now().Add(Duration(next()*3)), func() { record(t, eng.Now()) })
+			ids = append(ids, eng.At(eng.Now().Add(Duration(next()*3)), func() { record(t, eng.Now()) }))
 		case opAfter:
 			t := tag
 			tag++
-			eng.After(Duration(next()*5-64), func() { record(t, eng.Now()) })
-		case opAtCancellable:
-			t := tag
-			tag++
-			ids = append(ids, eng.AtCancellable(eng.Now().Add(Duration(next()*3)), func() { record(t, eng.Now()) }))
-		case opAfterCancellable:
-			t := tag
-			tag++
-			ids = append(ids, eng.AfterCancellable(Duration(next()*5-64), func() { record(t, eng.Now()) }))
+			ids = append(ids, eng.After(Duration(next()*5-64), func() { record(t, eng.Now()) }))
 		case opCancel:
 			if len(ids) > 0 {
 				id := ids[int(next())%len(ids)]
@@ -251,7 +226,7 @@ func driveOps(eng simEngine, data []byte) []int64 {
 			inner := Duration(next() * 2)
 			eng.After(d, func() {
 				record(t, eng.Now())
-				id := eng.AfterCancellable(inner, func() { record(t+100000, eng.Now()) })
+				id := eng.After(inner, func() { record(t+100000, eng.Now()) })
 				eng.After(inner, func() { record(t+200000, eng.Now()) })
 				if inner%3 == 0 {
 					if eng.Cancel(id) {
@@ -306,7 +281,7 @@ func TestEngineOracleFarFuture(t *testing.T) {
 		horizon := Time(1) << 45 // beyond the 64^7-us wheel span
 		eng.At(horizon, func() { record(1) })
 		eng.At(horizon+1, func() { record(2) })
-		id := eng.AtCancellable(horizon+2, func() { record(3) })
+		id := eng.At(horizon+2, func() { record(3) })
 		eng.At(5, func() { record(4) })
 		trace = append(trace, int64(eng.RunUntil(10)), int64(eng.Now()))
 		// The engine has peeked at the far-future minimum; schedule behind it.

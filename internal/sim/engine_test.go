@@ -89,7 +89,7 @@ func TestEngineAfterClampsNegative(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	id := e.AtCancellable(10, func() { fired = true })
+	id := e.At(10, func() { fired = true })
 	if !e.Cancel(id) {
 		t.Fatal("Cancel reported event not pending")
 	}
@@ -102,15 +102,17 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-// Cancellable and plain events share one queue and one deterministic
-// (time, schedule-order) ordering.
-func TestEngineMixedTrackingOrder(t *testing.T) {
+// Events fire in (time, schedule-order) order, and cancelling one event
+// of an instant leaves its neighbours' order intact.
+func TestEngineSameInstantScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.At(10, func() { order = append(order, 0) })
-	e.AtCancellable(10, func() { order = append(order, 1) })
+	e.At(10, func() { order = append(order, 1) })
 	e.After(0, func() { order = append(order, 2) })
-	e.AfterCancellable(0, func() { order = append(order, 3) })
+	id := e.After(0, func() { order = append(order, 4) })
+	e.After(0, func() { order = append(order, 3) })
+	e.Cancel(id)
 	e.Run()
 	want := []int{2, 3, 0, 1}
 	if len(order) != len(want) {
@@ -125,10 +127,65 @@ func TestEngineMixedTrackingOrder(t *testing.T) {
 
 func TestEngineCancelAfterFireReportsFalse(t *testing.T) {
 	e := NewEngine()
-	id := e.AtCancellable(10, func() {})
+	id := e.At(10, func() {})
 	e.Run()
 	if e.Cancel(id) {
 		t.Fatal("Cancel of a fired event reported success")
+	}
+}
+
+// A handle outlives its event: once the event fires and its slab slot is
+// recycled for a new event, the old handle must neither report success
+// nor cancel the newcomer.
+func TestEngineCancelRecycledHandle(t *testing.T) {
+	e := NewEngine()
+	stale := e.At(1, func() {})
+	e.Run()
+	fired := false
+	fresh := e.At(2, func() { fired = true })
+	if uint32(fresh) != uint32(stale) {
+		t.Fatalf("new event took slab slot %d, want the recycled slot %d", uint32(fresh), uint32(stale))
+	}
+	if e.Cancel(stale) {
+		t.Fatal("Cancel of a recycled handle reported success")
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after stale Cancel, want 1", e.Pending())
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("stale Cancel removed the event that reused the slot")
+	}
+	// The same holds for a slot recycled after a cancellation.
+	gone := e.At(3, func() {})
+	e.Cancel(gone)
+	e.Run()
+	fired = false
+	e.At(4, func() { fired = true })
+	if e.Cancel(gone) {
+		t.Fatal("second Cancel of a cancelled, recycled handle reported success")
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("stale Cancel removed the event that reused a cancelled slot")
+	}
+}
+
+// At and Cancel allocate nothing once the slab is warm: the handle is
+// the slab position plus a generation, with no side table.
+func TestEngineAtCancelZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	e.Cancel(e.At(1, fn))
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		id := e.After(5, fn)
+		e.After(1, fn)
+		e.Cancel(id)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Cancel allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -138,7 +195,7 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	ids := make([]EventID, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		ids[i] = e.AtCancellable(Time(i*10), func() { got = append(got, i) })
+		ids[i] = e.At(Time(i*10), func() { got = append(got, i) })
 	}
 	e.Cancel(ids[3])
 	e.Cancel(ids[7])
@@ -275,7 +332,7 @@ func TestEngineZeroValueUsable(t *testing.T) {
 func TestEngineZeroValueCancellable(t *testing.T) {
 	var e Engine
 	fired := false
-	id := e.AfterCancellable(5, func() { fired = true })
+	id := e.After(5, func() { fired = true })
 	if !e.Cancel(id) {
 		t.Fatal("zero-value engine could not cancel")
 	}
@@ -321,7 +378,7 @@ func TestEngineCancelProperty(t *testing.T) {
 		ids := make([]EventID, count)
 		for i := 0; i < count; i++ {
 			i := i
-			ids[i] = e.AtCancellable(Time(rng.Intn(100)), func() { fired[i] = true })
+			ids[i] = e.At(Time(rng.Intn(100)), func() { fired[i] = true })
 		}
 		cancelled := map[int]bool{}
 		for i := 0; i < count; i++ {
