@@ -5,11 +5,8 @@ import (
 	"time"
 
 	"nimblock/internal/cluster"
-	"nimblock/internal/faults"
-	"nimblock/internal/fpga"
 	"nimblock/internal/health"
 	"nimblock/internal/hv"
-	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 )
 
@@ -35,19 +32,22 @@ const (
 	DispatchHeteroAware DispatchPolicy = "hetero-aware"
 )
 
-// ClusterConfig parameterizes a multi-FPGA deployment: Boards identical
-// FPGAs, each scheduled independently by Config.Algorithm, fronted by an
+// ClusterConfig parameterizes a multi-FPGA deployment: a set of boards,
+// each scheduled independently by Config.Algorithm, fronted by an
 // arrival-time dispatcher.
 type ClusterConfig struct {
-	// Config applies to every board.
+	// Config applies to every board, every field as on a lone System;
+	// the FaultPlan's board events drive the failure domain (see
+	// Health).
 	Config
 	// Boards is the number of FPGAs (default 2).
 	Boards int
 	// BoardSpecs, when non-empty, gives each board its own capability
 	// spec (slots, bandwidth, latency scale, power model), making the
-	// fleet heterogeneous; its length must equal Boards. Boards without
-	// a spec field set inherit the embedded Config's platform. Pair
-	// with DispatchHeteroAware so placement sees the differences.
+	// fleet heterogeneous; its length must equal Boards. A nil spec,
+	// or a zero spec field, inherits the embedded Config's platform,
+	// and each board's policy plans against its own shape. Pair with
+	// DispatchHeteroAware so placement sees the differences.
 	BoardSpecs []*BoardSpec
 	// Dispatch places arrivals (default DispatchLeastLoaded).
 	Dispatch DispatchPolicy
@@ -136,9 +136,7 @@ type ClusterResult struct {
 
 // Cluster is a multi-FPGA system: Submit applications, then Run.
 type Cluster struct {
-	eng     *sim.Engine
-	cl      *cluster.Cluster
-	horizon sim.Time
+	cl *cluster.Cluster
 	// energy is sampled at engine quiescence during Run (see
 	// System.energy for why).
 	energy *hv.EnergyStats
@@ -148,9 +146,6 @@ type Cluster struct {
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Boards == 0 {
 		cfg.Boards = 2
-	}
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = AlgoNimblock
 	}
 	var d cluster.Dispatch
 	switch cfg.Dispatch {
@@ -167,86 +162,24 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("nimblock: unknown dispatch policy %q", cfg.Dispatch)
 	}
-	hcfg := hv.DefaultConfig()
-	if cfg.Slots > 0 {
-		hcfg.Board.Slots = cfg.Slots
-	}
-	if cfg.Config.Board != nil {
-		sp := fpga.Spec(*cfg.Config.Board)
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		hcfg.Board = sp.Apply(hcfg.Board)
-	}
-	var boardConfigs []hv.Config
-	if len(cfg.BoardSpecs) > 0 {
-		if len(cfg.BoardSpecs) != cfg.Boards {
-			return nil, fmt.Errorf("nimblock: %d board specs for %d boards", len(cfg.BoardSpecs), cfg.Boards)
-		}
-		boardConfigs = make([]hv.Config, cfg.Boards)
-		for i, bs := range cfg.BoardSpecs {
-			c := hcfg
-			if bs != nil {
-				sp := fpga.Spec(*bs)
-				if err := sp.Validate(); err != nil {
-					return nil, fmt.Errorf("nimblock: board %d: %w", i, err)
-				}
-				c.Board = sp.Apply(c.Board)
-			}
-			boardConfigs[i] = c
-		}
-	}
-	if cfg.SchedInterval > 0 {
-		hcfg.SchedInterval = sim.FromStd(cfg.SchedInterval)
-	}
-	if cfg.Horizon > 0 {
-		hcfg.Horizon = sim.Time(sim.FromStd(cfg.Horizon))
-	}
-	// One observer watches every board; events carry board-local app IDs,
-	// so observers aggregating per-app state should key on (App, AppID).
-	hcfg.Observer = wrapObserver(cfg.Observer)
-	var boardFaults []faults.BoardEvent
-	if cfg.FaultPlan != "" {
-		plan, err := faults.ParsePlan(cfg.FaultPlan)
-		if err != nil {
-			return nil, err
-		}
-		// Board-scoped events drive the fleet health monitor; everything
-		// else stays with the per-board injector.
-		boardFaults = plan.BoardEvents()
-		factory, err := plan.Factory()
-		if err != nil {
-			return nil, err
-		}
-		hcfg.Board.NewInjector = factory
-		hcfg.Board.MaxRetries = 10
-	}
-	eng := sim.NewEngine()
-	mk := func(board hv.Config) sched.Scheduler {
-		p, err := newPolicy(cfg.Config, board)
-		if err != nil {
-			panic(err) // validated below before first use
-		}
-		return p
-	}
-	// Validate the algorithm once, eagerly.
-	if _, err := newPolicy(cfg.Config, hcfg); err != nil {
+	set, err := cfg.boardConfigs(cfg.Boards, cfg.BoardSpecs)
+	if err != nil {
 		return nil, err
 	}
-	cl, err := cluster.New(eng, cluster.Config{
+	cl, err := cluster.New(sim.NewEngine(), cluster.Config{
 		Boards:       cfg.Boards,
-		HV:           hcfg,
-		BoardConfigs: boardConfigs,
+		HV:           set.hv,
+		BoardConfigs: set.perBoard,
 		Dispatch:     d,
 		Seed:         cfg.Seed,
 		Admission:    cfg.Admission.internal(),
 		Health:       cfg.Health.internal(),
-		BoardFaults:  boardFaults,
-	}, mk)
+		BoardFaults:  set.events,
+	}, set.policy)
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{eng: eng, cl: cl, horizon: hcfg.Horizon}, nil
+	return &Cluster{cl: cl}, nil
 }
 
 // Boards reports the cluster size.
@@ -290,21 +223,7 @@ func (c *Cluster) Run() ([]ClusterResult, error) {
 	out := make([]ClusterResult, len(raw))
 	for i, r := range raw {
 		out[i] = ClusterResult{
-			Result: Result{
-				App:              r.App,
-				ID:               r.AppID,
-				Batch:            r.Batch,
-				Priority:         r.Priority,
-				Arrival:          time.Duration(r.Arrival) * time.Microsecond,
-				FirstLaunch:      time.Duration(r.FirstLaunch) * time.Microsecond,
-				Retire:           time.Duration(r.Retire) * time.Microsecond,
-				Response:         r.Response.Std(),
-				Run:              r.Run.Std(),
-				Reconfig:         r.Reconfig.Std(),
-				Wait:             r.Wait.Std(),
-				Preemptions:      r.Preemptions,
-				Reconfigurations: r.Reconfigurations,
-			},
+			Result:       result(r.Result),
 			Board:        r.Board,
 			Rejected:     r.Rejected,
 			RejectReason: r.RejectReason,
@@ -319,28 +238,12 @@ func (c *Cluster) Run() ([]ClusterResult, error) {
 // Energy sums integrated energy across the fleet, sampled at the
 // makespan once Run completes; zero unless the board specs carry a
 // power model.
-func (c *Cluster) Energy() EnergyStats {
-	es := c.cl.Energy()
-	if c.energy != nil {
-		es = *c.energy
-	}
-	return EnergyStats{
-		StaticJoules:        es.StaticJoules,
-		ActiveJoules:        es.ActiveJoules,
-		OccupiedSlotSeconds: es.OccupiedSlotSeconds,
-		UsableSlotSeconds:   es.UsableSlotSeconds,
-	}
-}
+func (c *Cluster) Energy() EnergyStats { return energyStats(c.energy, c.cl.Energy()) }
 
 // TenantServices reports the weighted service delivered to each tenant
 // named in SubmitWith options, merged across boards.
 func (c *Cluster) TenantServices() map[string]time.Duration {
-	raw := c.cl.TenantServices()
-	out := make(map[string]time.Duration, len(raw))
-	for tenant, d := range raw {
-		out[tenant] = d.Std()
-	}
-	return out
+	return tenantServices(c.cl.TenantServices())
 }
 
 // BoardHealth reports every board's health state by name ("healthy",

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"nimblock/internal/faas"
-	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
-	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 )
 
@@ -16,13 +14,18 @@ import (
 // and cold-start modelling (bitstream distribution to a board's storage
 // before its first invocation there).
 type ServerlessConfig struct {
-	// Config applies to every board (algorithm, slots, interval...).
+	// Config applies to every board, every field as on a lone System;
+	// the FaultPlan's board events (crash, hang, degrade) arm the
+	// platform's failure domain, which fails invocations over off dead
+	// boards.
 	Config
 	// Boards is the cluster size (default 4).
 	Boards int
 	// BoardSpecs, when non-empty, gives each board its own capability
 	// spec (slots, bandwidth, latency scale, power model), making the
-	// fleet heterogeneous; its length must equal Boards. Placement
+	// fleet heterogeneous; its length must equal Boards. A nil spec,
+	// or a zero spec field, inherits the embedded Config's platform,
+	// and each board's policy plans against its own shape. Placement
 	// scores fold each board's latency scale and width in, so slow or
 	// narrow boards attract proportionally less work.
 	BoardSpecs []*BoardSpec
@@ -47,7 +50,8 @@ func DefaultServerlessConfig() ServerlessConfig {
 	}
 }
 
-// InvocationResult is one completed function invocation.
+// InvocationResult is one function invocation's outcome: completed,
+// rejected at admission, or lost with the boards that held it.
 type InvocationResult struct {
 	Function string
 	Board    int
@@ -63,6 +67,12 @@ type InvocationResult struct {
 	// -1, Latency 0, and RejectReason names the outcome.
 	Rejected     bool
 	RejectReason string
+	// Failed marks an accepted invocation lost permanently to board
+	// deaths (see ClusterResult.Failed): Latency is 0, FailReason is
+	// "retries-exhausted" or "stranded", and Board is the last board
+	// that held it (or -1).
+	Failed     bool
+	FailReason string
 }
 
 // PlatformStats aggregates invocation counters. Invocations counts
@@ -89,9 +99,7 @@ type FunctionOptions struct {
 // Platform is the serverless front-end: Register functions, Invoke them,
 // then Run.
 type Platform struct {
-	eng     *sim.Engine
-	p       *faas.Platform
-	horizon sim.Time
+	p *faas.Platform
 	// energy is sampled at engine quiescence during Run (see
 	// System.energy for why).
 	energy *hv.EnergyStats
@@ -108,67 +116,23 @@ func NewPlatform(cfg ServerlessConfig) (*Platform, error) {
 	if cfg.ScaleUp == 0 {
 		cfg.ScaleUp = 4
 	}
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = AlgoNimblock
-	}
-	hcfg := hv.DefaultConfig()
-	if cfg.Slots > 0 {
-		hcfg.Board.Slots = cfg.Slots
-	}
-	if cfg.SchedInterval > 0 {
-		hcfg.SchedInterval = sim.FromStd(cfg.SchedInterval)
-	}
-	if cfg.Horizon > 0 {
-		hcfg.Horizon = sim.Time(sim.FromStd(cfg.Horizon))
-	}
-	hcfg.Observer = wrapObserver(cfg.Observer)
-	if cfg.Config.Board != nil {
-		sp := fpga.Spec(*cfg.Config.Board)
-		if err := sp.Validate(); err != nil {
-			return nil, err
-		}
-		hcfg.Board = sp.Apply(hcfg.Board)
-	}
-	var boardConfigs []hv.Config
-	if len(cfg.BoardSpecs) > 0 {
-		if len(cfg.BoardSpecs) != cfg.Boards {
-			return nil, fmt.Errorf("nimblock: %d board specs for %d boards", len(cfg.BoardSpecs), cfg.Boards)
-		}
-		boardConfigs = make([]hv.Config, cfg.Boards)
-		for i, bs := range cfg.BoardSpecs {
-			c := hcfg
-			if bs != nil {
-				sp := fpga.Spec(*bs)
-				if err := sp.Validate(); err != nil {
-					return nil, fmt.Errorf("nimblock: board %d: %w", i, err)
-				}
-				c.Board = sp.Apply(c.Board)
-			}
-			boardConfigs[i] = c
-		}
-	}
-	if _, err := newPolicy(cfg.Config, hcfg); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	p, err := faas.New(eng, faas.Config{
-		Boards:       cfg.Boards,
-		HV:           hcfg,
-		BoardConfigs: boardConfigs,
-		ColdStart:    sim.FromStd(cfg.ColdStart),
-		ScaleUp:      cfg.ScaleUp,
-		Admission:    cfg.Admission.internal(),
-	}, func() sched.Scheduler {
-		pol, err := newPolicy(cfg.Config, hcfg)
-		if err != nil {
-			panic(err) // validated above
-		}
-		return pol
-	})
+	set, err := cfg.boardConfigs(cfg.Boards, cfg.BoardSpecs)
 	if err != nil {
 		return nil, err
 	}
-	return &Platform{eng: eng, p: p, horizon: hcfg.Horizon}, nil
+	p, err := faas.New(sim.NewEngine(), faas.Config{
+		Boards:       cfg.Boards,
+		HV:           set.hv,
+		BoardConfigs: set.perBoard,
+		ColdStart:    sim.FromStd(cfg.ColdStart),
+		ScaleUp:      cfg.ScaleUp,
+		Admission:    cfg.Admission.internal(),
+		BoardFaults:  set.events,
+	}, set.policy)
+	if err != nil {
+		return nil, err
+	}
+	return &Platform{p: p}, nil
 }
 
 // Register adds a function backed by an application task-graph.
@@ -211,28 +175,12 @@ func (pl *Platform) Stats() PlatformStats {
 // Energy sums integrated energy across the platform's boards, sampled
 // at the makespan once Run completes; zero unless the board specs
 // carry a power model.
-func (pl *Platform) Energy() EnergyStats {
-	es := pl.p.Energy()
-	if pl.energy != nil {
-		es = *pl.energy
-	}
-	return EnergyStats{
-		StaticJoules:        es.StaticJoules,
-		ActiveJoules:        es.ActiveJoules,
-		OccupiedSlotSeconds: es.OccupiedSlotSeconds,
-		UsableSlotSeconds:   es.UsableSlotSeconds,
-	}
-}
+func (pl *Platform) Energy() EnergyStats { return energyStats(pl.energy, pl.p.Energy()) }
 
 // TenantServices reports the weighted service delivered to each
 // function tenant, merged across boards.
 func (pl *Platform) TenantServices() map[string]time.Duration {
-	raw := pl.p.TenantServices()
-	out := make(map[string]time.Duration, len(raw))
-	for tenant, d := range raw {
-		out[tenant] = d.Std()
-	}
-	return out
+	return tenantServices(pl.p.TenantServices())
 }
 
 // Run completes every invocation and returns results in invocation order.
@@ -257,6 +205,8 @@ func (pl *Platform) Run() ([]InvocationResult, error) {
 			Items:        r.Items,
 			Rejected:     r.Rejected,
 			RejectReason: r.RejectReason,
+			Failed:       r.Failed,
+			FailReason:   r.FailReason,
 		}
 	}
 	return out, nil

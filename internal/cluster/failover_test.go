@@ -92,6 +92,34 @@ func TestBoardCrashRedispatchesWork(t *testing.T) {
 	}
 }
 
+// TestRebuiltBoardTakesPastSlotFailures is the regression test for a
+// board rebuilt after its death: every permanent slot failure in its
+// plan dated at or before the rebuild is already due, so the slot must
+// go offline at once rather than be scheduled in the past.
+func TestRebuiltBoardTakesPastSlotFailures(t *testing.T) {
+	plan := faults.MustParsePlan("dead slot=0 at=0s\nboard-crash board=0 at=100ms recover=5s")
+	cfg := Config{Dispatch: RoundRobin, Seed: 1, HV: hv.DefaultConfig()}
+	cfg.HV.Board.NewInjector = plan.MustFactory()
+	_, c := newFailoverCluster(t, 2, cfg, plan.BoardEvents())
+	submitMix(t, c, 8)
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed, _, failed := classify(t, c, res)
+	if completed+failed != 8 {
+		t.Fatalf("conservation broken: %d completed + %d failed != 8", completed, failed)
+	}
+	if st := c.FailoverStats(); st.Deaths != 1 || st.Recoveries != 1 {
+		t.Fatalf("deaths=%d recoveries=%d, want 1/1", st.Deaths, st.Recoveries)
+	}
+	for b := 0; b < c.Boards(); b++ {
+		if c.Board(b).Board().SlotUsable(0) {
+			t.Fatalf("board %d: slot 0 usable despite its plan killing it at 0s", b)
+		}
+	}
+}
+
 func TestBoardHangIsDetectedByLiveness(t *testing.T) {
 	events := []faults.BoardEvent{{
 		Kind: faults.BoardHang, Board: 1,
@@ -352,9 +380,10 @@ func FuzzFailoverConservation(f *testing.F) {
 }
 
 // runFailoverScenario draws a random failover run from rng — checkpoint
-// and hedging switches, a retry budget, a board fault plan, and a
-// workload — on the given fleet, runs it, and checks conservation,
-// exactly-once ticket release, and the failover counters.
+// and hedging switches, a retry budget, a board fault plan, an optional
+// slot fault plan, and a workload — on the given fleet, runs it, and
+// checks conservation, exactly-once ticket release, and the failover
+// counters.
 func runFailoverScenario(t *testing.T, rng *rand.Rand, boards int, d Dispatch, seed int64, adm *admit.Config) {
 	t.Helper()
 	pool := []string{apps.LeNet, apps.ImageCompression, apps.Rendering3D, apps.OpticalFlow}
@@ -386,6 +415,18 @@ func runFailoverScenario(t *testing.T, rng *rand.Rand, boards int, d Dispatch, s
 				Until: at + sim.Time(1+rng.Int63n(int64(5*sim.Second))), Factor: 1.5 + rng.Float64()*6,
 			})
 		}
+	}
+	// Half the draws also carry slot faults, so permanent slot failures
+	// and CRC retries meet board deaths and the boards rebuilt after them.
+	// They come from their own RNG so every seed keeps the workload and
+	// board faults it drew before slot faults were added.
+	if srng := rand.New(rand.NewSource(seed*2654435761 + 1)); srng.Intn(2) == 0 {
+		plan := fmt.Sprintf("dead slot=%d at=%dms", srng.Intn(cfg.HV.Board.Slots), srng.Intn(3000))
+		if srng.Intn(2) == 0 {
+			plan += fmt.Sprintf("\ncrc prob=%.3f", 0.05+0.1*srng.Float64())
+		}
+		cfg.HV.Board.NewInjector = faults.MustParsePlan(plan).MustFactory()
+		cfg.HV.Board.MaxRetries = 10
 	}
 	_, c := newFailoverCluster(t, boards, cfg, events)
 	n := 6 + rng.Intn(10)

@@ -153,14 +153,12 @@ type Platform struct {
 	stats       Stats
 }
 
-// New builds a platform; mkPolicy supplies one scheduler per board.
-func New(eng *sim.Engine, cfg Config, mkPolicy func() sched.Scheduler) (*Platform, error) {
+// New builds a platform; mkPolicy supplies a fresh scheduler per board
+// and receives the board's configuration, so policies that plan against
+// board shape work on heterogeneous platforms.
+func New(eng *sim.Engine, cfg Config, mkPolicy func(board hv.Config) sched.Scheduler) (*Platform, error) {
 	if cfg.ColdStart < 0 {
 		return nil, fmt.Errorf("faas: negative cold start")
-	}
-	var mk func(hv.Config) sched.Scheduler
-	if mkPolicy != nil {
-		mk = func(hv.Config) sched.Scheduler { return mkPolicy() }
 	}
 	p := &Platform{eng: eng, cfg: cfg, funcs: map[string]Function{}}
 	core, err := frontend.New([]*sim.Engine{eng}, frontend.Config{
@@ -171,7 +169,7 @@ func New(eng *sim.Engine, cfg Config, mkPolicy func() sched.Scheduler) (*Platfor
 		Admission:    cfg.Admission,
 		Health:       cfg.Health,
 		BoardFaults:  cfg.BoardFaults,
-	}, mk, frontend.Hooks{
+	}, mkPolicy, frontend.Hooks{
 		Place:   p.place,
 		Retired: func(board int, _ int64, _ int) { p.outstanding[board]-- },
 		// A dead board's bitstream deployments die with it.

@@ -13,8 +13,8 @@ import (
 func newPlatform(t *testing.T, cfg Config) (*sim.Engine, *Platform) {
 	t.Helper()
 	eng := sim.NewEngine()
-	p, err := New(eng, cfg, func() sched.Scheduler {
-		return core.New(core.DefaultOptions(), cfg.HV.Board)
+	p, err := New(eng, cfg, func(board hv.Config) sched.Scheduler {
+		return core.New(core.DefaultOptions(), board.Board)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestValidation(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.ColdStart = -1
-	if _, err := New(eng, cfg, func() sched.Scheduler { return core.New(core.DefaultOptions(), cfg.HV.Board) }); err == nil {
+	if _, err := New(eng, cfg, func(board hv.Config) sched.Scheduler { return core.New(core.DefaultOptions(), board.Board) }); err == nil {
 		t.Fatal("negative cold start accepted")
 	}
 	_, p := newPlatform(t, DefaultConfig())

@@ -269,6 +269,10 @@ func (t *Tracker) Revive(now sim.Time) sim.Time {
 	return t.readmitAt
 }
 
+// Baseline restarts the liveness window: the next poll compares
+// against progress instead of the last poll's sample.
+func (t *Tracker) Baseline(progress uint64) { t.lastProgress = progress }
+
 // Stalled reports whether the last liveness poll found the board busy
 // with no progress.
 func (t *Tracker) Stalled() bool { return t.misses > 0 }

@@ -267,3 +267,48 @@ func TestMonitorLivenessDeclaresFrozenDead(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestMonitorBaselinesLivenessAtFreeze is the regression test for a
+// stale liveness baseline on a revived board. The board emits events
+// and then freezes, either before any poll chain runs (idle events,
+// then work arriving after the hang) or while one is armed (work kicks
+// the chain, the board makes progress, then hangs within the same
+// interval). The next poll must measure progress from the freeze, or
+// the earlier events read as liveness, the recovering board is not
+// polled again, and its work never finishes.
+func TestMonitorBaselinesLivenessAtFreeze(t *testing.T) {
+	ms := sim.Millisecond
+	for _, tc := range []struct {
+		name       string
+		step, work sim.Time
+	}{
+		{"idle events before the chain", sim.Time(2500 * ms), sim.Time(3050 * ms)},
+		{"progress while the chain is armed", sim.Time(2980 * ms), sim.Time(2950 * ms)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			var progress uint64
+			busy := false
+			deaths := 0
+			m := NewMonitor(eng, 1, Config{LivenessInterval: 100 * ms, BackoffBase: 100 * ms}, Hooks{
+				Progress: func(int) uint64 { return progress },
+				Busy:     func(int) bool { return busy },
+				OnDead:   func(int) { deaths++ },
+				OnRevive: func(int) {},
+			}, nil)
+			err := m.Schedule([]faults.BoardEvent{
+				{Kind: faults.BoardCrash, Board: 0, At: sim.Time(sim.Second), Recover: sim.Time(2 * sim.Second)},
+				{Kind: faults.BoardHang, Board: 0, At: sim.Time(3 * sim.Second)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.At(tc.step, func() { progress = 5 })
+			eng.At(tc.work, func() { busy = true; m.Kick() })
+			eng.RunUntil(sim.Time(10 * sim.Second))
+			if deaths != 2 {
+				t.Fatalf("deaths = %d, want the crash and the frozen board's liveness death", deaths)
+			}
+		})
+	}
+}

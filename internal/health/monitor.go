@@ -115,6 +115,11 @@ func (m *Monitor) freeze(b int, recover sim.Time) {
 	if m.hooks.OnFreeze != nil {
 		m.hooks.OnFreeze(b)
 	}
+	// The frozen board's counter stops here, so measure the next poll
+	// from this instant: against an older sample, events emitted before
+	// the freeze would read as progress, and a recovering board that
+	// shows progress is not polled again.
+	m.trackers[b].Baseline(m.hooks.Progress(b))
 	m.Kick()
 	if recover != 0 {
 		m.eng.At(recover, func() { m.revive(b) })

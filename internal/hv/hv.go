@@ -387,14 +387,16 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 	}
 	h.rec.Timeline = []SlotSample{{At: eng.Now(), Usable: board.UsableSlots()}}
 	// Plan-known permanent failures are driven from here rather than the
-	// board so a failure can kill a slot even while a task runs in it.
+	// board so a failure can kill a slot even while a task runs in it. A
+	// board rebuilt mid-run (after a board death) starts with every
+	// failure dated at or before now already due, so those fire at once.
 	if inj := board.Injector(); inj != nil {
 		for _, f := range inj.PermanentFailures() {
 			if f.Slot < 0 || f.Slot >= board.NumSlots() {
 				return nil, fmt.Errorf("hv: fault plan kills slot %d, board has %d slots", f.Slot, board.NumSlots())
 			}
-			f := f
-			eng.At(f.At, func() { h.forceOffline(f.Slot) })
+			slot := f.Slot
+			eng.At(max(f.At, eng.Now()), func() { h.forceOffline(slot) })
 		}
 	}
 	return h, nil

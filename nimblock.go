@@ -22,6 +22,7 @@
 package nimblock
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -223,6 +224,15 @@ func ParseBoardSpec(s string) (*BoardSpec, error) {
 // omitting zero (inherited) fields.
 func (b BoardSpec) String() string { return fpga.Spec(b).String() }
 
+// apply validates the spec and overlays it on a board config.
+func (b *BoardSpec) apply(board fpga.Config) (fpga.Config, error) {
+	sp := fpga.Spec(*b)
+	if err := sp.Validate(); err != nil {
+		return board, err
+	}
+	return sp.Apply(board), nil
+}
+
 // DefaultConfig mirrors the paper's evaluation platform with the full
 // Nimblock algorithm.
 func DefaultConfig() Config {
@@ -342,7 +352,6 @@ func (r Result) Throughput() float64 {
 type System struct {
 	eng     *sim.Engine
 	hv      *hv.Hypervisor
-	cfg     Config
 	horizon sim.Time
 	// energy is the stats sampled at engine quiescence (the makespan)
 	// during Run; Run's final clock sits at the horizon, where lazy
@@ -350,49 +359,59 @@ type System struct {
 	energy *hv.EnergyStats
 }
 
-// newPolicy builds the scheduler for the config.
-func newPolicy(cfg Config, board hv.Config) (sched.Scheduler, error) {
-	switch cfg.Algorithm {
-	case AlgoNimblock:
-		return core.New(core.Options{Preemption: true, Pipelining: true}, board.Board), nil
-	case AlgoNimblockNoPreempt:
-		return core.New(core.Options{Pipelining: true}, board.Board), nil
-	case AlgoNimblockNoPipe:
-		return core.New(core.Options{Preemption: true}, board.Board), nil
-	case AlgoNimblockNoPreemptNoPipe:
-		return core.New(core.Options{}, board.Board), nil
-	case AlgoNimblockCheckpoint:
-		return ckpt.New(ckpt.DefaultOptions(), board.Board), nil
-	case AlgoNimblockEnergy:
-		return energy.New(board.Board), nil
-	case AlgoBaseline:
-		return baseline.New(), nil
-	case AlgoFCFS:
-		return fcfs.New(), nil
-	case AlgoPREMA:
-		return prema.New(), nil
-	case AlgoRR:
-		return rr.New(), nil
-	default:
-		return nil, fmt.Errorf("nimblock: unknown algorithm %q", cfg.Algorithm)
-	}
+// policies builds each algorithm's scheduler for one board; the
+// Nimblock family plans against the board's shape.
+var policies = map[Algorithm]func(board fpga.Config) sched.Scheduler{
+	AlgoNimblock: func(b fpga.Config) sched.Scheduler {
+		return core.New(core.Options{Preemption: true, Pipelining: true}, b)
+	},
+	AlgoNimblockNoPreempt:       func(b fpga.Config) sched.Scheduler { return core.New(core.Options{Pipelining: true}, b) },
+	AlgoNimblockNoPipe:          func(b fpga.Config) sched.Scheduler { return core.New(core.Options{Preemption: true}, b) },
+	AlgoNimblockNoPreemptNoPipe: func(b fpga.Config) sched.Scheduler { return core.New(core.Options{}, b) },
+	AlgoNimblockCheckpoint:      func(b fpga.Config) sched.Scheduler { return ckpt.New(ckpt.DefaultOptions(), b) },
+	AlgoNimblockEnergy:          func(b fpga.Config) sched.Scheduler { return energy.New(b) },
+	AlgoBaseline:                func(fpga.Config) sched.Scheduler { return baseline.New() },
+	AlgoFCFS:                    func(fpga.Config) sched.Scheduler { return fcfs.New() },
+	AlgoPREMA:                   func(fpga.Config) sched.Scheduler { return prema.New() },
+	AlgoRR:                      func(fpga.Config) sched.Scheduler { return rr.New() },
 }
 
-// NewSystem builds a virtualized FPGA system.
-func NewSystem(cfg Config) (*System, error) {
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = AlgoNimblock
+// boardSet is a Config translated for a set of boards.
+type boardSet struct {
+	// hv configures every board without a spec of its own.
+	hv hv.Config
+	// perBoard is hv with each board's spec overlaid; nil without specs.
+	perBoard []hv.Config
+	// events are the FaultPlan's board-scoped faults (crash, hang,
+	// degrade), which only a multi-board front-end acts on.
+	events []faults.BoardEvent
+	// policy builds a fresh scheduler planned against one board.
+	policy func(hv.Config) sched.Scheduler
+}
+
+// boardConfigs is the one translation of a Config into hypervisor
+// configs, so System, Cluster and Platform build every board from every
+// field alike. specs, when non-empty, gives each of the n boards its
+// own capability spec over the shared platform.
+func (cfg Config) boardConfigs(n int, specs []*BoardSpec) (boardSet, error) {
+	mk, ok := policies[cmp.Or(cfg.Algorithm, AlgoNimblock)]
+	if !ok {
+		return boardSet{}, fmt.Errorf("nimblock: unknown algorithm %q", cfg.Algorithm)
 	}
-	hcfg := hv.DefaultConfig()
+	set := boardSet{
+		hv:     hv.DefaultConfig(),
+		policy: func(board hv.Config) sched.Scheduler { return mk(board.Board) },
+	}
+	hcfg := &set.hv
 	if cfg.Slots > 0 {
 		hcfg.Board.Slots = cfg.Slots
 	}
 	if cfg.Board != nil {
-		sp := fpga.Spec(*cfg.Board)
-		if err := sp.Validate(); err != nil {
-			return nil, err
+		board, err := cfg.Board.apply(hcfg.Board)
+		if err != nil {
+			return boardSet{}, err
 		}
-		hcfg.Board = sp.Apply(hcfg.Board)
+		hcfg.Board = board
 	}
 	if cfg.SchedInterval > 0 {
 		hcfg.SchedInterval = sim.FromStd(cfg.SchedInterval)
@@ -404,14 +423,15 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.FaultPlan != "" {
 		plan, err := faults.ParsePlan(cfg.FaultPlan)
 		if err != nil {
-			return nil, err
+			return boardSet{}, err
 		}
 		factory, err := plan.Factory()
 		if err != nil {
-			return nil, err
+			return boardSet{}, err
 		}
 		hcfg.Board.NewInjector = factory
 		hcfg.Board.MaxRetries = 10
+		set.events = plan.BoardEvents()
 	}
 	if cfg.WatchdogFactor > 0 {
 		hcfg.WatchdogFactor = cfg.WatchdogFactor
@@ -422,6 +442,9 @@ func NewSystem(cfg Config) (*System, error) {
 		hcfg.Horizon = sim.Time(sim.FromStd(cfg.Horizon))
 	}
 	hcfg.EnableTrace = cfg.EnableTrace
+	// One observer watches every board; events carry board-local app
+	// IDs, so observers aggregating per-app state should key on (App,
+	// AppID).
 	hcfg.Observer = wrapObserver(cfg.Observer)
 	hcfg.RelocatableBitstreams = cfg.RelocatableBitstreams
 	switch cfg.Interconnect {
@@ -432,7 +455,7 @@ func NewSystem(cfg Config) (*System, error) {
 	case "noc":
 		hcfg.Interconnect = interconnect.DefaultNoC()
 	default:
-		return nil, fmt.Errorf("nimblock: unknown interconnect %q", cfg.Interconnect)
+		return boardSet{}, fmt.Errorf("nimblock: unknown interconnect %q", cfg.Interconnect)
 	}
 	if cfg.Checkpoint.Enabled {
 		hcfg.Checkpoint = hv.CheckpointConfig{
@@ -442,16 +465,41 @@ func NewSystem(cfg Config) (*System, error) {
 			DefaultPoints: cfg.Checkpoint.DefaultPoints,
 		}
 	}
-	pol, err := newPolicy(cfg, hcfg)
+	if len(specs) > 0 {
+		if len(specs) != n {
+			return boardSet{}, fmt.Errorf("nimblock: %d board specs for %d boards", len(specs), n)
+		}
+		set.perBoard = make([]hv.Config, n)
+		for i, bs := range specs {
+			set.perBoard[i] = set.hv
+			if bs == nil {
+				continue
+			}
+			board, err := bs.apply(set.hv.Board)
+			if err != nil {
+				return boardSet{}, fmt.Errorf("nimblock: board %d: %w", i, err)
+			}
+			set.perBoard[i].Board = board
+		}
+	}
+	return set, nil
+}
+
+// NewSystem builds a virtualized FPGA system.
+func NewSystem(cfg Config) (*System, error) {
+	set, err := cfg.boardConfigs(1, nil)
 	if err != nil {
 		return nil, err
+	}
+	if len(set.events) > 0 {
+		return nil, fmt.Errorf("nimblock: FaultPlan board faults (board-crash, board-hang, board-degrade) need NewCluster or NewPlatform")
 	}
 	eng := sim.NewEngine()
-	h, err := hv.New(eng, hcfg, pol)
+	h, err := hv.New(eng, set.hv, set.policy(set.hv))
 	if err != nil {
 		return nil, err
 	}
-	return &System{eng: eng, hv: h, cfg: cfg, horizon: hcfg.Horizon}, nil
+	return &System{eng: eng, hv: h, horizon: set.hv.Horizon}, nil
 }
 
 // Submit schedules an application arrival at the given virtual time
@@ -496,16 +544,19 @@ func (e EnergyStats) TotalJoules() float64 { return e.StaticJoules + e.ActiveJou
 // sampled at the makespan (the instant the last event fired), so
 // static joules price the time the work actually needed; before Run,
 // whatever has accrued at the current virtual time.
-func (s *System) Energy() EnergyStats {
-	es := s.hv.Energy()
-	if s.energy != nil {
-		es = *s.energy
+func (s *System) Energy() EnergyStats { return energyStats(s.energy, s.hv.Energy()) }
+
+// energyStats reports the energy sampled at the makespan once Run has
+// recorded it, else the live accrual.
+func energyStats(sampled *hv.EnergyStats, live hv.EnergyStats) EnergyStats {
+	if sampled != nil {
+		live = *sampled
 	}
 	return EnergyStats{
-		StaticJoules:        es.StaticJoules,
-		ActiveJoules:        es.ActiveJoules,
-		OccupiedSlotSeconds: es.OccupiedSlotSeconds,
-		UsableSlotSeconds:   es.UsableSlotSeconds,
+		StaticJoules:        live.StaticJoules,
+		ActiveJoules:        live.ActiveJoules,
+		OccupiedSlotSeconds: live.OccupiedSlotSeconds,
+		UsableSlotSeconds:   live.UsableSlotSeconds,
 	}
 }
 
@@ -513,7 +564,11 @@ func (s *System) Energy() EnergyStats {
 // divided by the submission weight) delivered to each tenant named in
 // SubmitTenant calls.
 func (s *System) TenantServices() map[string]time.Duration {
-	raw := s.hv.TenantServices()
+	return tenantServices(s.hv.TenantServices())
+}
+
+// tenantServices converts per-tenant service to wall-clock durations.
+func tenantServices(raw map[string]sim.Duration) map[string]time.Duration {
 	out := make(map[string]time.Duration, len(raw))
 	for tenant, d := range raw {
 		out[tenant] = d.Std()
@@ -549,23 +604,28 @@ func (s *System) Run() ([]Result, error) {
 	}
 	out := make([]Result, len(raw))
 	for i, r := range raw {
-		out[i] = Result{
-			App:              r.App,
-			ID:               r.AppID,
-			Batch:            r.Batch,
-			Priority:         r.Priority,
-			Arrival:          time.Duration(r.Arrival) * time.Microsecond,
-			FirstLaunch:      time.Duration(r.FirstLaunch) * time.Microsecond,
-			Retire:           time.Duration(r.Retire) * time.Microsecond,
-			Response:         r.Response.Std(),
-			Run:              r.Run.Std(),
-			Reconfig:         r.Reconfig.Std(),
-			Wait:             r.Wait.Std(),
-			Preemptions:      r.Preemptions,
-			Reconfigurations: r.Reconfigurations,
-		}
+		out[i] = result(r)
 	}
 	return out, nil
+}
+
+// result converts one hypervisor result to its public form.
+func result(r hv.Result) Result {
+	return Result{
+		App:              r.App,
+		ID:               r.AppID,
+		Batch:            r.Batch,
+		Priority:         r.Priority,
+		Arrival:          time.Duration(r.Arrival) * time.Microsecond,
+		FirstLaunch:      time.Duration(r.FirstLaunch) * time.Microsecond,
+		Retire:           time.Duration(r.Retire) * time.Microsecond,
+		Response:         r.Response.Std(),
+		Run:              r.Run.Std(),
+		Reconfig:         r.Reconfig.Std(),
+		Wait:             r.Wait.Std(),
+		Preemptions:      r.Preemptions,
+		Reconfigurations: r.Reconfigurations,
+	}
 }
 
 // Algorithm reports the active scheduling policy name.
