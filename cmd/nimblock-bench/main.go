@@ -116,7 +116,6 @@ func main() {
 	// Raw single-sequence scheduling cost per policy (serial by nature).
 	seq := workload.Generate(workload.Spec{Scenario: workload.Stress, Events: cfg.Events}, cfg.Seed)
 	for _, pol := range experiments.PolicyNames {
-		pol := pol
 		record(measure("Scheduler/"+pol, *rounds, *benchtime, func() {
 			_, err := experiments.RunSequence(serial, pol, seq)
 			fail(err)

@@ -189,6 +189,10 @@ func New(eng *sim.Engine, cfg Config, mkPolicy func(board hv.Config) sched.Sched
 	return c, nil
 }
 
+// Now reports the cluster clock; after Run it sits at the last fired
+// event.
+func (c *Cluster) Now() sim.Time { return c.eng.Now() }
+
 // Boards reports the cluster size.
 func (c *Cluster) Boards() int { return c.core.Boards() }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"nimblock/internal/faults"
@@ -53,8 +52,13 @@ type ChaosResult struct {
 // own engine and injector, and aggregation follows input order so the
 // sweep is byte-identical to the serial path.
 func Chaos(cfg Config) (*ChaosResult, error) {
-	cfgs := make([]Config, len(ChaosRates))
-	for i, rate := range ChaosRates {
+	type cell struct {
+		cfg  Config
+		rate float64
+		pol  string
+	}
+	var cells []cell
+	for _, rate := range ChaosRates {
 		c := cfg
 		if rate > 0 {
 			plan := faults.Uniform(rate, cfg.Seed)
@@ -69,69 +73,49 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 		}
 		c.HV.WatchdogFactor = chaosWatchdogFactor
 		c.HV.WatchdogGrace = chaosWatchdogGrace
-		cfgs[i] = c
+		for _, pol := range PolicyNames {
+			cells = append(cells, cell{c, rate, pol})
+		}
 	}
-
-	spec := workload.Spec{Scenario: workload.Stress, Events: cfg.Events}
-	seqs := workload.GenerateTest(spec, cfg.Seed)
-	if cfg.Sequences < len(seqs) {
-		seqs = seqs[:cfg.Sequences]
-	}
-
 	type chaosRun struct {
 		res   []hv.Result
 		rec   hv.RecoveryStats
 		until sim.Time
 	}
-	var jobs []func(context.Context) (chaosRun, error)
-	for rj, rate := range ChaosRates {
-		c, rate := cfgs[rj], rate
-		for _, pol := range PolicyNames {
-			pol := pol
-			for si, seq := range seqs {
-				si, seq := si, seq
-				jobs = append(jobs, func(context.Context) (chaosRun, error) {
-					res, rec, until, err := runChaosSequence(c, pol, seq)
-					if err != nil {
-						return chaosRun{}, fmt.Errorf("chaos rate %v, sequence %d, policy %s: %w", rate, si, pol, err)
-					}
-					return chaosRun{res: res, rec: rec, until: until}, nil
-				})
-			}
+	seqs := cfg.sequences(workload.Spec{Scenario: workload.Stress, Events: cfg.Events})
+	runs, err := sweep(cfg, cells, seqs, func(c cell, si int, seq workload.Sequence) (chaosRun, error) {
+		h, res, err := runBoard(c.cfg, c.pol, seq)
+		if err != nil {
+			return chaosRun{}, fmt.Errorf("chaos rate %v, sequence %d, policy %s: %w", c.rate, si, c.pol, err)
 		}
-	}
-	results, err := runJobs(cfg.workers(), jobs)
+		return chaosRun{res: res, rec: h.Recovery(), until: h.Now()}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := &ChaosResult{Cells: map[float64]map[string]ChaosCell{}}
-	ji := 0
-	for _, rate := range ChaosRates {
-		cells := map[string]ChaosCell{}
-		for _, pol := range PolicyNames {
-			cell := ChaosCell{}
-			var responses []float64
-			var effective []float64
-			for range seqs {
-				run := results[ji]
-				ji++
-				for _, r := range run.res {
-					responses = append(responses, r.Response.Seconds())
-				}
-				cell.FaultsInjected += run.rec.FaultsInjected
-				cell.Retries += run.rec.Retries
-				cell.Recovered += run.rec.Recovered
-				cell.WatchdogKills += run.rec.WatchdogKills
-				cell.SlotsOffline += run.rec.SlotsOffline
-				cell.WastedWork += run.rec.WastedWork.Seconds()
-				effective = append(effective, metrics.EffectiveSlots(run.rec.Timeline, run.until))
+	for ci, c := range cells {
+		var cell ChaosCell
+		var responses, effective []float64
+		for _, run := range runs[ci] {
+			for _, r := range run.res {
+				responses = append(responses, r.Response.Seconds())
 			}
-			cell.MeanResponse = metrics.Mean(responses)
-			cell.EffectiveSlots = metrics.Mean(effective)
-			cells[pol] = cell
+			cell.FaultsInjected += run.rec.FaultsInjected
+			cell.Retries += run.rec.Retries
+			cell.Recovered += run.rec.Recovered
+			cell.WatchdogKills += run.rec.WatchdogKills
+			cell.SlotsOffline += run.rec.SlotsOffline
+			cell.WastedWork += run.rec.WastedWork.Seconds()
+			effective = append(effective, metrics.EffectiveSlots(run.rec.Timeline, run.until))
 		}
-		out.Cells[rate] = cells
+		cell.MeanResponse = metrics.Mean(responses)
+		cell.EffectiveSlots = metrics.Mean(effective)
+		if out.Cells[c.rate] == nil {
+			out.Cells[c.rate] = map[string]ChaosCell{}
+		}
+		out.Cells[c.rate][c.pol] = cell
 	}
 	return out, nil
 }
@@ -140,34 +124,6 @@ const (
 	chaosWatchdogFactor = 4
 	chaosWatchdogGrace  = 50 * sim.Millisecond
 )
-
-// runChaosSequence is RunSequence plus recovery statistics and the
-// retirement time of the last event (the effective-slots window).
-func runChaosSequence(cfg Config, policy string, seq workload.Sequence) ([]hv.Result, hv.RecoveryStats, sim.Time, error) {
-	if err := seq.Validate(); err != nil {
-		return nil, hv.RecoveryStats{}, 0, err
-	}
-	pol, err := NewPolicy(policy, cfg.HV.Board)
-	if err != nil {
-		return nil, hv.RecoveryStats{}, 0, err
-	}
-	eng := sim.NewEngine()
-	defer countEvents(eng)
-	h, err := hv.New(eng, cfg.HV, pol)
-	if err != nil {
-		return nil, hv.RecoveryStats{}, 0, err
-	}
-	for _, ev := range seq {
-		if err := h.Submit(cachedGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival); err != nil {
-			return nil, hv.RecoveryStats{}, 0, err
-		}
-	}
-	res, err := h.Run()
-	if err != nil {
-		return nil, hv.RecoveryStats{}, 0, err
-	}
-	return res, h.Recovery(), eng.Now(), nil
-}
 
 // Render prints one table per swept rate.
 func (r *ChaosResult) Render() string {

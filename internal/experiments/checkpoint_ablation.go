@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"nimblock/internal/faults"
@@ -85,77 +84,63 @@ func CheckpointAblation(cfg Config) (*CheckpointResult, error) {
 		return nil, err
 	}
 
-	cfgs := make([]Config, len(CheckpointVariants))
-	for i, v := range CheckpointVariants {
+	type cell struct {
+		cfg Config
+		v   CheckpointVariant
+		pol string
+	}
+	var cells []cell
+	for _, v := range CheckpointVariants {
 		c := cfg
 		c.HV.Board.NewInjector = injector
 		c.HV.WatchdogFactor = chaosWatchdogFactor
 		c.HV.WatchdogGrace = chaosWatchdogGrace
 		c.HV.Checkpoint = v.Ckpt
-		cfgs[i] = c
+		for _, pol := range CheckpointPolicies {
+			cells = append(cells, cell{c, v, pol})
+		}
 	}
-
-	spec := workload.Spec{Scenario: workload.Stress, Events: cfg.Events}
-	seqs := workload.GenerateTest(spec, cfg.Seed)
-	if cfg.Sequences < len(seqs) {
-		seqs = seqs[:cfg.Sequences]
-	}
-
 	type ckptRun struct {
 		res []hv.Result
 		rec hv.RecoveryStats
 	}
-	var jobs []func(context.Context) (ckptRun, error)
-	for vi, v := range CheckpointVariants {
-		c, v := cfgs[vi], v
-		for _, pol := range CheckpointPolicies {
-			pol := pol
-			for si, seq := range seqs {
-				si, seq := si, seq
-				jobs = append(jobs, func(context.Context) (ckptRun, error) {
-					res, rec, _, err := runChaosSequence(c, pol, seq)
-					if err != nil {
-						return ckptRun{}, fmt.Errorf("checkpoint variant %s, sequence %d, policy %s: %w", v.Name, si, pol, err)
-					}
-					return ckptRun{res: res, rec: rec}, nil
-				})
-			}
+	seqs := cfg.sequences(workload.Spec{Scenario: workload.Stress, Events: cfg.Events})
+	runs, err := sweep(cfg, cells, seqs, func(c cell, si int, seq workload.Sequence) (ckptRun, error) {
+		h, res, err := runBoard(c.cfg, c.pol, seq)
+		if err != nil {
+			return ckptRun{}, fmt.Errorf("checkpoint variant %s, sequence %d, policy %s: %w", c.v.Name, si, c.pol, err)
 		}
-	}
-	results, err := runJobs(cfg.workers(), jobs)
+		return ckptRun{res: res, rec: h.Recovery()}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := &CheckpointResult{Cells: map[string]map[string]CheckpointCell{}}
-	ji := 0
-	for _, v := range CheckpointVariants {
-		cells := map[string]CheckpointCell{}
-		for _, pol := range CheckpointPolicies {
-			cell := CheckpointCell{}
-			var responses, high []float64
-			for range seqs {
-				run := results[ji]
-				ji++
-				for _, r := range run.res {
-					responses = append(responses, r.Response.Seconds())
-					if r.Priority == 9 {
-						high = append(high, r.Response.Seconds())
-					}
+	for ci, c := range cells {
+		var cell CheckpointCell
+		var responses, high []float64
+		for _, run := range runs[ci] {
+			for _, r := range run.res {
+				responses = append(responses, r.Response.Seconds())
+				if r.Priority == 9 {
+					high = append(high, r.Response.Seconds())
 				}
-				cell.WatchdogKills += run.rec.WatchdogKills
-				cell.ResumedItems += run.rec.ResumedItems
-				cell.CheckpointSaves += run.rec.CheckpointSaves
-				cell.CheckpointFaults += run.rec.CheckpointFaults
-				cell.WastedWork += run.rec.WastedWork.Seconds()
-				cell.SavedWork += run.rec.SavedWork.Seconds()
-				cell.CheckpointOverhead += run.rec.CheckpointOverhead.Seconds()
 			}
-			cell.MeanResponse = metrics.Mean(responses)
-			cell.HighPrioResponse = metrics.Mean(high)
-			cells[pol] = cell
+			cell.WatchdogKills += run.rec.WatchdogKills
+			cell.ResumedItems += run.rec.ResumedItems
+			cell.CheckpointSaves += run.rec.CheckpointSaves
+			cell.CheckpointFaults += run.rec.CheckpointFaults
+			cell.WastedWork += run.rec.WastedWork.Seconds()
+			cell.SavedWork += run.rec.SavedWork.Seconds()
+			cell.CheckpointOverhead += run.rec.CheckpointOverhead.Seconds()
 		}
-		out.Cells[v.Name] = cells
+		cell.MeanResponse = metrics.Mean(responses)
+		cell.HighPrioResponse = metrics.Mean(high)
+		if out.Cells[c.v.Name] == nil {
+			out.Cells[c.v.Name] = map[string]CheckpointCell{}
+		}
+		out.Cells[c.v.Name][c.pol] = cell
 	}
 	return out, nil
 }

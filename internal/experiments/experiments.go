@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"nimblock/internal/apps"
+	"nimblock/internal/cluster"
 	"nimblock/internal/core"
 	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
@@ -43,12 +44,14 @@ type Config struct {
 	// GOMAXPROCS; 1 forces the serial reference path. Output is
 	// byte-identical at any setting.
 	Workers int
-	// NewObserver, when non-nil, is called once per simulation run to
-	// build that run's live observer (it is teed with any HV.Observer
-	// already set). Runs execute concurrently under the worker pool, so
-	// per-run sinks keep pairing state (app IDs, slot windows) local
-	// while still aggregating into shared, concurrency-safe state — the
-	// pattern obs.NewMetrics over one shared Registry is built for.
+	// NewObserver, when non-nil, is called once per board of every
+	// simulation run to build that board's live observer (it is teed
+	// with any HV.Observer already set). Runs execute concurrently under
+	// the worker pool, so per-board sinks keep pairing state (app IDs,
+	// slot windows) local while still aggregating into shared,
+	// concurrency-safe state — the pattern obs.NewMetrics over one
+	// shared Registry is built for. The fleet sweep publishes its own
+	// fleet_* instruments instead.
 	NewObserver func() obs.Sink
 }
 
@@ -81,32 +84,40 @@ var SharingPolicyNames = []string{"FCFS", "PREMA", "RR", "Nimblock"}
 // AblationNames lists the Nimblock variants of Section 5.6.
 var AblationNames = []string{"Nimblock", "NimblockNoPreempt", "NimblockNoPipe", "NimblockNoPreemptNoPipe"}
 
-// NewPolicy instantiates a scheduler by name.
-func NewPolicy(name string, board fpga.Config) (sched.Scheduler, error) {
-	switch name {
-	case "Baseline":
-		return baseline.New(), nil
-	case "FCFS":
-		return fcfs.New(), nil
-	case "PREMA":
-		return prema.New(), nil
-	case "RR":
-		return rr.New(), nil
-	case "Nimblock":
-		return core.New(core.Options{Preemption: true, Pipelining: true}, board), nil
-	case "NimblockNoPreempt":
-		return core.New(core.Options{Pipelining: true}, board), nil
-	case "NimblockNoPipe":
-		return core.New(core.Options{Preemption: true}, board), nil
-	case "NimblockNoPreemptNoPipe":
-		return core.New(core.Options{}, board), nil
-	case "NimblockCheckpoint":
-		return ckpt.New(ckpt.DefaultOptions(), board), nil
-	case "NimblockEnergy":
-		return energy.New(board), nil
-	default:
+// policies builds each named scheduler for one board; the Nimblock
+// family plans against the board's shape.
+var policies = map[string]func(board fpga.Config) sched.Scheduler{
+	"Baseline": func(fpga.Config) sched.Scheduler { return baseline.New() },
+	"FCFS":     func(fpga.Config) sched.Scheduler { return fcfs.New() },
+	"PREMA":    func(fpga.Config) sched.Scheduler { return prema.New() },
+	"RR":       func(fpga.Config) sched.Scheduler { return rr.New() },
+	"Nimblock": func(b fpga.Config) sched.Scheduler {
+		return core.New(core.Options{Preemption: true, Pipelining: true}, b)
+	},
+	"NimblockNoPreempt":       func(b fpga.Config) sched.Scheduler { return core.New(core.Options{Pipelining: true}, b) },
+	"NimblockNoPipe":          func(b fpga.Config) sched.Scheduler { return core.New(core.Options{Preemption: true}, b) },
+	"NimblockNoPreemptNoPipe": func(b fpga.Config) sched.Scheduler { return core.New(core.Options{}, b) },
+	"NimblockCheckpoint":      func(b fpga.Config) sched.Scheduler { return ckpt.New(ckpt.DefaultOptions(), b) },
+	"NimblockEnergy":          func(b fpga.Config) sched.Scheduler { return energy.New(b) },
+}
+
+// Policy resolves a policy name once into a factory that builds a fresh
+// scheduler planned against each board it is handed.
+func Policy(name string) (func(hv.Config) sched.Scheduler, error) {
+	mk, ok := policies[name]
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown policy %q", name)
 	}
+	return func(b hv.Config) sched.Scheduler { return mk(b.Board) }, nil
+}
+
+// NewPolicy instantiates a scheduler by name.
+func NewPolicy(name string, board fpga.Config) (sched.Scheduler, error) {
+	mk, err := Policy(name)
+	if err != nil {
+		return nil, err
+	}
+	return mk(hv.Config{Board: board}), nil
 }
 
 // graphMemo caches benchmark task-graphs by name. apps.MustGraph builds a
@@ -169,26 +180,119 @@ func RunSequence(cfg Config, policy string, seq workload.Sequence) ([]hv.Result,
 	if err := seq.Validate(); err != nil {
 		return nil, err
 	}
-	pol, err := NewPolicy(policy, cfg.HV.Board)
+	_, res, err := runBoard(cfg, policy, seq)
+	return res, err
+}
+
+// sequences generates spec's test stimulus and cuts it to c.Sequences.
+func (c Config) sequences(spec workload.Spec) []workload.Sequence {
+	seqs := workload.GenerateTest(spec, c.Seed)
+	if c.Sequences < len(seqs) {
+		seqs = seqs[:c.Sequences]
+	}
+	return seqs
+}
+
+// sweep runs fn on every (cell, sequence) pair across the worker pool
+// and returns out[cell][seq] in input order, so aggregates come out
+// byte-identical to the serial path at any worker count.
+func sweep[C, S, T any](cfg Config, cells []C, seqs []S, fn func(c C, si int, seq S) (T, error)) ([][]T, error) {
+	jobs := make([]func(context.Context) (T, error), 0, len(cells)*len(seqs))
+	for _, c := range cells {
+		for si, seq := range seqs {
+			jobs = append(jobs, func(context.Context) (T, error) { return fn(c, si, seq) })
+		}
+	}
+	flat, err := runJobs(cfg.workers(), jobs)
 	if err != nil {
 		return nil, err
+	}
+	out := make([][]T, len(cells))
+	for ci := range out {
+		out[ci] = flat[ci*len(seqs) : (ci+1)*len(seqs)]
+	}
+	return out, nil
+}
+
+// observed tees a fresh NewObserver sink into one board's config. Every
+// board of every run gets its own sink: a sink pairs arrival to retire
+// by board-local AppID, so boards sharing one overwrite each other.
+func (c Config) observed(board hv.Config) (hv.Config, obs.Sink) {
+	if c.NewObserver == nil {
+		return board, nil
+	}
+	sink := c.NewObserver()
+	board.Observer = obs.Tee(board.Observer, sink)
+	return board, sink
+}
+
+// runBoard replays seq on one fresh hypervisor built from cfg.HV under
+// the named policy, drains it, and returns the board with its results.
+func runBoard(cfg Config, policy string, seq workload.Sequence) (*hv.Hypervisor, []hv.Result, error) {
+	mk, err := Policy(policy)
+	if err != nil {
+		return nil, nil, err
 	}
 	eng := sim.NewEngine()
 	defer countEvents(eng)
-	hcfg := cfg.HV
-	if cfg.NewObserver != nil {
-		hcfg.Observer = obs.Tee(hcfg.Observer, cfg.NewObserver())
-	}
-	h, err := hv.New(eng, hcfg, pol)
+	hcfg, _ := cfg.observed(cfg.HV)
+	h, err := hv.New(eng, hcfg, mk(hcfg))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, ev := range seq {
 		if err := h.Submit(cachedGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return h.Run()
+	res, err := h.Run()
+	return h, res, err
+}
+
+// runCluster replays seq on one fresh cluster built from ccfg under the
+// named policy and drains it. opts, when non-nil, gives submission i its
+// admission attributes. Besides the cluster and its results it returns
+// board 0's NewObserver sink (nil without NewObserver), where a driver
+// records run-level figures once.
+func runCluster(cfg Config, ccfg cluster.Config, policy string, seq workload.Sequence, opts func(i int) cluster.SubmitOptions) (*cluster.Cluster, []cluster.Result, obs.Sink, error) {
+	mk, err := Policy(policy)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var first obs.Sink
+	if cfg.NewObserver != nil {
+		boards := append([]hv.Config(nil), ccfg.BoardConfigs...)
+		if boards == nil {
+			boards = make([]hv.Config, ccfg.Boards)
+			for i := range boards {
+				boards[i] = ccfg.HV
+			}
+		}
+		for i := range boards {
+			var sink obs.Sink
+			if boards[i], sink = cfg.observed(boards[i]); i == 0 {
+				first = sink
+			}
+		}
+		ccfg.BoardConfigs = boards
+	}
+	eng := sim.NewEngine()
+	defer countEvents(eng)
+	cl, err := cluster.New(eng, ccfg, mk)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for i, ev := range seq {
+		var o cluster.SubmitOptions
+		if opts != nil {
+			o = opts(i)
+		}
+		if err := cl.SubmitWith(cachedGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival, o); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	res, err := cl.Run()
+	return cl, res, first, err
 }
 
 // idOffset separates AppIDs of different sequences when results are
@@ -219,84 +323,69 @@ func RunScenario(cfg Config, scenario workload.Scenario, policyNames []string) (
 }
 
 func runSpec(cfg Config, spec workload.Spec, scenario workload.Scenario, policyNames []string) (*ScenarioData, error) {
-	out, err := runSpecs([]specRun{{cfg: cfg, spec: spec, scenario: scenario, policies: policyNames}})
+	out, err := runSpecs(policyNames, []specRun{{cfg: cfg, spec: spec, scenario: scenario}})
 	if err != nil {
 		return nil, err
 	}
 	return out[0], nil
 }
 
-// specRun is one stimulus to replay: a (config, spec, policy-set) triple.
-// Batch runners (ablation, sweeps) submit several at once so every
-// underlying (sequence, policy) simulation lands in one worker pool.
+// specRun is one stimulus to replay: a (config, spec) pair. Batch
+// runners (ablation, sweeps) submit several at once so every underlying
+// (sequence, policy) simulation lands in one worker pool.
 type specRun struct {
 	cfg      Config
 	spec     workload.Spec
 	scenario workload.Scenario
-	policies []string
 }
 
-// runSpecs replays every spec under every one of its policies, fanning
-// all independent (spec, sequence, policy) simulations across the worker
-// pool and assembling each ScenarioData in the exact order the serial
-// loops produced it, so downstream statistics see identical inputs.
-func runSpecs(runs []specRun) ([]*ScenarioData, error) {
-	// Generate stimuli up front (cheap, deterministic) so job closures
-	// capture ready-made sequences.
-	seqsByRun := make([][]workload.Sequence, len(runs))
-	for ri, run := range runs {
-		seqs := workload.GenerateTest(run.spec, run.cfg.Seed)
-		if run.cfg.Sequences < len(seqs) {
-			seqs = seqs[:run.cfg.Sequences]
-		}
-		seqsByRun[ri] = seqs
-	}
-	var jobs []func(context.Context) ([]hv.Result, error)
-	for ri, run := range runs {
-		run := run
-		for si, seq := range seqsByRun[ri] {
-			si, seq := si, seq
-			for _, pol := range run.policies {
-				pol := pol
-				jobs = append(jobs, func(context.Context) ([]hv.Result, error) {
-					res, err := RunSequence(run.cfg, pol, seq)
-					if err != nil {
-						return nil, fmt.Errorf("scenario %v, sequence %d, policy %s: %w", run.scenario, si, pol, err)
-					}
-					for i := range res {
-						res[i].AppID += int64(si) * idOffset
-					}
-					return res, nil
-				})
-			}
-		}
-	}
-	results, err := runJobs(runs[0].cfg.workers(), jobs)
-	if err != nil {
-		return nil, err
+// runSpecs replays every spec under every policy and assembles each
+// ScenarioData in (sequence, policy) order, so downstream statistics see
+// identical inputs at any worker count. The sweep's cells are the
+// (spec, sequence) pairs and its inner axis the policies, so each
+// sequence is generated once for all of them.
+func runSpecs(policyNames []string, runs []specRun) ([]*ScenarioData, error) {
+	type cell struct {
+		run  specRun
+		data *ScenarioData
+		si   int
+		seq  workload.Sequence
 	}
 	out := make([]*ScenarioData, len(runs))
-	ji := 0
+	var cells []cell
 	for ri, run := range runs {
-		data := &ScenarioData{
+		out[ri] = &ScenarioData{
 			Scenario:    run.scenario,
 			Results:     map[string][]hv.Result{},
 			PerSequence: map[string][][]hv.Result{},
 			SingleSlot:  map[int64]sim.Duration{},
 		}
-		for si, seq := range seqsByRun[ri] {
-			for _, pol := range run.policies {
-				res := results[ji]
-				ji++
-				data.Results[pol] = append(data.Results[pol], res...)
-				data.PerSequence[pol] = append(data.PerSequence[pol], res)
-			}
-			for i, ev := range seq {
-				id := int64(i+1) + int64(si)*idOffset
-				data.SingleSlot[id] = cachedSingleSlot(run.cfg.HV.Board, ev.App, ev.Batch)
-			}
+		for si, seq := range run.cfg.sequences(run.spec) {
+			cells = append(cells, cell{run: run, data: out[ri], si: si, seq: seq})
 		}
-		out[ri] = data
+	}
+	results, err := sweep(runs[0].cfg, cells, policyNames, func(c cell, _ int, pol string) ([]hv.Result, error) {
+		res, err := RunSequence(c.run.cfg, pol, c.seq)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %v, sequence %d, policy %s: %w", c.run.scenario, c.si, pol, err)
+		}
+		for i := range res {
+			res[i].AppID += int64(c.si) * idOffset
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ci, c := range cells {
+		for pi, pol := range policyNames {
+			c.data.Results[pol] = append(c.data.Results[pol], results[ci][pi]...)
+			c.data.PerSequence[pol] = append(c.data.PerSequence[pol], results[ci][pi])
+		}
+		for i, ev := range c.seq {
+			id := int64(i+1) + int64(c.si)*idOffset
+			c.data.SingleSlot[id] = cachedSingleSlot(c.run.cfg.HV.Board, ev.App, ev.Batch)
+		}
 	}
 	return out, nil
 }

@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"nimblock/internal/cluster"
-	"nimblock/internal/core"
 	"nimblock/internal/faults"
 	"nimblock/internal/health"
 	"nimblock/internal/hv"
 	"nimblock/internal/metrics"
 	"nimblock/internal/report"
-	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 	"nimblock/internal/workload"
 )
@@ -86,113 +83,89 @@ func failoverSchedule(mtbf sim.Duration, recovery sim.Duration) []faults.BoardEv
 // must waste less fabric work than re-execution, which is the
 // experiment's headline comparison.
 func Failover(cfg Config) (*FailoverResult, error) {
-	spec := workload.Spec{Scenario: workload.Stress, Events: cfg.Events}
-	seqs := workload.GenerateTest(spec, cfg.Seed)
-	if cfg.Sequences < len(seqs) {
-		seqs = seqs[:cfg.Sequences]
+	type cell struct {
+		mtbf, rec sim.Duration
+		mode      string
 	}
-
+	var cells []cell
+	for _, mtbf := range FailoverMTBFs {
+		for _, rec := range FailoverRecoveries {
+			for _, mode := range failoverCkptModes {
+				cells = append(cells, cell{mtbf, rec, mode})
+			}
+		}
+	}
 	type failoverRun struct {
 		completed, failed int
 		responses         []float64
 		stats             health.Stats
 		until             sim.Time
 	}
-	var jobs []func(context.Context) (failoverRun, error)
-	for _, mtbf := range FailoverMTBFs {
-		mtbf := mtbf
-		for _, rec := range FailoverRecoveries {
-			rec := rec
-			for _, mode := range failoverCkptModes {
-				mode := mode
-				for si, seq := range seqs {
-					si, seq := si, seq
-					jobs = append(jobs, func(context.Context) (failoverRun, error) {
-						eng := sim.NewEngine()
-						defer countEvents(eng)
-						hcfg := cfg.HV
-						if mode == "on" {
-							hcfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 50 * sim.Millisecond}
-						}
-						ccfg := cluster.Config{
-							Boards:      failoverBoards,
-							HV:          hcfg,
-							Dispatch:    cluster.LeastPending,
-							Seed:        cfg.Seed,
-							Health:      &health.Options{RetryBudget: 3},
-							BoardFaults: failoverSchedule(mtbf, rec),
-						}
-						cl, err := cluster.New(eng, ccfg, func(b hv.Config) sched.Scheduler {
-							return core.New(core.DefaultOptions(), b.Board)
-						})
-						if err != nil {
-							return failoverRun{}, err
-						}
-						for _, ev := range seq {
-							if err := cl.Submit(cachedGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival); err != nil {
-								return failoverRun{}, err
-							}
-						}
-						res, err := cl.Run()
-						if err != nil {
-							return failoverRun{}, fmt.Errorf("failover mtbf %v, recovery %v, ckpt %s, sequence %d: %w",
-								mtbf, rec, mode, si, err)
-						}
-						run := failoverRun{stats: cl.FailoverStats(), until: eng.Now()}
-						for _, r := range res {
-							switch {
-							case r.Failed:
-								run.failed++
-							default:
-								run.completed++
-								run.responses = append(run.responses, r.Response.Seconds())
-							}
-						}
-						if run.completed+run.failed != len(seq) {
-							return failoverRun{}, fmt.Errorf("failover mtbf %v, recovery %v, ckpt %s, sequence %d: %d+%d results for %d submissions",
-								mtbf, rec, mode, si, run.completed, run.failed, len(seq))
-						}
-						return run, nil
-					})
-				}
+	seqs := cfg.sequences(workload.Spec{Scenario: workload.Stress, Events: cfg.Events})
+	runs, err := sweep(cfg, cells, seqs, func(c cell, si int, seq workload.Sequence) (failoverRun, error) {
+		hcfg := cfg.HV
+		if c.mode == "on" {
+			hcfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 50 * sim.Millisecond}
+		}
+		cl, res, _, err := runCluster(cfg, cluster.Config{
+			Boards:      failoverBoards,
+			HV:          hcfg,
+			Dispatch:    cluster.LeastPending,
+			Seed:        cfg.Seed,
+			Health:      &health.Options{RetryBudget: 3},
+			BoardFaults: failoverSchedule(c.mtbf, c.rec),
+		}, "Nimblock", seq, nil)
+		if err != nil {
+			return failoverRun{}, fmt.Errorf("failover mtbf %v, recovery %v, ckpt %s, sequence %d: %w",
+				c.mtbf, c.rec, c.mode, si, err)
+		}
+		run := failoverRun{stats: cl.FailoverStats(), until: cl.Now()}
+		for _, r := range res {
+			switch {
+			case r.Failed:
+				run.failed++
+			default:
+				run.completed++
+				run.responses = append(run.responses, r.Response.Seconds())
 			}
 		}
-	}
-	results, err := runJobs(cfg.workers(), jobs)
+		if run.completed+run.failed != len(seq) {
+			return failoverRun{}, fmt.Errorf("failover mtbf %v, recovery %v, ckpt %s, sequence %d: %d+%d results for %d submissions",
+				c.mtbf, c.rec, c.mode, si, run.completed, run.failed, len(seq))
+		}
+		return run, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := &FailoverResult{Cells: map[sim.Duration]map[sim.Duration]map[string]FailoverCell{}}
-	ji := 0
-	for _, mtbf := range FailoverMTBFs {
-		out.Cells[mtbf] = map[sim.Duration]map[string]FailoverCell{}
-		for _, rec := range FailoverRecoveries {
-			out.Cells[mtbf][rec] = map[string]FailoverCell{}
-			for _, mode := range failoverCkptModes {
-				cell := FailoverCell{}
-				var responses []float64
-				var elapsed float64
-				for range seqs {
-					run := results[ji]
-					ji++
-					cell.Completed += run.completed
-					cell.Failed += run.failed
-					cell.Deaths += run.stats.Deaths
-					cell.Recoveries += run.stats.Recoveries
-					cell.WastedWork += run.stats.WastedWork.Seconds()
-					cell.MigratedWork += run.stats.MigratedWork.Seconds()
-					cell.MigratedItems += run.stats.MigratedItems
-					responses = append(responses, run.responses...)
-					elapsed += sim.Duration(run.until).Seconds()
-				}
-				if elapsed > 0 {
-					cell.Goodput = float64(cell.Completed) / elapsed
-				}
-				cell.P99Response = metrics.Percentile(responses, 99)
-				out.Cells[mtbf][rec][mode] = cell
-			}
+	for ci, c := range cells {
+		var cell FailoverCell
+		var responses []float64
+		var elapsed float64
+		for _, run := range runs[ci] {
+			cell.Completed += run.completed
+			cell.Failed += run.failed
+			cell.Deaths += run.stats.Deaths
+			cell.Recoveries += run.stats.Recoveries
+			cell.WastedWork += run.stats.WastedWork.Seconds()
+			cell.MigratedWork += run.stats.MigratedWork.Seconds()
+			cell.MigratedItems += run.stats.MigratedItems
+			responses = append(responses, run.responses...)
+			elapsed += sim.Duration(run.until).Seconds()
 		}
+		if elapsed > 0 {
+			cell.Goodput = float64(cell.Completed) / elapsed
+		}
+		cell.P99Response = metrics.Percentile(responses, 99)
+		if out.Cells[c.mtbf] == nil {
+			out.Cells[c.mtbf] = map[sim.Duration]map[string]FailoverCell{}
+		}
+		if out.Cells[c.mtbf][c.rec] == nil {
+			out.Cells[c.mtbf][c.rec] = map[string]FailoverCell{}
+		}
+		out.Cells[c.mtbf][c.rec][c.mode] = cell
 	}
 	return out, nil
 }

@@ -267,9 +267,9 @@ func RunAblation(cfg Config) (*AblationData, error) {
 	runs := make([]specRun, 0, len(AblationBatchSizes))
 	for _, batch := range AblationBatchSizes {
 		spec := workload.Spec{Scenario: workload.Stress, Events: cfg.Events, FixedBatch: batch}
-		runs = append(runs, specRun{cfg: cfg, spec: spec, scenario: workload.Stress, policies: AblationNames})
+		runs = append(runs, specRun{cfg: cfg, spec: spec, scenario: workload.Stress})
 	}
-	datas, err := runSpecs(runs)
+	datas, err := runSpecs(AblationNames, runs)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"nimblock/internal/fleet"
-	"nimblock/internal/hv"
 	"nimblock/internal/metrics"
 	"nimblock/internal/obs"
 	"nimblock/internal/report"
-	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 	"nimblock/internal/workload"
 )
@@ -68,7 +66,8 @@ type FleetResult struct {
 // (when non-nil, e.g. under -serve) receives the largest cell's
 // per-shard instruments.
 func Fleet(cfg Config, reg *obs.Registry) (*FleetResult, error) {
-	if _, err := NewPolicy("Nimblock", cfg.HV.Board); err != nil {
+	nimblock, err := Policy("Nimblock")
+	if err != nil {
 		return nil, err
 	}
 	scales := FleetScales
@@ -98,13 +97,7 @@ func Fleet(cfg Config, reg *obs.Registry) (*FleetResult, error) {
 			// can hold in flight; sized so the sweep's rates never hit it.
 			MaxOutstanding: boards * 64,
 			Registry:       cellReg,
-		}, func(b hv.Config) sched.Scheduler {
-			p, perr := NewPolicy("Nimblock", b.Board)
-			if perr != nil {
-				panic(perr) // validated above; unreachable
-			}
-			return p
-		})
+		}, nimblock)
 		if err != nil {
 			return nil, err
 		}

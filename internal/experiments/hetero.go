@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"nimblock/internal/cluster"
@@ -9,7 +8,6 @@ import (
 	"nimblock/internal/metrics"
 	"nimblock/internal/obs"
 	"nimblock/internal/report"
-	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 	"nimblock/internal/workload"
 )
@@ -91,118 +89,76 @@ func heteroBoardConfigs(base hv.Config, ratio float64) []hv.Config {
 // latency. Placement is hetero-aware (scores fold in each board's
 // latency scale and width); within a board the swept policy schedules.
 func Hetero(cfg Config) (*HeteroResult, error) {
-	for _, pol := range HeteroPolicyNames {
-		if _, err := NewPolicy(pol, cfg.HV.Board); err != nil {
-			return nil, err
+	type cell struct {
+		ratio float64
+		pol   string
+	}
+	var cells []cell
+	for _, ratio := range HeteroRatios {
+		for _, pol := range HeteroPolicyNames {
+			cells = append(cells, cell{ratio, pol})
 		}
 	}
-	spec := workload.Spec{Scenario: workload.Stress, Events: cfg.Events}
-	seqs := workload.GenerateTest(spec, cfg.Seed)
-	if cfg.Sequences < len(seqs) {
-		seqs = seqs[:cfg.Sequences]
-	}
-
 	type heteroRun struct {
 		energy    hv.EnergyStats
 		service   map[string]sim.Duration
 		responses []float64
 	}
-	var jobs []func(context.Context) (heteroRun, error)
-	for _, ratio := range HeteroRatios {
-		ratio := ratio
-		for _, pol := range HeteroPolicyNames {
-			pol := pol
-			for si, seq := range seqs {
-				si, seq := si, seq
-				jobs = append(jobs, func(context.Context) (heteroRun, error) {
-					eng := sim.NewEngine()
-					defer countEvents(eng)
-					bcfgs := heteroBoardConfigs(cfg.HV, ratio)
-					var sink obs.Sink
-					if cfg.NewObserver != nil {
-						sink = cfg.NewObserver()
-						for i := range bcfgs {
-							bcfgs[i].Observer = obs.Tee(bcfgs[i].Observer, sink)
-						}
-					}
-					cl, err := cluster.New(eng, cluster.Config{
-						Boards:       heteroBoards,
-						HV:           cfg.HV,
-						BoardConfigs: bcfgs,
-						Dispatch:     cluster.HeteroAware,
-						Seed:         cfg.Seed,
-					}, func(b hv.Config) sched.Scheduler {
-						p, perr := NewPolicy(pol, b.Board)
-						if perr != nil {
-							panic(perr) // validated above; unreachable
-						}
-						return p
-					})
-					if err != nil {
-						return heteroRun{}, err
-					}
-					for i, ev := range seq {
-						err := cl.SubmitWith(cachedGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival,
-							cluster.SubmitOptions{Tenant: heteroTenants[i%2], Weight: 1})
-						if err != nil {
-							return heteroRun{}, err
-						}
-					}
-					// Drain the engine before collecting: the clock stops at
-					// the last event (the makespan), so the energy sample
-					// integrates static power over the time the batch
-					// actually needed — cluster.Run alone would advance the
-					// clock to the idle horizon and drown the signal.
-					eng.Run()
-					run := heteroRun{energy: cl.Energy(), service: cl.TenantServices()}
-					res, err := cl.Run()
-					if err != nil {
-						return heteroRun{}, fmt.Errorf("hetero ratio %v, policy %s, sequence %d: %w", ratio, pol, si, err)
-					}
-					for _, r := range res {
-						run.responses = append(run.responses, r.Response.Seconds())
-					}
-					if m, ok := sink.(*obs.Metrics); ok {
-						m.RecordEnergy(run.energy.StaticJoules, run.energy.ActiveJoules)
-						m.RecordFairness(metrics.JainIndex(serviceVector(run.service)))
-					}
-					return run, nil
-				})
-			}
-		}
+	tenants := func(i int) cluster.SubmitOptions {
+		return cluster.SubmitOptions{Tenant: heteroTenants[i%2], Weight: 1}
 	}
-	results, err := runJobs(cfg.workers(), jobs)
+	seqs := cfg.sequences(workload.Spec{Scenario: workload.Stress, Events: cfg.Events})
+	runs, err := sweep(cfg, cells, seqs, func(c cell, si int, seq workload.Sequence) (heteroRun, error) {
+		cl, res, sink, err := runCluster(cfg, cluster.Config{
+			Boards:       heteroBoards,
+			HV:           cfg.HV,
+			BoardConfigs: heteroBoardConfigs(cfg.HV, c.ratio),
+			Dispatch:     cluster.HeteroAware,
+			Seed:         cfg.Seed,
+		}, c.pol, seq, tenants)
+		if err != nil {
+			return heteroRun{}, fmt.Errorf("hetero ratio %v, policy %s, sequence %d: %w", c.ratio, c.pol, si, err)
+		}
+		// Run drains to the makespan, so the energy sample integrates
+		// static power over the time the batch actually needed.
+		run := heteroRun{energy: cl.Energy(), service: cl.TenantServices()}
+		for _, r := range res {
+			run.responses = append(run.responses, r.Response.Seconds())
+		}
+		if m, ok := sink.(*obs.Metrics); ok {
+			m.RecordEnergy(run.energy.StaticJoules, run.energy.ActiveJoules)
+			m.RecordFairness(metrics.JainIndex(serviceVector(run.service)))
+		}
+		return run, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := &HeteroResult{Cells: map[float64]map[string]HeteroCell{}}
-	ji := 0
-	for _, ratio := range HeteroRatios {
-		out.Cells[ratio] = map[string]HeteroCell{}
-		for _, pol := range HeteroPolicyNames {
-			cell := HeteroCell{}
-			var responses []float64
-			service := map[string]sim.Duration{}
-			for range seqs {
-				run := results[ji]
-				ji++
-				cell.StaticJoules += run.energy.StaticJoules
-				cell.ActiveJoules += run.energy.ActiveJoules
-				cell.Completed += len(run.responses)
-				responses = append(responses, run.responses...)
-				for tenant, d := range run.service {
-					service[tenant] += d
-				}
+	for ci, c := range cells {
+		var cell HeteroCell
+		var responses []float64
+		service := map[string]sim.Duration{}
+		for _, run := range runs[ci] {
+			cell.StaticJoules += run.energy.StaticJoules
+			cell.ActiveJoules += run.energy.ActiveJoules
+			cell.Completed += len(run.responses)
+			responses = append(responses, run.responses...)
+			for tenant, d := range run.service {
+				service[tenant] += d
 			}
-			if cell.Completed > 0 {
-				cell.JoulesPerBatch = (cell.StaticJoules + cell.ActiveJoules) / float64(cell.Completed)
-			}
-			cell.Jain = metrics.JainIndex(serviceVector(service))
-			cell.MeanResponse = metrics.Mean(responses)
-			cell.P99Response = metrics.Percentile(responses, 99)
-			out.Cells[ratio][pol] = cell
 		}
+		if cell.Completed > 0 {
+			cell.JoulesPerBatch = (cell.StaticJoules + cell.ActiveJoules) / float64(cell.Completed)
+		}
+		cell.Jain = metrics.JainIndex(serviceVector(service))
+		cell.MeanResponse = metrics.Mean(responses)
+		cell.P99Response = metrics.Percentile(responses, 99)
+		if out.Cells[c.ratio] == nil {
+			out.Cells[c.ratio] = map[string]HeteroCell{}
+		}
+		out.Cells[c.ratio][c.pol] = cell
 	}
 	return out, nil
 }

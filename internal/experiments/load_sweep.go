@@ -38,9 +38,9 @@ func LoadSweep(cfg Config) (*LoadSweepResult, error) {
 				"LeNet", "ImageCompression", "3DRendering", "OpticalFlow", "AlexNet",
 			},
 		}
-		runs = append(runs, specRun{cfg: cfg, spec: spec, scenario: workload.Stress, policies: loadSweepPolicies})
+		runs = append(runs, specRun{cfg: cfg, spec: spec, scenario: workload.Stress})
 	}
-	datas, err := runSpecs(runs)
+	datas, err := runSpecs(loadSweepPolicies, runs)
 	if err != nil {
 		return nil, fmt.Errorf("load sweep: %w", err)
 	}

@@ -5,11 +5,11 @@ import (
 	"math/rand"
 
 	"nimblock/internal/apps"
-	"nimblock/internal/hv"
 	"nimblock/internal/metrics"
 	"nimblock/internal/optsched"
 	"nimblock/internal/report"
 	"nimblock/internal/sim"
+	"nimblock/internal/workload"
 )
 
 // OptimalityResult measures the price of online scheduling: Nimblock
@@ -43,57 +43,37 @@ func Optimality(cfg Config) (*OptimalityResult, error) {
 	for i := 0; i < instances; i++ {
 		nJobs := 2 + rng.Intn(2) // 2-3 jobs of 3 tasks: <= 1680 orders
 		var jobs []optsched.Job
+		var seq workload.Sequence // the same jobs, unsorted, for online replay
 		for j := 0; j < nJobs; j++ {
 			name := smallPool[rng.Intn(len(smallPool)-1)] // exclude DR for runtime
-			jobs = append(jobs, optsched.Job{
-				Graph:    apps.MustGraph(name),
+			ev := workload.Event{
+				App:      name,
 				Batch:    1 + rng.Intn(5),
 				Priority: 3,
 				Arrival:  sim.Time(rng.Intn(500)) * sim.Time(sim.Millisecond),
-			})
+			}
+			seq = append(seq, ev)
+			jobs = append(jobs, optsched.Job{Graph: cachedGraph(name), Batch: ev.Batch, Priority: ev.Priority, Arrival: ev.Arrival})
 		}
 		best, visited, err := optsched.Best(jobs, cfg.HV, 2000)
 		if err != nil {
 			return nil, fmt.Errorf("optimality instance %d: %w", i, err)
 		}
 		out.Orders += visited
-		nim, err := runNimblockJobs(cfg, jobs)
+		_, res, err := runBoard(cfg, "Nimblock", seq)
 		if err != nil {
 			return nil, err
 		}
+		var total sim.Duration
+		for _, r := range res {
+			total += r.Response
+		}
+		nim := total / sim.Duration(len(res))
 		out.PerInstance = append(out.PerInstance, [2]float64{best.MeanResponse.Seconds(), nim.Seconds()})
 		gaps = append(gaps, float64(nim)/float64(best.MeanResponse))
 	}
 	out.MeanGap = metrics.Mean(gaps)
 	return out, nil
-}
-
-// runNimblockJobs replays an optsched instance under online Nimblock.
-func runNimblockJobs(cfg Config, jobs []optsched.Job) (sim.Duration, error) {
-	pol, err := NewPolicy("Nimblock", cfg.HV.Board)
-	if err != nil {
-		return 0, err
-	}
-	eng := sim.NewEngine()
-	defer countEvents(eng)
-	h, err := hv.New(eng, cfg.HV, pol)
-	if err != nil {
-		return 0, err
-	}
-	for _, j := range jobs {
-		if err := h.Submit(j.Graph, j.Batch, j.Priority, j.Arrival); err != nil {
-			return 0, err
-		}
-	}
-	res, err := h.Run()
-	if err != nil {
-		return 0, err
-	}
-	var total sim.Duration
-	for _, r := range res {
-		total += r.Response
-	}
-	return total / sim.Duration(len(res)), nil
 }
 
 // Render prints the study.

@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"nimblock/internal/admit"
 	"nimblock/internal/cluster"
-	"nimblock/internal/hv"
 	"nimblock/internal/metrics"
 	"nimblock/internal/obs"
 	"nimblock/internal/report"
-	"nimblock/internal/sched"
-	"nimblock/internal/sim"
 	"nimblock/internal/workload"
 )
 
@@ -88,35 +84,48 @@ func overloadBaseRate(cfg Config) float64 {
 	return float64(overloadBoards*cfg.HV.Board.Slots) / mean
 }
 
-// overloadRun is one sequence replayed against one admission-fronted
-// cluster.
-type overloadRun struct {
-	responses []float64
-	stats     admit.Stats
-}
-
 // Overload sweeps Poisson arrival rate past saturation and measures how
 // the admission-fronted cluster degrades. reg, when non-nil, receives
 // the live admit_* counters/gauges from every run (the -serve
 // side-channel); pass nil when only the returned aggregates matter.
 func Overload(cfg Config, reg *obs.Registry) (*OverloadResult, error) {
 	base := overloadBaseRate(cfg)
-	type job = func(context.Context) (overloadRun, error)
-	var jobs []job
-	for _, m := range OverloadMultipliers {
-		rate := base * m
-		for s := 0; s < cfg.Sequences; s++ {
-			// Same per-sequence seed at every multiplier: the generator
-			// draws jobs and gaps from one stream, so each operating point
-			// replays the identical job mix with arrival gaps compressed by
-			// the rate — the sweep isolates the rate effect.
-			seed := cfg.Seed + int64(s)*1_000_003
-			jobs = append(jobs, func(context.Context) (overloadRun, error) {
-				return runOverloadOnce(cfg, rate, seed, reg)
-			})
-		}
+	// Same per-sequence seed at every multiplier: the generator draws
+	// jobs and gaps from one stream, so each operating point replays the
+	// identical job mix with arrival gaps compressed by the rate — the
+	// sweep isolates the rate effect.
+	seeds := make([]int64, cfg.Sequences)
+	for s := range seeds {
+		seeds[s] = cfg.Seed + int64(s)*1_000_003
 	}
-	runs, err := runJobs(cfg.workers(), jobs)
+	type overloadRun struct {
+		responses []float64
+		stats     admit.Stats
+	}
+	runs, err := sweep(cfg, OverloadMultipliers, seeds, func(m float64, _ int, seed int64) (overloadRun, error) {
+		seq := workload.Generate(workload.Spec{
+			Events:      cfg.Events,
+			PoissonRate: base * m,
+			BatchCap:    overloadBatchCap,
+			Pool:        overloadPool,
+		}, seed)
+		cl, results, _, err := runCluster(cfg, cluster.Config{
+			Boards:    overloadBoards,
+			HV:        cfg.HV,
+			Dispatch:  cluster.LeastLoaded,
+			Admission: overloadAdmission(reg),
+		}, "Nimblock", seq, nil)
+		if err != nil {
+			return overloadRun{}, err
+		}
+		run := overloadRun{stats: cl.AdmissionStats()}
+		for _, r := range results {
+			if !r.Rejected {
+				run.responses = append(run.responses, r.Response.Seconds())
+			}
+		}
+		return run, nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("overload: %w", err)
 	}
@@ -128,8 +137,7 @@ func Overload(cfg Config, reg *obs.Registry) (*OverloadResult, error) {
 	for mi, m := range OverloadMultipliers {
 		pt := &OverloadPoint{Multiplier: m, Rate: base * m}
 		var responses []float64
-		for s := 0; s < cfg.Sequences; s++ {
-			r := runs[mi*cfg.Sequences+s]
+		for _, r := range runs[mi] {
 			responses = append(responses, r.responses...)
 			pt.Offered += r.stats.Offered
 			pt.Admitted += r.stats.Admitted
@@ -142,59 +150,6 @@ func Overload(cfg Config, reg *obs.Registry) (*OverloadResult, error) {
 		out.Points = append(out.Points, pt)
 	}
 	return out, nil
-}
-
-// runOverloadOnce drives one generated sequence through a fresh
-// admission-fronted cluster and collects admitted-traffic responses.
-func runOverloadOnce(cfg Config, rate float64, seed int64, reg *obs.Registry) (overloadRun, error) {
-	seq := workload.Generate(workload.Spec{
-		Events:      cfg.Events,
-		PoissonRate: rate,
-		BatchCap:    overloadBatchCap,
-		Pool:        overloadPool,
-	}, seed)
-	eng := sim.NewEngine()
-	defer countEvents(eng)
-	hcfg := cfg.HV
-	if cfg.NewObserver != nil {
-		hcfg.Observer = obs.Tee(hcfg.Observer, cfg.NewObserver())
-	}
-	var mkErr error
-	cl, err := cluster.New(eng, cluster.Config{
-		Boards:    overloadBoards,
-		HV:        hcfg,
-		Dispatch:  cluster.LeastLoaded,
-		Admission: overloadAdmission(reg),
-	}, func(board hv.Config) sched.Scheduler {
-		pol, err := NewPolicy("Nimblock", board.Board)
-		if err != nil && mkErr == nil {
-			mkErr = err
-		}
-		return pol
-	})
-	if err != nil {
-		return overloadRun{}, err
-	}
-	if mkErr != nil {
-		return overloadRun{}, mkErr
-	}
-	for _, ev := range seq {
-		if err := cl.Submit(cachedGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival); err != nil {
-			return overloadRun{}, err
-		}
-	}
-	results, err := cl.Run()
-	if err != nil {
-		return overloadRun{}, err
-	}
-	var run overloadRun
-	for _, r := range results {
-		if !r.Rejected {
-			run.responses = append(run.responses, r.Response.Seconds())
-		}
-	}
-	run.stats = cl.AdmissionStats()
-	return run, nil
 }
 
 // Render prints the sweep.

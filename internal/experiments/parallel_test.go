@@ -15,7 +15,6 @@ import (
 func TestPoolPreservesInputOrder(t *testing.T) {
 	jobs := make([]func(context.Context) (int, error), 50)
 	for i := range jobs {
-		i := i
 		jobs[i] = func(context.Context) (int, error) {
 			if i%7 == 0 {
 				time.Sleep(time.Millisecond) // scramble completion order
@@ -39,7 +38,6 @@ func TestPoolPreservesInputOrder(t *testing.T) {
 func TestPoolPropagatesLowestIndexError(t *testing.T) {
 	jobs := make([]func(context.Context) (int, error), 20)
 	for i := range jobs {
-		i := i
 		jobs[i] = func(context.Context) (int, error) {
 			return 0, fmt.Errorf("job %d failed", i)
 		}
@@ -62,7 +60,6 @@ func TestPoolCancelsStragglers(t *testing.T) {
 	var executed atomic.Int64
 	jobs := make([]func(context.Context) (int, error), 200)
 	for i := range jobs {
-		i := i
 		jobs[i] = func(context.Context) (int, error) {
 			executed.Add(1)
 			if i == 0 {
@@ -105,118 +102,85 @@ func TestConfigWorkersResolution(t *testing.T) {
 	}
 }
 
-// The headline determinism guarantee: the parallel runner's ScenarioData
-// is deep-equal to the serial reference across every scenario, and the
-// figures rendered from it are byte-identical.
+// The headline determinism guarantee: every sweep's result is
+// deep-equal between the serial reference (one worker) and the parallel
+// runner, and the figures rendered from the scenario data are
+// byte-identical.
 func TestParallelMatchesSerial(t *testing.T) {
-	serialCfg := quick()
-	serialCfg.Workers = 1
-	parallelCfg := quick()
-	parallelCfg.Workers = 8
+	cases := []struct {
+		name string
+		// costly cases are skipped in -short mode.
+		costly bool
+		run    func(Config) (any, error)
+	}{
+		{name: "scenarios", run: runScenariosAndFigures},
+		{name: "ablation", run: func(c Config) (any, error) { return RunAblation(c) }},
+		{name: "scaleout", run: func(c Config) (any, error) { return ScaleOut(c) }},
+		{name: "chaos", costly: true, run: func(c Config) (any, error) { return Chaos(c) }},
+		{name: "checkpoint", costly: true, run: func(c Config) (any, error) { return CheckpointAblation(c) }},
+		{name: "failover", run: func(c Config) (any, error) { return Failover(c) }},
+		{name: "hetero", run: func(c Config) (any, error) { return Hetero(c) }},
+		{name: "overload", run: func(c Config) (any, error) { return Overload(c, nil) }},
+		{name: "utilization", run: func(c Config) (any, error) { return UtilizationStudy(c) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.costly && testing.Short() {
+				t.Skip("costly sweep; skipped in -short mode")
+			}
+			serialCfg := quick()
+			serialCfg.Workers = 1
+			parallelCfg := quick()
+			parallelCfg.Workers = 8
+			s, err := tc.run(serialCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := tc.run(parallelCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(s, p) {
+				t.Fatalf("results diverge between serial and parallel:\nserial   %+v\nparallel %+v", s, p)
+			}
+		})
+	}
+}
 
-	serialData := map[workload.Scenario]*ScenarioData{}
-	parallelData := map[workload.Scenario]*ScenarioData{}
+// scenarioFigures is every congestion scenario's data with the figures
+// rendered from it.
+type scenarioFigures struct {
+	data    map[workload.Scenario]*ScenarioData
+	figures string
+}
+
+func runScenariosAndFigures(cfg Config) (any, error) {
+	out := scenarioFigures{data: map[workload.Scenario]*ScenarioData{}}
 	for _, sc := range workload.Scenarios() {
-		s, err := RunScenario(serialCfg, sc, PolicyNames)
+		d, err := RunScenario(cfg, sc, PolicyNames)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		p, err := RunScenario(parallelCfg, sc, PolicyNames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(s.Results, p.Results) {
-			t.Fatalf("%v: pooled Results diverge between serial and parallel", sc)
-		}
-		if !reflect.DeepEqual(s.PerSequence, p.PerSequence) {
-			t.Fatalf("%v: PerSequence diverges between serial and parallel", sc)
-		}
-		if !reflect.DeepEqual(s.SingleSlot, p.SingleSlot) {
-			t.Fatalf("%v: SingleSlot diverges between serial and parallel", sc)
-		}
-		serialData[sc] = s
-		parallelData[sc] = p
+		out.data[sc] = d
 	}
-
-	renderAll := func(data map[workload.Scenario]*ScenarioData) string {
-		f5, err := Fig5(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f6, err := Fig6(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f7, err := Fig7(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f8, err := Fig8(data[workload.Standard])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f5.Render() + f6.Render() + f7.Render() + f8.Render()
-	}
-	if renderAll(serialData) != renderAll(parallelData) {
-		t.Fatal("rendered figures differ between serial and parallel runs")
-	}
-}
-
-func TestAblationParallelMatchesSerial(t *testing.T) {
-	serialCfg := quick()
-	serialCfg.Workers = 1
-	parallelCfg := quick()
-	parallelCfg.Workers = 8
-	s, err := RunAblation(serialCfg)
+	f5, err := Fig5(out.data)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	p, err := RunAblation(parallelCfg)
+	f6, err := Fig6(out.data)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if !reflect.DeepEqual(s.PerBatch, p.PerBatch) {
-		t.Fatal("ablation results diverge between serial and parallel")
-	}
-}
-
-func TestScaleOutParallelMatchesSerial(t *testing.T) {
-	serialCfg := quick()
-	serialCfg.Workers = 1
-	parallelCfg := quick()
-	parallelCfg.Workers = 8
-	s, err := ScaleOut(serialCfg)
+	f7, err := Fig7(out.data)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	p, err := ScaleOut(parallelCfg)
+	f8, err := Fig8(out.data[workload.Standard])
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if !reflect.DeepEqual(s.MeanResponse, p.MeanResponse) {
-		t.Fatal("scale-out results diverge between serial and parallel")
-	}
-}
-
-func TestChaosParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos sweep is the most expensive driver; skipped in -short mode")
-	}
-	serialCfg := quick()
-	serialCfg.Workers = 1
-	parallelCfg := quick()
-	parallelCfg.Workers = 8
-	s, err := Chaos(serialCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Chaos(parallelCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s.Cells, p.Cells) {
-		t.Fatal("chaos results diverge between serial and parallel")
-	}
+	out.figures = f5.Render() + f6.Render() + f7.Render() + f8.Render()
+	return out, nil
 }
 
 // A failing run surfaces the error through the pool rather than hanging

@@ -46,9 +46,9 @@ func ReconfigSweep(cfg Config) (*ReconfigSweepResult, error) {
 		c.HV.Board.CAPBytesPerSec = cfg.HV.Board.CAPBytesPerSec / pt.Scale
 		c.HV.Board.SDBytesPerSec = cfg.HV.Board.SDBytesPerSec / pt.Scale
 		spec := workload.Spec{Scenario: workload.Stress, Events: c.Events}
-		runs = append(runs, specRun{cfg: c, spec: spec, scenario: workload.Stress, policies: pols})
+		runs = append(runs, specRun{cfg: c, spec: spec, scenario: workload.Stress})
 	}
-	datas, err := runSpecs(runs)
+	datas, err := runSpecs(pols, runs)
 	if err != nil {
 		return nil, fmt.Errorf("reconfig sweep: %w", err)
 	}

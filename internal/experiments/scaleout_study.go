@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"nimblock/internal/cluster"
-	"nimblock/internal/core"
-	"nimblock/internal/hv"
 	"nimblock/internal/metrics"
 	"nimblock/internal/report"
-	"nimblock/internal/sched"
-	"nimblock/internal/sim"
 	"nimblock/internal/workload"
 )
 
@@ -36,61 +31,42 @@ type ScaleOutResult struct {
 // reassembled in sequence order so the means are byte-identical to the
 // serial path.
 func ScaleOut(cfg Config) (*ScaleOutResult, error) {
-	seqs := workload.GenerateTest(workload.Spec{Scenario: workload.Stress, Events: cfg.Events}, cfg.Seed)
-	if cfg.Sequences < len(seqs) {
-		seqs = seqs[:cfg.Sequences]
+	type cell struct {
+		boards int
+		d      cluster.Dispatch
 	}
-	var jobs []func(context.Context) ([]float64, error)
+	var cells []cell
 	for _, boards := range ScaleOutBoards {
-		boards := boards
 		for _, d := range scaleOutDispatches {
-			d := d
-			for si, seq := range seqs {
-				si, seq := si, seq
-				jobs = append(jobs, func(context.Context) ([]float64, error) {
-					eng := sim.NewEngine()
-					defer countEvents(eng)
-					ccfg := cluster.Config{Boards: boards, HV: cfg.HV, Dispatch: d, Seed: cfg.Seed}
-					cl, err := cluster.New(eng, ccfg, func(b hv.Config) sched.Scheduler {
-						return core.New(core.DefaultOptions(), b.Board)
-					})
-					if err != nil {
-						return nil, err
-					}
-					for _, ev := range seq {
-						if err := cl.Submit(cachedGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival); err != nil {
-							return nil, err
-						}
-					}
-					res, err := cl.Run()
-					if err != nil {
-						return nil, fmt.Errorf("scale-out %d boards, %v, sequence %d: %w", boards, d, si, err)
-					}
-					resp := make([]float64, len(res))
-					for i, r := range res {
-						resp[i] = r.Response.Seconds()
-					}
-					return resp, nil
-				})
-			}
+			cells = append(cells, cell{boards, d})
 		}
 	}
-	results, err := runJobs(cfg.workers(), jobs)
+	seqs := cfg.sequences(workload.Spec{Scenario: workload.Stress, Events: cfg.Events})
+	runs, err := sweep(cfg, cells, seqs, func(c cell, si int, seq workload.Sequence) ([]float64, error) {
+		ccfg := cluster.Config{Boards: c.boards, HV: cfg.HV, Dispatch: c.d, Seed: cfg.Seed}
+		_, res, _, err := runCluster(cfg, ccfg, "Nimblock", seq, nil)
+		if err != nil {
+			return nil, fmt.Errorf("scale-out %d boards, %v, sequence %d: %w", c.boards, c.d, si, err)
+		}
+		resp := make([]float64, len(res))
+		for i, r := range res {
+			resp[i] = r.Response.Seconds()
+		}
+		return resp, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	out := &ScaleOutResult{MeanResponse: map[int]map[cluster.Dispatch]float64{}}
-	ji := 0
-	for _, boards := range ScaleOutBoards {
-		out.MeanResponse[boards] = map[cluster.Dispatch]float64{}
-		for _, d := range scaleOutDispatches {
-			var all []float64
-			for range seqs {
-				all = append(all, results[ji]...)
-				ji++
-			}
-			out.MeanResponse[boards][d] = metrics.Mean(all)
+	for ci, c := range cells {
+		var all []float64
+		for _, resp := range runs[ci] {
+			all = append(all, resp...)
 		}
+		if out.MeanResponse[c.boards] == nil {
+			out.MeanResponse[c.boards] = map[cluster.Dispatch]float64{}
+		}
+		out.MeanResponse[c.boards][c.d] = metrics.Mean(all)
 	}
 	return out, nil
 }

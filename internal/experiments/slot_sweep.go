@@ -29,9 +29,9 @@ func SlotSweep(cfg Config) (*SlotSweepResult, error) {
 		c := cfg
 		c.HV.Board.Slots = slots
 		spec := workload.Spec{Scenario: workload.Stress, Events: c.Events}
-		runs = append(runs, specRun{cfg: c, spec: spec, scenario: workload.Stress, policies: PolicyNames})
+		runs = append(runs, specRun{cfg: c, spec: spec, scenario: workload.Stress})
 	}
-	datas, err := runSpecs(runs)
+	datas, err := runSpecs(PolicyNames, runs)
 	if err != nil {
 		return nil, fmt.Errorf("slot sweep: %w", err)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"nimblock/internal/hv"
 	"nimblock/internal/metrics"
 	"nimblock/internal/report"
 	"nimblock/internal/sim"
@@ -26,44 +25,33 @@ type UtilizationResult struct {
 // UtilizationStudy measures slot occupancy under the stress scenario for
 // every policy.
 func UtilizationStudy(cfg Config) (*UtilizationResult, error) {
+	type utilRun struct{ util, span float64 }
+	seqs := cfg.sequences(workload.Spec{Scenario: workload.Stress, Events: cfg.Events})
+	runs, err := sweep(cfg, PolicyNames, seqs, func(pol string, si int, seq workload.Sequence) (utilRun, error) {
+		h, results, err := runBoard(cfg, pol, seq)
+		if err != nil {
+			return utilRun{}, fmt.Errorf("utilization %s sequence %d: %w", pol, si, err)
+		}
+		var makespan sim.Time
+		for _, r := range results {
+			if r.Retire > makespan {
+				makespan = r.Retire
+			}
+		}
+		return utilRun{util: h.Utilization(makespan), span: makespan.Seconds()}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := &UtilizationResult{
 		Utilization: map[string]float64{},
 		Makespan:    map[string]float64{},
 	}
-	seqs := workload.GenerateTest(workload.Spec{Scenario: workload.Stress, Events: cfg.Events}, cfg.Seed)
-	if cfg.Sequences < len(seqs) {
-		seqs = seqs[:cfg.Sequences]
-	}
-	for _, pol := range PolicyNames {
+	for pi, pol := range PolicyNames {
 		var utils, spans []float64
-		for si, seq := range seqs {
-			p, err := NewPolicy(pol, cfg.HV.Board)
-			if err != nil {
-				return nil, err
-			}
-			eng := sim.NewEngine()
-			defer countEvents(eng)
-			h, err := hv.New(eng, cfg.HV, p)
-			if err != nil {
-				return nil, err
-			}
-			for _, ev := range seq {
-				if err := h.Submit(cachedGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival); err != nil {
-					return nil, err
-				}
-			}
-			results, err := h.Run()
-			if err != nil {
-				return nil, fmt.Errorf("utilization %s sequence %d: %w", pol, si, err)
-			}
-			var makespan sim.Time
-			for _, r := range results {
-				if r.Retire > makespan {
-					makespan = r.Retire
-				}
-			}
-			utils = append(utils, h.Utilization(makespan))
-			spans = append(spans, makespan.Seconds())
+		for _, run := range runs[pi] {
+			utils = append(utils, run.util)
+			spans = append(spans, run.span)
 		}
 		out.Utilization[pol] = metrics.Mean(utils)
 		out.Makespan[pol] = metrics.Mean(spans)

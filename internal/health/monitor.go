@@ -75,7 +75,6 @@ func (m *Monitor) Schedule(events []faults.BoardEvent) error {
 		if ev.Board < 0 || ev.Board >= len(m.trackers) {
 			return fmt.Errorf("health: board event %v targets board %d of %d", ev.Kind, ev.Board, len(m.trackers))
 		}
-		ev := ev
 		switch ev.Kind {
 		case faults.BoardCrash:
 			m.eng.At(ev.At, func() { m.crash(ev.Board, ev.Recover) })

@@ -27,19 +27,13 @@ import (
 	"time"
 
 	"nimblock/internal/apps"
-	"nimblock/internal/core"
+	"nimblock/internal/experiments"
 	"nimblock/internal/faults"
 	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
 	"nimblock/internal/interconnect"
 	"nimblock/internal/metrics"
 	"nimblock/internal/sched"
-	"nimblock/internal/sched/baseline"
-	"nimblock/internal/sched/ckpt"
-	"nimblock/internal/sched/energy"
-	"nimblock/internal/sched/fcfs"
-	"nimblock/internal/sched/prema"
-	"nimblock/internal/sched/rr"
 	"nimblock/internal/sim"
 	"nimblock/internal/taskgraph"
 	"nimblock/internal/trace"
@@ -359,23 +353,6 @@ type System struct {
 	energy *hv.EnergyStats
 }
 
-// policies builds each algorithm's scheduler for one board; the
-// Nimblock family plans against the board's shape.
-var policies = map[Algorithm]func(board fpga.Config) sched.Scheduler{
-	AlgoNimblock: func(b fpga.Config) sched.Scheduler {
-		return core.New(core.Options{Preemption: true, Pipelining: true}, b)
-	},
-	AlgoNimblockNoPreempt:       func(b fpga.Config) sched.Scheduler { return core.New(core.Options{Pipelining: true}, b) },
-	AlgoNimblockNoPipe:          func(b fpga.Config) sched.Scheduler { return core.New(core.Options{Preemption: true}, b) },
-	AlgoNimblockNoPreemptNoPipe: func(b fpga.Config) sched.Scheduler { return core.New(core.Options{}, b) },
-	AlgoNimblockCheckpoint:      func(b fpga.Config) sched.Scheduler { return ckpt.New(ckpt.DefaultOptions(), b) },
-	AlgoNimblockEnergy:          func(b fpga.Config) sched.Scheduler { return energy.New(b) },
-	AlgoBaseline:                func(fpga.Config) sched.Scheduler { return baseline.New() },
-	AlgoFCFS:                    func(fpga.Config) sched.Scheduler { return fcfs.New() },
-	AlgoPREMA:                   func(fpga.Config) sched.Scheduler { return prema.New() },
-	AlgoRR:                      func(fpga.Config) sched.Scheduler { return rr.New() },
-}
-
 // boardSet is a Config translated for a set of boards.
 type boardSet struct {
 	// hv configures every board without a spec of its own.
@@ -394,14 +371,11 @@ type boardSet struct {
 // field alike. specs, when non-empty, gives each of the n boards its
 // own capability spec over the shared platform.
 func (cfg Config) boardConfigs(n int, specs []*BoardSpec) (boardSet, error) {
-	mk, ok := policies[cmp.Or(cfg.Algorithm, AlgoNimblock)]
-	if !ok {
+	policy, err := experiments.Policy(string(cmp.Or(cfg.Algorithm, AlgoNimblock)))
+	if err != nil {
 		return boardSet{}, fmt.Errorf("nimblock: unknown algorithm %q", cfg.Algorithm)
 	}
-	set := boardSet{
-		hv:     hv.DefaultConfig(),
-		policy: func(board hv.Config) sched.Scheduler { return mk(board.Board) },
-	}
+	set := boardSet{hv: hv.DefaultConfig(), policy: policy}
 	hcfg := &set.hv
 	if cfg.Slots > 0 {
 		hcfg.Board.Slots = cfg.Slots
