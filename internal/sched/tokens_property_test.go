@@ -3,6 +3,7 @@ package sched_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nimblock/internal/hls"
@@ -97,4 +98,73 @@ func TestTokenAccrualConservation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Property: balances are history-free. One pool accumulates at every
+// instant of a 400 ms tick grid; a second pool, over copies of the same
+// applications, accumulates on a random subset of the grid that still
+// contains every instant an arrival, a retirement or a candidate flip
+// happens on the full grid (the instants a scheduler must not skip). At
+// every instant both pools see, Tokens, Candidate and CandidateSince
+// agree exactly, so skipping the other instants changes nothing.
+func TestTokensAgreeOnTickSubsets(t *testing.T) {
+	const tick = sim.Time(400 * sim.Millisecond)
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		every := randomApps(t, rng, 2+rng.Intn(8))
+		sparse := copyApps(every)
+		poolE, poolS := sched.NewTokenPool(), sched.NewTokenPool()
+		calls := 0
+		for step := 0; step < 300; step++ {
+			now := sim.Time(step) * tick
+			forced := step == 0
+			switch {
+			case len(every) > 1 && rng.Intn(40) == 0:
+				every, sparse = every[1:], sparse[1:]
+				forced = true
+			case rng.Intn(40) == 0:
+				extra := randomApps(t, rng, 1)
+				extra[0].ID = int64(1000 + step)
+				every = append(every, extra[0])
+				sparse = append(sparse, copyApps(extra)...)
+				forced = true
+			}
+			was := candidateFlags(every)
+			poolE.Accumulate(now, every)
+			if !forced && slices.Equal(was, candidateFlags(every)) && rng.Intn(4) != 0 {
+				continue
+			}
+			calls++
+			poolS.Accumulate(now, sparse)
+			for i, e := range every {
+				s := sparse[i]
+				if s.Tokens != e.Tokens || s.Candidate != e.Candidate || s.CandidateSince != e.CandidateSince {
+					t.Fatalf("seed %d at %v app %d: sparse {tokens %v candidate %v since %v}, every tick {%v %v %v}",
+						seed, now, e.ID, s.Tokens, s.Candidate, s.CandidateSince, e.Tokens, e.Candidate, e.CandidateSince)
+				}
+			}
+		}
+		if calls == 300 {
+			t.Fatalf("seed %d: the sparse pool skipped no instant", seed)
+		}
+	}
+}
+
+// copyApps returns shallow copies of apps that have not yet been
+// accumulated, so two pools can track them independently.
+func copyApps(apps []*sched.App) []*sched.App {
+	out := make([]*sched.App, len(apps))
+	for i, a := range apps {
+		cp := *a
+		out[i] = &cp
+	}
+	return out
+}
+
+func candidateFlags(apps []*sched.App) []bool {
+	out := make([]bool, len(apps))
+	for i, a := range apps {
+		out[i] = a.Candidate
+	}
+	return out
 }
