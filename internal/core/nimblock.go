@@ -27,6 +27,7 @@ import (
 	"nimblock/internal/fpga"
 	"nimblock/internal/saturate"
 	"nimblock/internal/sched"
+	"nimblock/internal/sim"
 )
 
 // Options selects Nimblock features; both on is the full algorithm.
@@ -76,6 +77,10 @@ func (s *Scheduler) Name() string {
 
 // Pipelining implements sched.Scheduler.
 func (s *Scheduler) Pipelining() bool { return s.opts.Pipelining }
+
+// NextWake implements sched.Waker: the policy reads the clock only
+// through its token pool.
+func (s *Scheduler) NextWake(w sched.World) sim.Time { return s.pool.NextWake(w.Now(), w.Apps()) }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {

@@ -91,6 +91,7 @@ func (h *Hypervisor) capture(slot int, periodic bool) {
 	}
 	rt.snap = ckptRecord{progress: snap, bytes: h.taskStateBytes(a, task)}
 	rt.xferStart, rt.periodic = h.eng.Now(), periodic
+	h.changes++ // the CAP turns busy; the save is traced when it lands
 	if err := h.board.TransferState(slot, rt.snap.bytes, h.fnsFor(slot).captured); err != nil {
 		h.fail(err)
 	}
@@ -113,7 +114,8 @@ func (h *Hypervisor) captureDone(slot int) {
 	}
 	rt := &h.slots[slot]
 	if !rt.saving {
-		return // the slot was reset mid-save
+		h.changes++ // the CAP may turn idle; no event marks it
+		return      // the slot was reset mid-save
 	}
 	a, task, item := rt.app, rt.task, rt.curItem
 	d := h.eng.Now().Sub(rt.xferStart)
@@ -213,7 +215,8 @@ func (h *Hypervisor) restoreDone(slot int) {
 	}
 	rt := &h.slots[slot]
 	if !rt.restoring {
-		return // the slot was reset mid-restore
+		h.changes++ // as in captureDone
+		return
 	}
 	a, task, item, last := rt.app, rt.task, rt.curItem, rt.snap
 	d := h.eng.Now().Sub(rt.xferStart)

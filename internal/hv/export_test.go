@@ -12,3 +12,7 @@ func (h *Hypervisor) UnretiredApps() []*sched.App {
 	}
 	return out
 }
+
+// Changes reports the board's count of World-visible changes, the
+// counter the tick-skipping rule compares.
+func (h *Hypervisor) Changes() uint64 { return h.changes }

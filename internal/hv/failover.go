@@ -189,6 +189,7 @@ func (h *Hypervisor) Abort(id int64) (bool, sim.Duration) {
 		h.wake(sched.ReasonSlotFree)
 	}
 	app.MarkAborted()
+	h.changes++ // an abort emits no event
 	h.apps = without(h.apps, app)
 	h.pending = without(h.pending, app)
 	h.transit = without(h.transit, app)

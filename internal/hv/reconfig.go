@@ -62,7 +62,8 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 	if a.Retired() {
 		// Hedge-cancelled mid-reconfiguration (a configuring task never
 		// lets an app retire normally): drop the stream's result and
-		// free the slot for live work.
+		// free the slot for live work. No event marks the change.
+		h.changes++
 		if err == nil {
 			if h.vacate(slot) != nil {
 				return

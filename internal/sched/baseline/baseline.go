@@ -9,6 +9,7 @@ package baseline
 
 import (
 	"nimblock/internal/sched"
+	"nimblock/internal/sim"
 )
 
 // Scheduler is the no-sharing policy.
@@ -24,6 +25,10 @@ func (s *Scheduler) Name() string { return "Baseline" }
 
 // Pipelining implements sched.Scheduler: bulk processing only.
 func (s *Scheduler) Pipelining() bool { return false }
+
+// NextWake implements sched.Waker: the policy never reads the clock,
+// so only a world change can change its decision.
+func (s *Scheduler) NextWake(sched.World) sim.Time { return sim.Never }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {

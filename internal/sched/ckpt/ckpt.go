@@ -102,6 +102,23 @@ func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	s.rescue(w)
 }
 
+// NextWake implements sched.Waker: the earlier of the core policy's
+// token wake and the first instant a pending rescue-priority
+// application turns urgent (see urgent). Applications that already
+// turned urgent stay urgent, so only future crossings count.
+func (s *Scheduler) NextWake(w sched.World) sim.Time {
+	wake, now := s.inner.NextWake(w), w.Now()
+	for _, a := range w.Apps() {
+		if a.Priority < s.opts.RescuePriority {
+			continue
+		}
+		if t := s.lastStart(a) + 1; t > now {
+			wake = min(wake, t)
+		}
+	}
+	return wake
+}
+
 // guardedWorld passes everything through except preemption requests
 // against rescue-priority occupants: a rescued real-time application
 // must not be evicted on behalf of a lower-priority over-consumption
@@ -157,6 +174,13 @@ func (s *Scheduler) estimate(a *sched.App) sim.Duration {
 	return d
 }
 
+// lastStart is the latest instant the application can start and still
+// meet its deadline (arrival + SLOFactor x estimate) running single-slot.
+func (s *Scheduler) lastStart(a *sched.App) sim.Time {
+	est := s.estimate(a)
+	return a.Arrival.Add(sim.Duration(float64(est) * s.opts.SLOFactor)).Add(-est)
+}
+
 // urgent returns the oldest pending rescue-priority application that
 // would miss its deadline even if it started right now, or nil.
 func (s *Scheduler) urgent(w sched.World) *sched.App {
@@ -169,9 +193,7 @@ func (s *Scheduler) urgent(w sched.World) *sched.App {
 		if len(a.ConfigurableTasks()) == 0 {
 			continue
 		}
-		est := s.estimate(a)
-		deadline := a.Arrival.Add(sim.Duration(float64(est) * s.opts.SLOFactor))
-		if now.Add(est) <= deadline {
+		if now <= s.lastStart(a) {
 			continue // still on track even if it starts right now
 		}
 		if urgent == nil || a.Arrival < urgent.Arrival {

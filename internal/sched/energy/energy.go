@@ -28,6 +28,7 @@ import (
 	"nimblock/internal/fpga"
 	"nimblock/internal/saturate"
 	"nimblock/internal/sched"
+	"nimblock/internal/sim"
 )
 
 // Scheduler is the NimblockEnergy policy.
@@ -52,6 +53,10 @@ func (s *Scheduler) Name() string { return "NimblockEnergy" }
 // Pipelining implements sched.Scheduler: pipelining within the goal
 // allocation costs no extra slots, so it stays on.
 func (s *Scheduler) Pipelining() bool { return true }
+
+// NextWake implements sched.Waker: the policy reads the clock only
+// through its token pool.
+func (s *Scheduler) NextWake(w sched.World) sim.Time { return s.pool.NextWake(w.Now(), w.Apps()) }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {

@@ -8,6 +8,7 @@ package fcfs
 
 import (
 	"nimblock/internal/sched"
+	"nimblock/internal/sim"
 )
 
 // Scheduler is the FCFS policy.
@@ -21,6 +22,10 @@ func (s *Scheduler) Name() string { return "FCFS" }
 
 // Pipelining implements sched.Scheduler: bulk processing only.
 func (s *Scheduler) Pipelining() bool { return false }
+
+// NextWake implements sched.Waker: the policy never reads the clock,
+// so only a world change can change its decision.
+func (s *Scheduler) NextWake(sched.World) sim.Time { return sim.Never }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {

@@ -39,6 +39,10 @@ func (s *Scheduler) Name() string { return "PREMA" }
 // Pipelining implements sched.Scheduler: bulk processing only.
 func (s *Scheduler) Pipelining() bool { return false }
 
+// NextWake implements sched.Waker: the policy reads the clock only
+// through its token pool.
+func (s *Scheduler) NextWake(w sched.World) sim.Time { return s.pool.NextWake(w.Now(), w.Apps()) }
+
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	apps := w.Apps()

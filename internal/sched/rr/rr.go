@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"nimblock/internal/sched"
+	"nimblock/internal/sim"
 )
 
 // entry is one queued task.
@@ -40,6 +41,10 @@ func (s *Scheduler) Name() string { return "RR" }
 
 // Pipelining implements sched.Scheduler: bulk processing only.
 func (s *Scheduler) Pipelining() bool { return false }
+
+// NextWake implements sched.Waker: the policy never reads the clock,
+// so only a world change can change its decision.
+func (s *Scheduler) NextWake(sched.World) sim.Time { return sim.Never }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {

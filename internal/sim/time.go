@@ -7,11 +7,15 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
 // Time is a point in virtual time, in microseconds since simulation start.
 type Time int64
+
+// Never is a time after every instant a simulation can reach.
+const Never Time = math.MaxInt64
 
 // Duration is a span of virtual time, in microseconds.
 type Duration int64
