@@ -4,10 +4,9 @@
 // The Nimblock compilation flow generates, for every task of an
 // application, one partial bitstream per slot (n slots -> n bitstreams per
 // task) so any task can be configured into any slot. Bitstreams carry a
-// header with interface information, the application batch size, HLS
-// performance estimates, and the priority level. On the ZCU106 they live
-// on the SD card and are loaded into DDR by the ARM core before being
-// streamed through the configuration access port.
+// header naming the application, task and target slot. On the ZCU106
+// they live on the SD card and are loaded into DDR by the ARM core
+// before being streamed through the configuration access port.
 //
 // Slots are uniform, so every partial bitstream has the same size as the
 // slot region it targets (plus a small header), which is why partial
@@ -17,7 +16,6 @@ package bitstream
 import (
 	"fmt"
 
-	"nimblock/internal/hls"
 	"nimblock/internal/sim"
 	"nimblock/internal/taskgraph"
 )
@@ -29,17 +27,13 @@ const SlotImageBytes = 7_500_000
 // HeaderBytes is the metadata prefix on each stored bitstream.
 const HeaderBytes = 4096
 
-// Header mirrors the metadata the hypervisor parses when an application's
-// bitstreams arrive (Section 2.2 of the paper).
+// Header is the metadata the hypervisor parses when an application's
+// bitstreams arrive (Section 2.2 of the paper): the image's identity and
+// the slot it targets, which the board checks before configuring it.
 type Header struct {
-	App       string
-	Task      int
-	TaskName  string
-	Slot      int
-	Batch     int
-	Priority  int
-	Estimate  hls.Estimate
-	NumInputs int // memory-mapped data interfaces consumed
+	App  string
+	Task int
+	Slot int
 }
 
 // Image is one stored partial bitstream.
@@ -78,58 +72,41 @@ func NewStore() *Store {
 const RelocatableSlot = -1
 
 // Register runs the partial-reconfiguration flow for an application:
-// for each task it generates one bitstream per slot, each annotated with
-// the HLS estimate, batch size, and priority from the submission.
-func (s *Store) Register(g *taskgraph.Graph, report *hls.Report, slots, batch, priority int) error {
+// for each task it generates one bitstream per slot.
+func (s *Store) Register(g *taskgraph.Graph, slots int) error {
 	if slots < 1 {
 		return fmt.Errorf("bitstream: register %s with %d slots", g.Name(), slots)
 	}
-	return s.register(g, report, slots, batch, priority, false)
+	s.register(g, slots, false)
+	return nil
 }
 
 // RegisterRelocatable runs the flow with bitstream relocation (Corbetta
 // et al.; BITMAN; AutoReloc — cited but out of scope in the paper):
 // uniform slots let one partial bitstream per task be patched to any
 // slot at load time, dividing SD-card storage by the slot count.
-func (s *Store) RegisterRelocatable(g *taskgraph.Graph, report *hls.Report, batch, priority int) error {
-	return s.register(g, report, 1, batch, priority, true)
+func (s *Store) RegisterRelocatable(g *taskgraph.Graph) {
+	s.register(g, 1, true)
 }
 
-func (s *Store) register(g *taskgraph.Graph, report *hls.Report, slots, batch, priority int, relocatable bool) error {
-	if report.NumTasks() != g.NumTasks() {
-		return fmt.Errorf("bitstream: HLS report covers %d tasks, graph has %d", report.NumTasks(), g.NumTasks())
-	}
+func (s *Store) register(g *taskgraph.Graph, slots int, relocatable bool) {
 	for task := 0; task < g.NumTasks(); task++ {
 		for slot := 0; slot < slots; slot++ {
 			imgSlot := slot
 			if relocatable {
 				imgSlot = RelocatableSlot
 			}
-			hdr := Header{
-				App:       g.Name(),
-				Task:      task,
-				TaskName:  g.Task(task).Name,
-				Slot:      imgSlot,
-				Batch:     batch,
-				Priority:  priority,
-				Estimate:  report.Task(task),
-				NumInputs: len(g.Pred(task)),
-			}
-			key := imgKey{app: hdr.App, task: task, slot: imgSlot}
-			if im, dup := s.images[key]; dup {
-				// Re-registration overwrites the stored image in place, as
-				// writing the same SD-card path would. The image size never
-				// changes (uniform slots), so holders of the pointer see
-				// only refreshed metadata.
-				im.Header = hdr
+			key := imgKey{app: g.Name(), task: task, slot: imgSlot}
+			if _, dup := s.images[key]; dup {
+				// Re-registration writes the same SD-card path with the
+				// same image: nothing changes.
 				continue
 			}
-			im := &Image{Header: hdr, Bytes: SlotImageBytes + HeaderBytes}
+			im := &Image{Header: Header{App: key.app, Task: task, Slot: imgSlot}, Bytes: SlotImageBytes + HeaderBytes}
 			s.bytes += int64(im.Bytes)
 			s.images[key] = im
 		}
 	}
-	return nil
 }
 
 // Lookup fetches the bitstream for (app, task, slot), falling back to

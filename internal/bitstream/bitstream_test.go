@@ -3,12 +3,11 @@ package bitstream
 import (
 	"testing"
 
-	"nimblock/internal/hls"
 	"nimblock/internal/sim"
 	"nimblock/internal/taskgraph"
 )
 
-func graphAndReport(t *testing.T, tasks int) (*taskgraph.Graph, *hls.Report) {
+func chainGraph(t *testing.T, tasks int) *taskgraph.Graph {
 	t.Helper()
 	b := taskgraph.NewBuilder("app")
 	ids := make([]int, tasks)
@@ -16,14 +15,13 @@ func graphAndReport(t *testing.T, tasks int) (*taskgraph.Graph, *hls.Report) {
 		ids[i] = b.AddTask("t", 10*sim.Millisecond)
 	}
 	b.Chain(ids...)
-	g := b.MustBuild()
-	return g, hls.Analyze(g)
+	return b.MustBuild()
 }
 
 func TestRegisterGeneratesPerSlotImages(t *testing.T) {
-	g, r := graphAndReport(t, 3)
+	g := chainGraph(t, 3)
 	s := NewStore()
-	if err := s.Register(g, r, 10, 5, 9); err != nil {
+	if err := s.Register(g, 10); err != nil {
 		t.Fatal(err)
 	}
 	if s.Count() != 30 {
@@ -33,26 +31,19 @@ func TestRegisterGeneratesPerSlotImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := im.Header
-	if h.App != "app" || h.Task != 2 || h.Slot != 7 || h.Batch != 5 || h.Priority != 9 {
+	if h := im.Header; h != (Header{App: "app", Task: 2, Slot: 7}) {
 		t.Fatalf("header = %+v", h)
-	}
-	if h.Estimate != r.Task(2) {
-		t.Fatalf("header estimate %v, want %v", h.Estimate, r.Task(2))
-	}
-	if h.NumInputs != 1 {
-		t.Fatalf("NumInputs = %d, want 1 (chain)", h.NumInputs)
 	}
 }
 
 func TestRegisterIdempotentBytes(t *testing.T) {
-	g, r := graphAndReport(t, 2)
+	g := chainGraph(t, 2)
 	s := NewStore()
-	if err := s.Register(g, r, 4, 1, 1); err != nil {
+	if err := s.Register(g, 4); err != nil {
 		t.Fatal(err)
 	}
 	b1 := s.Bytes()
-	if err := s.Register(g, r, 4, 1, 1); err != nil {
+	if err := s.Register(g, 4); err != nil {
 		t.Fatal(err)
 	}
 	if s.Bytes() != b1 {
@@ -65,14 +56,10 @@ func TestRegisterIdempotentBytes(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	g, r := graphAndReport(t, 2)
+	g := chainGraph(t, 2)
 	s := NewStore()
-	if err := s.Register(g, r, 0, 1, 1); err == nil {
+	if err := s.Register(g, 0); err == nil {
 		t.Fatal("zero slots accepted")
-	}
-	g2, _ := graphAndReport(t, 3)
-	if err := s.Register(g2, r, 2, 1, 1); err == nil {
-		t.Fatal("mismatched HLS report accepted")
 	}
 }
 
@@ -94,11 +81,9 @@ func TestLoadTime(t *testing.T) {
 }
 
 func TestRelocatableRegistration(t *testing.T) {
-	g, r := graphAndReport(t, 3)
+	g := chainGraph(t, 3)
 	s := NewStore()
-	if err := s.RegisterRelocatable(g, r, 5, 9); err != nil {
-		t.Fatal(err)
-	}
+	s.RegisterRelocatable(g)
 	if s.Count() != 3 {
 		t.Fatalf("Count = %d, want one image per task", s.Count())
 	}
@@ -115,24 +100,24 @@ func TestRelocatableRegistration(t *testing.T) {
 }
 
 func TestRelocationStorageSavings(t *testing.T) {
-	g, r := graphAndReport(t, 4)
+	g := chainGraph(t, 4)
 	perSlot, reloc := NewStore(), NewStore()
-	if err := perSlot.Register(g, r, 10, 1, 1); err != nil {
+	if err := perSlot.Register(g, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := reloc.RegisterRelocatable(g, r, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	reloc.RegisterRelocatable(g)
 	if perSlot.Bytes() != 10*reloc.Bytes() {
 		t.Fatalf("savings factor: %d vs %d bytes", perSlot.Bytes(), reloc.Bytes())
 	}
 }
 
 func TestPerSlotImagePreferredOverRelocatable(t *testing.T) {
-	g, r := graphAndReport(t, 1)
+	g := chainGraph(t, 1)
 	s := NewStore()
-	s.RegisterRelocatable(g, r, 1, 1)
-	s.Register(g, r, 2, 1, 1)
+	s.RegisterRelocatable(g)
+	if err := s.Register(g, 2); err != nil {
+		t.Fatal(err)
+	}
 	im, err := s.Lookup("app", 0, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -6,29 +6,58 @@ import (
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
 	"nimblock/internal/hv"
+	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 )
 
-// BenchmarkHypervisorRun measures one contended Nimblock run end to end:
-// simulated time is fixed, so ns/op is pure harness overhead.
+// BenchmarkHypervisorRun measures one contended run end to end under
+// each policy: simulated time is fixed, so ns/op is pure harness
+// overhead. policy-calls/event is the number of Schedule calls per
+// simulated event; tick skipping lowers it without changing the events.
 func BenchmarkHypervisorRun(b *testing.B) {
 	board := hv.DefaultConfig().Board
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		h, err := hv.New(eng, hv.DefaultConfig(), core.New(core.DefaultOptions(), board))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range mixedWorkloadBench() {
-			if err := h.Submit(apps.MustGraph(s.name), s.batch, s.prio, s.at); err != nil {
-				b.Fatal(err)
+	for _, pol := range skipPolicies {
+		b.Run(pol.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var calls, events int64
+			for i := 0; i < b.N; i++ {
+				eng := sim.NewEngine()
+				p := &callCounter{Scheduler: pol.mk(board)}
+				h, err := hv.New(eng, hv.DefaultConfig(), p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range mixedWorkloadBench() {
+					if err := h.Submit(apps.MustGraph(s.name), s.batch, s.prio, s.at); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := h.Run(); err != nil {
+					b.Fatal(err)
+				}
+				calls += p.calls
+				events += eng.Fired()
 			}
-		}
-		if _, err := h.Run(); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportMetric(float64(calls)/float64(events), "policy-calls/event")
+		})
 	}
+}
+
+// callCounter counts a policy's Schedule calls. It forwards the policy's
+// wake, so the board skips exactly the ticks it skips for the bare
+// policy.
+type callCounter struct {
+	sched.Scheduler
+	calls int64
+}
+
+func (c *callCounter) Schedule(w sched.World, why sched.Reason) {
+	c.calls++
+	c.Scheduler.Schedule(w, why)
+}
+
+func (c *callCounter) NextWake(w sched.World) sim.Time {
+	return c.Scheduler.(sched.Waker).NextWake(w)
 }
 
 // BenchmarkCheckpointedRun is BenchmarkHypervisorRun with the attempt
