@@ -227,8 +227,10 @@ func compareSeq(a, b *event) int {
 // bucket always contains the global minimum (overflow events are beyond
 // every wheel event by construction), and each cascaded event strictly
 // descends at least one level, so the loop terminates and each event is
-// touched O(wheelLevels) times over its life. It reports false when no
-// live events remain.
+// touched O(wheelLevels) times over its life. A first bucket holding a
+// single live event is that minimum itself, so it becomes the batch
+// directly with base moved to its time, without descending level by
+// level. It reports false when no live events remain.
 func (e *Engine) loadBatch() bool {
 	e.batch = e.batch[:0]
 	e.batchPos = 0
@@ -270,11 +272,18 @@ func (e *Engine) loadBatch() bool {
 		}
 		lv := &e.levels[lvl]
 		s := bits.TrailingZeros64(lv.occupied)
-		width := Time(1) << (uint(lvl) * wheelBits)
-		bucketStart := (e.base &^ (width<<wheelBits - 1)) + Time(s)*width
 		head := lv.slot[s]
 		lv.slot[s] = nil
 		lv.occupied &^= 1 << uint(s)
+		if head.next == nil && head.fn != nil {
+			// A lone live event is the minimum: fire it from here.
+			e.base = head.at
+			e.batchAt = head.at
+			e.batch = append(e.batch, head)
+			return true
+		}
+		width := Time(1) << (uint(lvl) * wheelBits)
+		bucketStart := (e.base &^ (width<<wheelBits - 1)) + Time(s)*width
 		if bucketStart > e.base {
 			e.base = bucketStart
 		}

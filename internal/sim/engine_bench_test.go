@@ -129,3 +129,31 @@ func BenchmarkMixedCancelFire(b *testing.B) {
 		b.Fatalf("fired %d of %d", n, b.N)
 	}
 }
+
+// BenchmarkTickChain models one busy board: a 400 ms self-rescheduling
+// scheduling tick beside an item timer that re-arms every 37–81 ms.
+// Each lands alone in a level-2 or level-3 bucket, which the engine
+// fires without cascading it down the wheel.
+func BenchmarkTickChain(b *testing.B) {
+	b.ReportAllocs()
+	eng := NewEngine()
+	n, k := 0, 0
+	var tick, item func()
+	tick = func() {
+		if n++; n < b.N {
+			eng.After(400*Millisecond, tick)
+		}
+	}
+	item = func() {
+		k++
+		if n++; n < b.N {
+			eng.After(Duration(37+k*17%45)*Millisecond, item)
+		}
+	}
+	eng.After(0, tick)
+	eng.After(0, item)
+	eng.Run()
+	if n < b.N {
+		b.Fatalf("fired %d of %d", n, b.N)
+	}
+}

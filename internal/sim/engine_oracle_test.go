@@ -9,6 +9,7 @@ package sim
 
 import (
 	"container/heap"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -324,4 +325,113 @@ func FuzzEngineOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// firstBucket describes the bucket the engine drains next once its
+// current batch is spent: its wheel level, how many events it holds,
+// and how many of those are live. The level is -1 while a batch is
+// pending or when the wheel is empty.
+func firstBucket(e *Engine) (lvl, n, live int) {
+	if e.batchPos < len(e.batch) {
+		return -1, 0, 0
+	}
+	for l := range e.levels {
+		lv := &e.levels[l]
+		if lv.occupied == 0 {
+			continue
+		}
+		for ev := lv.slot[bits.TrailingZeros64(lv.occupied)]; ev != nil; ev = ev.next {
+			n++
+			if ev.fn != nil {
+				live++
+			}
+		}
+		return l, n, live
+	}
+	return -1, 0, 0
+}
+
+// TestEngineOracleLoneBucket drives the lone-bucket dispatch against
+// the heap oracle: a lone event at levels 2 to 4 with later events above
+// it, same-instant scheduling from its callback, a bucket shared with a
+// tombstone, a tombstone-only bucket, and a RunUntil that stops just
+// short of a lone event before the caller schedules behind it.
+func TestEngineOracleLoneBucket(t *testing.T) {
+	run := func(eng simEngine, want func(stage string, lvl, n, live int)) []int64 {
+		var trace []int64
+		record := func(tag int) { trace = append(trace, int64(tag), int64(eng.Now())) }
+		step := func() {
+			trace = append(trace, -1)
+			if !eng.Step() {
+				trace = append(trace, -2)
+			}
+		}
+		for lvl := 2; lvl <= 4; lvl++ {
+			width := Duration(1) << (6 * lvl)
+			tag := 100 * lvl
+			eng.After(3*width+5, func() {
+				record(tag)
+				eng.After(0, func() { record(tag + 1) })
+				eng.At(eng.Now(), func() { record(tag + 2) })
+				eng.After(1, func() { record(tag + 3) })
+			})
+			eng.After(40*width, func() { record(tag + 4) })
+			eng.After(2*width<<6, func() { record(tag + 5) })
+			want("lone", lvl, 1, 1)
+			step()
+			for i := 0; i < 3; i++ { // the callback's same-instant and next-instant events
+				step()
+			}
+			want("later bucket", lvl, 1, 1)
+			step()
+			want("level above", lvl+1, 1, 1)
+			step()
+		}
+
+		// A cancelled sibling shares the first level-3 bucket with a live
+		// event, and a cancelled lone event leaves the next bucket holding
+		// only its tombstone; both cascade.
+		width := Duration(1) << 18
+		eng.After(3*width+7, func() { record(1) })
+		dead := eng.After(3*width+9, func() { record(2) })
+		lone := eng.After(5*width, func() { record(3) })
+		eng.After(9*width, func() { record(4) })
+		trace = append(trace, int64(eng.Pending()))
+		eng.Cancel(dead)
+		eng.Cancel(lone)
+		want("shared with a tombstone", 3, 2, 1)
+		step()
+		want("tombstone only", 3, 1, 0)
+		trace = append(trace, int64(eng.Run()), int64(eng.Now()), int64(eng.Pending()))
+
+		// RunUntil peeks at a lone event and stops just before it; the
+		// caller then schedules behind it, which rewinds the wheel.
+		at := eng.Now().Add(3*width + 11)
+		eng.At(at, func() { record(5) })
+		eng.At(at+Time(width), func() { record(6) })
+		want("peeked by RunUntil", 3, 1, 1)
+		trace = append(trace, int64(eng.RunUntil(at-1)), int64(eng.Now()))
+		eng.At(at-1, func() { record(7) })
+		eng.At(eng.Now().Add(2), func() { record(8) })
+		eng.After(0, func() { record(9) })
+		trace = append(trace, int64(eng.Run()), int64(eng.Now()), int64(eng.Pending()))
+		return trace
+	}
+	wheel := NewEngine()
+	got := run(wheel, func(stage string, lvl, n, live int) {
+		t.Helper()
+		if l, m, k := firstBucket(wheel); l != lvl || m != n || k != live {
+			t.Fatalf("%s at %v: next bucket at level %d holds %d events, %d live; want level %d, %d, %d",
+				stage, wheel.Now(), l, m, k, lvl, n, live)
+		}
+	})
+	want := run(&heapEngine{}, func(string, int, int, int) {})
+	if len(got) != len(want) {
+		t.Fatalf("trace length mismatch: wheel=%v heap=%v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("lone-bucket trace diverges at %d: wheel=%v heap=%v", i, got, want)
+		}
+	}
 }
