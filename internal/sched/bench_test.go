@@ -59,13 +59,35 @@ func BenchmarkConfigurableTasks(b *testing.B) {
 	}
 }
 
+// BenchmarkNextReadyItem asks for the next item of a pipelined task
+// halfway through a 30-item batch, its predecessors a few items ahead.
 func BenchmarkNextReadyItem(b *testing.B) {
-	a := benchApps(b, 1)[0]
-	a.MarkConfiguring(0, 0)
-	a.MarkActive(0)
+	g := apps.MustGraph(apps.AlexNet)
+	a, err := NewApp(1, g, hls.Analyze(g), 30, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const task, done = 1, 15
+	for _, t := range append([]int{task}, g.Pred(task)...) {
+		a.MarkConfiguring(t, t)
+		a.MarkActive(t)
+		n := done
+		if t != task {
+			n = done + 2
+		}
+		for i := 0; i < n; i++ {
+			if err := a.MarkItemStarted(t, i); err != nil {
+				b.Fatal(err)
+			}
+			a.MarkItemDone(t, i)
+		}
+	}
+	if got := a.NextReadyItem(task, true); got != done {
+		b.Fatalf("NextReadyItem = %d, want %d", got, done)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.NextReadyItem(0, true)
+		a.NextReadyItem(task, true)
 	}
 }

@@ -22,37 +22,37 @@ func remainingFromScratch(a *App) sim.Duration {
 // task, the way a hypervisor would: configure, activate, start and
 // finish items, and kill, checkpoint-preempt or batch-preempt an active
 // task. It names the transition applied, or "" when the drawn task had
-// none.
-func randomStep(a *App, rng *rand.Rand) (string, error) {
-	t := rng.Intn(a.Graph.NumTasks())
+// none, and the task it drew.
+func randomStep(a *App, rng *rand.Rand) (op string, t int, err error) {
+	t = rng.Intn(a.Graph.NumTasks())
 	switch a.TaskState(t) {
 	case TaskIdle:
 		if a.Configurable(t) {
-			return "configure", a.MarkConfiguring(t, t)
+			return "configure", t, a.MarkConfiguring(t, t)
 		}
 	case TaskConfiguring:
-		return "activate", a.MarkActive(t)
+		return "activate", t, a.MarkActive(t)
 	case TaskActive:
 		r := rng.Intn(20)
 		switch {
 		case r == 0:
 			_, err := a.MarkKilled(t)
-			return "kill", err
+			return "kill", t, err
 		case r == 1:
 			_, err := a.MarkCheckpointPreempted(t)
-			return "checkpoint-preempt", err
+			return "checkpoint-preempt", t, err
 		case r == 2 && a.InflightItem(t) < 0:
-			return "preempt", a.MarkPreempted(t)
+			return "preempt", t, a.MarkPreempted(t)
 		case a.InflightItem(t) >= 0:
 			_, err := a.MarkItemDone(t, a.InflightItem(t))
-			return "item-done", err
+			return "item-done", t, err
 		default:
 			if i := a.NextReadyItem(t, true); i >= 0 {
-				return "item-start", a.MarkItemStarted(t, i)
+				return "item-start", t, a.MarkItemStarted(t, i)
 			}
 		}
 	}
-	return "", nil
+	return "", t, nil
 }
 
 // Property: on every catalog graph and batch size, after every legal
@@ -70,7 +70,7 @@ func TestRemainingEstimateMatchesFromScratch(t *testing.T) {
 			}
 			limit := 100 * g.NumTasks() * batch
 			for step := 0; !a.Done() && step < limit; step++ {
-				op, err := randomStep(a, rng)
+				op, _, err := randomStep(a, rng)
 				if err != nil {
 					t.Fatalf("%s batch %d step %d %s: %v", name, batch, step, op, err)
 				}

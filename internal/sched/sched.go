@@ -198,8 +198,7 @@ type App struct {
 
 	state     []TaskState
 	slot      []int
-	done      []bool // task-major: task t item i at t*Batch+i
-	doneCnt   []int
+	doneCnt   []int // items finish in order: task t's done items are [0, doneCnt[t])
 	inflight  []int
 	tasksFin  int
 	retired   bool
@@ -225,9 +224,9 @@ func NewApp(id int64, g *taskgraph.Graph, report *hls.Report, batch, priority in
 		return nil, fmt.Errorf("sched: app %d (%s) priority %d < 1", id, g.Name(), priority)
 	}
 	n := g.NumTasks()
-	// One backing array serves the three per-task int slices; done is a
-	// single task-major bitmap. Apps are created per submission on the
-	// simulation hot path, so allocation count matters.
+	// One backing array serves the three per-task int slices. Apps are
+	// created per submission on the simulation hot path, so allocation
+	// count matters.
 	ints := make([]int, 3*n)
 	a := &App{
 		ID:       id,
@@ -239,7 +238,6 @@ func NewApp(id int64, g *taskgraph.Graph, report *hls.Report, batch, priority in
 		Arrival:  arrival,
 		state:    make([]TaskState, n),
 		slot:     ints[0:n:n],
-		done:     make([]bool, n*batch),
 		doneCnt:  ints[n : 2*n : 2*n],
 		inflight: ints[2*n : 3*n : 3*n],
 	}
@@ -270,7 +268,7 @@ func (a *App) TaskSlot(t int) int { return a.slot[t] }
 func (a *App) DoneCount(t int) int { return a.doneCnt[t] }
 
 // ItemDone reports whether task t has completed item i.
-func (a *App) ItemDone(t, i int) bool { return a.done[t*a.Batch+i] }
+func (a *App) ItemDone(t, i int) bool { return i < a.doneCnt[t] }
 
 // InflightItem reports the item task t is currently processing, or -1.
 func (a *App) InflightItem(t int) int { return a.inflight[t] }
@@ -352,28 +350,24 @@ func (a *App) NextReadyItem(t int, pipelining bool) int {
 			}
 		}
 	}
-	for i := 0; i < a.Batch; i++ {
-		if a.done[t*a.Batch+i] || a.inflight[t] == i {
-			continue
-		}
-		ready := true
-		if pipelining {
-			for _, p := range a.Graph.Pred(t) {
-				if !a.done[p*a.Batch+i] {
-					ready = false
-					break
-				}
-			}
-		}
-		if ready {
-			return i
-		}
-		// Items are processed in order; if the lowest incomplete item is
-		// not ready, later ones cannot be either (predecessors also
-		// process in order).
+	// Items are processed in order, so the candidate is the first item
+	// past the done prefix that is not in flight. If it is not ready,
+	// later ones cannot be either (predecessors also process in order).
+	i := a.doneCnt[t]
+	if a.inflight[t] == i {
+		i++
+	}
+	if i >= a.Batch {
 		return -1
 	}
-	return -1
+	if pipelining {
+		for _, p := range a.Graph.Pred(t) {
+			if i >= a.doneCnt[p] {
+				return -1
+			}
+		}
+	}
+	return i
 }
 
 // RemainingEstimate is the HLS-estimated work left: sum over tasks of
@@ -466,8 +460,8 @@ func (a *App) MarkItemStarted(t, i int) error {
 	if a.inflight[t] != -1 {
 		return fmt.Errorf("sched: %s task %d already processing item %d", a.Name, t, a.inflight[t])
 	}
-	if i < 0 || i >= a.Batch || a.done[t*a.Batch+i] {
-		return fmt.Errorf("sched: %s task %d item %d invalid or done", a.Name, t, i)
+	if i != a.doneCnt[t] || i >= a.Batch {
+		return fmt.Errorf("sched: %s task %d item %d out of order (next is %d of %d)", a.Name, t, i, a.doneCnt[t], a.Batch)
 	}
 	a.inflight[t] = i
 	return nil
@@ -481,7 +475,6 @@ func (a *App) MarkItemDone(t, i int) (taskDone bool, err error) {
 		return false, fmt.Errorf("sched: %s task %d finishing item %d but in-flight is %d", a.Name, t, i, a.inflight[t])
 	}
 	a.inflight[t] = -1
-	a.done[t*a.Batch+i] = true
 	a.doneCnt[t]++
 	a.remaining -= a.Report.Task(t).Latency
 	if a.doneCnt[t] == a.Batch {

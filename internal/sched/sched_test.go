@@ -116,6 +116,37 @@ func TestLifecycleAndItemFlow(t *testing.T) {
 	}
 }
 
+// TestMarkItemStartedInOrder checks that a task may start only the
+// first item past its done prefix: a done item, a skipped-ahead item or
+// an out-of-range item is rejected and leaves nothing in flight.
+func TestMarkItemStartedInOrder(t *testing.T) {
+	a := chainApp(t, 3)
+	a.MarkConfiguring(0, 0)
+	a.MarkActive(0)
+	for _, i := range []int{-1, 1, 2, 3} {
+		if err := a.MarkItemStarted(0, i); err == nil {
+			t.Fatalf("item %d started before item 0", i)
+		}
+	}
+	if err := a.MarkItemStarted(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.MarkItemDone(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		if err := a.MarkItemStarted(0, i); err == nil {
+			t.Fatalf("item %d started with item 1 next", i)
+		}
+		if got := a.InflightItem(0); got != -1 {
+			t.Fatalf("rejected start left item %d in flight", got)
+		}
+	}
+	if err := a.MarkItemStarted(0, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPipeliningReadiness(t *testing.T) {
 	a := chainApp(t, 3)
 	a.MarkConfiguring(0, 0)
