@@ -53,6 +53,11 @@ type greedy struct{ pipe bool }
 
 func (g *greedy) Name() string     { return "saturate-greedy" }
 func (g *greedy) Pipelining() bool { return g.pipe }
+
+// NextWake implements sched.Waker: the policy never reads the clock,
+// so only a world change can change its decision.
+func (g *greedy) NextWake(sched.World) sim.Time { return sim.Never }
+
 func (g *greedy) Schedule(w sched.World, why sched.Reason) {
 	free := w.FreeSlots()
 	idx := 0
@@ -87,33 +92,11 @@ func estimateGraph(g *taskgraph.Graph, report *hls.Report) (*taskgraph.Graph, er
 // Makespan estimates the response time of the application running alone
 // on k slots of the given board.
 func Makespan(g *taskgraph.Graph, report *hls.Report, batch, k int, board fpga.Config, pipelining bool) (sim.Duration, error) {
-	if k < 1 {
-		return 0, fmt.Errorf("saturate: k must be >= 1, got %d", k)
-	}
 	est, err := estimateGraph(g, report)
 	if err != nil {
 		return 0, err
 	}
-	eng := sim.NewEngine()
-	cfg := hv.DefaultConfig()
-	cfg.Board = board
-	cfg.Board.Slots = k
-	// Analysis assumes fault-free hardware: strip every injection knob.
-	cfg.Board.FaultRate = 0
-	cfg.Board.NewInjector = nil
-	cfg.Board.OnFault = nil
-	h, err := hv.New(eng, cfg, &greedy{pipe: pipelining})
-	if err != nil {
-		return 0, err
-	}
-	if err := h.Submit(est, batch, 1, 0); err != nil {
-		return 0, err
-	}
-	results, err := h.Run()
-	if err != nil {
-		return 0, err
-	}
-	return results[0].Response, nil
+	return runAlone(est, batch, k, board, &greedy{pipe: pipelining})
 }
 
 // ActualMakespan runs the same greedy execution on the ground-truth task
@@ -121,17 +104,23 @@ func Makespan(g *taskgraph.Graph, report *hls.Report, batch, k int, board fpga.C
 // analysis tries to predict. The gap between Makespan and ActualMakespan
 // is the HLS estimation error propagated through scheduling.
 func ActualMakespan(g *taskgraph.Graph, batch, k int, board fpga.Config, pipelining bool) (sim.Duration, error) {
+	return runAlone(g, batch, k, board, &greedy{pipe: pipelining})
+}
+
+// runAlone runs one submission of g under policy on k slots of a
+// fault-free copy of board and returns its response time.
+func runAlone(g *taskgraph.Graph, batch, k int, board fpga.Config, policy sched.Scheduler) (sim.Duration, error) {
 	if k < 1 {
 		return 0, fmt.Errorf("saturate: k must be >= 1, got %d", k)
 	}
-	eng := sim.NewEngine()
 	cfg := hv.DefaultConfig()
 	cfg.Board = board
 	cfg.Board.Slots = k
+	// Analysis assumes fault-free hardware: strip every injection knob.
 	cfg.Board.FaultRate = 0
 	cfg.Board.NewInjector = nil
 	cfg.Board.OnFault = nil
-	h, err := hv.New(eng, cfg, &greedy{pipe: pipelining})
+	h, err := hv.New(sim.NewEngine(), cfg, policy)
 	if err != nil {
 		return 0, err
 	}

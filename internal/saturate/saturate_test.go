@@ -6,6 +6,7 @@ import (
 	"nimblock/internal/apps"
 	"nimblock/internal/fpga"
 	"nimblock/internal/hls"
+	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 )
 
@@ -221,5 +222,37 @@ func TestActualMakespanCloseToEstimate(t *testing.T) {
 	}
 	if _, err := ActualMakespan(g, 1, 0, board(), true); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+}
+
+// everyTick hides the greedy policy's wake, so the board calls it at
+// every tick.
+type everyTick struct{ sched.Scheduler }
+
+// TestGreedyWakeMatchesEveryTick checks the greedy policy's declared
+// wake: on every catalog graph, batch size and slot count, in both
+// processing modes, a board that skips its idle ticks reaches the same
+// makespan as one that calls it at every tick.
+func TestGreedyWakeMatchesEveryTick(t *testing.T) {
+	for _, name := range apps.Names() {
+		g := apps.MustGraph(name)
+		for _, batch := range []int{1, 5, 30} {
+			for k := 1; k <= 4; k++ {
+				for _, pipe := range []bool{false, true} {
+					skip, err := runAlone(g, batch, k, board(), &greedy{pipe: pipe})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := runAlone(g, batch, k, board(), everyTick{&greedy{pipe: pipe}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if skip != ref {
+						t.Fatalf("%s batch %d on %d slots, pipelining %v: makespan %v skipping ticks, %v at every tick",
+							name, batch, k, pipe, skip, ref)
+					}
+				}
+			}
+		}
 	}
 }
