@@ -7,8 +7,8 @@
 // recovering: degraded boards still accept work but lose tie-breaks,
 // draining boards finish in-flight work without new placements, dead
 // boards trigger failover of their queued and checkpointed work, and
-// recovering boards re-admit through a consecutive-failure circuit
-// breaker with exponentially backed-off, jittered probation.
+// recovering boards re-admit through a circuit breaker with
+// exponentially backed-off, jittered probation.
 //
 // Liveness is heartbeat-style but derived from simulated event progress
 // rather than wall-clock pings: a board with outstanding work whose
@@ -32,8 +32,7 @@ const (
 	// Healthy boards accept new work.
 	Healthy State = iota
 	// Degraded boards accept new work but rank behind healthy ones in
-	// placement; a board-degrade fault or repeated (sub-threshold)
-	// failures put a board here.
+	// placement; a board-degrade fault puts a board here.
 	Degraded
 	// Draining boards finish in-flight work but take no new placements:
 	// either liveness has begun to suspect them, or an operator/monitor
@@ -75,9 +74,6 @@ type Config struct {
 	// work outstanding) declare a board dead; fewer misses only suspend
 	// placements (default 3).
 	LivenessMisses int
-	// BreakerThreshold is the consecutive-failure count that opens the
-	// circuit breaker (default 1 — a board death opens it immediately).
-	BreakerThreshold int
 	// BackoffBase and BackoffMax bound the re-admission backoff: the
 	// n-th breaker opening waits min(Base<<(n-1), Max), jittered
 	// (defaults 2s and 60s).
@@ -102,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LivenessMisses <= 0 {
 		c.LivenessMisses = 3
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 1
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 2 * sim.Second
@@ -153,11 +146,10 @@ func (o Options) WithDefaults() Options {
 type Tracker struct {
 	cfg   Config
 	state State
-	// degraded overlays Healthy: a degrade fault or sub-threshold
-	// failures rank the board behind clean peers without blocking it.
+	// degraded overlays Healthy: a degrade fault ranks the board behind
+	// clean peers without blocking it.
 	degraded bool
 	// breaker bookkeeping.
-	fails     int // consecutive failures
 	opens     int // times the breaker has opened
 	backoff   sim.Duration
 	readmitAt sim.Time
@@ -211,15 +203,14 @@ func (t *Tracker) Score() int {
 	return 0
 }
 
-// ReportFailure records one dispatch/executive failure. Reaching the
-// consecutive-failure threshold opens the breaker and escalates the
-// backoff the next revival will wait out.
-func (t *Tracker) ReportFailure() {
-	t.fails++
-	if t.fails < t.cfg.BreakerThreshold {
-		return
-	}
-	t.fails = 0
+// MarkDead declares the board dead (crash fault or liveness timeout).
+// Every death opens the breaker: the backoff the next revival waits out
+// doubles per opening, up to BackoffMax, until the board completes
+// probation.
+func (t *Tracker) MarkDead() {
+	t.state = Dead
+	t.suspect = false
+	t.misses = 0
 	t.opens++
 	b := t.cfg.BackoffBase
 	for i := 1; i < t.opens && b < t.cfg.BackoffMax; i++ {
@@ -233,10 +224,9 @@ func (t *Tracker) ReportFailure() {
 	t.backoff = sim.Duration(float64(b) * j)
 }
 
-// ReportSuccess records one successful retirement, closing the breaker
-// window and advancing recovery probation.
+// ReportSuccess records one successful retirement, advancing recovery
+// probation.
 func (t *Tracker) ReportSuccess() {
-	t.fails = 0
 	if t.state != Recovering {
 		return
 	}
@@ -246,16 +236,6 @@ func (t *Tracker) ReportSuccess() {
 		t.opens = 0
 		t.backoff = 0
 	}
-}
-
-// MarkDead declares the board dead (crash fault or liveness timeout).
-// It counts as a breaker failure so revival waits out the backoff.
-func (t *Tracker) MarkDead() {
-	t.state = Dead
-	t.suspect = false
-	t.misses = 0
-	t.fails = t.cfg.BreakerThreshold - 1
-	t.ReportFailure()
 }
 
 // Revive moves a dead board to Recovering. New placements wait until

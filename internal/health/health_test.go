@@ -11,7 +11,7 @@ import (
 func TestDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.LivenessInterval != 500*sim.Millisecond || c.LivenessMisses != 3 ||
-		c.BreakerThreshold != 1 || c.BackoffBase != 2*sim.Second ||
+		c.BackoffBase != 2*sim.Second ||
 		c.BackoffMax != 60*sim.Second || c.Jitter != 0.2 || c.Probation != 2 {
 		t.Fatalf("defaults = %+v", c)
 	}
@@ -110,24 +110,28 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	}
 }
 
-// TestBreakerThreshold checks sub-threshold failures do not open the
-// breaker and a success closes the window.
-func TestBreakerThreshold(t *testing.T) {
-	tr := NewTracker(Config{BreakerThreshold: 3, BackoffBase: sim.Duration(sim.Second)}, 0)
-	tr.ReportFailure()
-	tr.ReportFailure()
-	if tr.backoff != 0 {
-		t.Fatal("breaker opened below threshold")
+// TestMarkDeadOpensBreaker checks that one death opens the breaker, a
+// second before probation completes escalates the backoff, and
+// successes outside recovery do not close it.
+func TestMarkDeadOpensBreaker(t *testing.T) {
+	tr := NewTracker(Config{BackoffBase: sim.Duration(sim.Second), Jitter: -1}, 0)
+	tr.MarkDead()
+	if tr.opens != 1 || tr.backoff != sim.Duration(sim.Second) {
+		t.Fatalf("one death: opens=%d backoff=%v, want 1 and 1s", tr.opens, tr.backoff)
 	}
-	tr.ReportSuccess() // resets the consecutive count
-	tr.ReportFailure()
-	tr.ReportFailure()
-	if tr.backoff != 0 {
-		t.Fatal("success did not reset the failure window")
+	if at := tr.Revive(0); at != sim.Time(sim.Second) {
+		t.Fatalf("revived board readmits at %v, want 1s", at)
 	}
-	tr.ReportFailure()
-	if tr.backoff == 0 {
-		t.Fatal("threshold failures did not open the breaker")
+	tr.ReportSuccess() // one of the two probation successes
+	tr.MarkDead()
+	if tr.opens != 2 || tr.backoff != 2*sim.Second {
+		t.Fatalf("second death: opens=%d backoff=%v, want 2 and 2s", tr.opens, tr.backoff)
+	}
+	fresh := NewTracker(Config{BackoffBase: sim.Duration(sim.Second), Jitter: -1}, 0)
+	fresh.ReportSuccess()
+	fresh.MarkDead()
+	if fresh.opens != 1 || fresh.backoff != sim.Duration(sim.Second) {
+		t.Fatalf("death after a healthy success: opens=%d backoff=%v, want 1 and 1s", fresh.opens, fresh.backoff)
 	}
 }
 
