@@ -17,7 +17,7 @@ func BenchmarkReconfigurationPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		for s := 0; s < board.NumSlots(); s++ {
-			if err := board.Reconfigure(s, image(s), nil); err != nil {
+			if err := board.Reconfigure(s, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

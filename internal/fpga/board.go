@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"nimblock/internal/bitstream"
 	"nimblock/internal/sim"
 )
 
@@ -47,9 +46,6 @@ func (s SlotState) String() string {
 type Slot struct {
 	ID    int
 	State SlotState
-	// Image is the partial bitstream currently configured (nil when free
-	// or while the first reconfiguration is in flight).
-	Image *bitstream.Image
 }
 
 // Config sets the physical parameters of the simulated board.
@@ -57,7 +53,8 @@ type Config struct {
 	// Slots is the number of reconfigurable regions (paper: 10).
 	Slots int
 	// CAPBytesPerSec is the configuration port bandwidth. The default
-	// moves one 7.5 MB slot image in ~80 ms.
+	// writes one slot image (ImageBytes) in ~64 ms, ~80 ms with the SD
+	// load.
 	CAPBytesPerSec float64
 	// SDBytesPerSec is the SD-card read bandwidth for loading bitstreams
 	// into DDR before configuration. The ARM core performs the load and
@@ -90,10 +87,6 @@ type Config struct {
 	// reconfiguration fault before the board mutates slot state — the
 	// hypervisor uses it to trace retries and drive quarantine.
 	OnFault func(FaultEvent)
-	// AllowRelocation accepts slot-agnostic partial bitstreams
-	// (Header.Slot < 0): the loader patches frame addresses for the
-	// target slot before streaming.
-	AllowRelocation bool
 	// LatencyScale stretches (>1, a slower fabric) or shrinks (<1, a
 	// faster one) every task's compute latency on this board relative to
 	// the reference platform. Zero means 1 (the homogeneous default).
@@ -106,6 +99,20 @@ type Config struct {
 	// while occupied (reconfiguring or loaded). Zero disables the
 	// active term.
 	ActiveWattsPerSlot float64
+}
+
+// ImageBytes is the size of one partial bitstream: a slot region's
+// configuration frames plus a 4 KiB header. Slots are uniform, so every
+// (task, slot) image has this size and only the total reconfiguration
+// latency is architecturally visible.
+const ImageBytes = 7_500_000 + 4096
+
+// ReconfigTime is how long one configuration takes end to end, excluding
+// queueing: the ARM core loads the image from the SD card into DDR, then
+// streams it through the CAP. It is the one place the reconfiguration
+// cost is computed.
+func (c Config) ReconfigTime() sim.Duration {
+	return sim.Seconds(ImageBytes/c.SDBytesPerSec) + sim.Seconds(ImageBytes/c.CAPBytesPerSec)
 }
 
 // DefaultConfig reproduces the evaluation platform: 10 slots and ~80 ms
@@ -150,10 +157,9 @@ type SlotStats struct {
 }
 
 // reconfigRequest is one queued CAP operation: a reconfiguration
-// (img != nil) or a checkpoint state transfer (xferBytes > 0).
+// (xferBytes == 0) or a checkpoint state transfer (xferBytes > 0).
 type reconfigRequest struct {
 	slot      int
-	img       *bitstream.Image
 	onDone    func(error)
 	tries     int
 	xferBytes int64
@@ -300,40 +306,21 @@ func (b *Board) Slot(i int) *Slot { return b.slots[i] }
 // CAPBusy reports whether a reconfiguration is currently streaming.
 func (b *Board) CAPBusy() bool { return b.busy }
 
-// CAPQueueLen reports the number of reconfigurations waiting behind the
-// active one.
-func (b *Board) CAPQueueLen() int { return len(b.queue) }
-
 // Stats returns a copy of the board counters.
 func (b *Board) Stats() Stats { return b.stats }
 
 // SlotStats returns a copy of slot i's health counters.
 func (b *Board) SlotStats(i int) SlotStats { return b.slotStats[i] }
 
-// ReconfigTime reports how long one configuration of the given image
-// takes end to end (SD load + CAP write), excluding queueing.
-func (b *Board) ReconfigTime(img *bitstream.Image) sim.Duration {
-	load := img.LoadTime(b.cfg.SDBytesPerSec)
-	write := sim.Seconds(float64(img.Bytes) / b.cfg.CAPBytesPerSec)
-	return load + write
-}
-
-// Reconfigure requests that the given image be configured into the slot.
-// The slot must be free; it transitions to SlotReconfiguring immediately
-// (the region is decoupled) and to SlotLoaded when the CAP finishes, at
-// which point onDone is invoked. Requests are served strictly in order —
-// only one region can be configured at a time on a single device.
-func (b *Board) Reconfigure(slot int, img *bitstream.Image, onDone func(error)) error {
+// Reconfigure requests that a task's partial bitstream be configured
+// into the slot. The slot must be free; it transitions to
+// SlotReconfiguring immediately (the region is decoupled) and to
+// SlotLoaded when the CAP finishes, at which point onDone is invoked.
+// Requests are served strictly in order — only one region can be
+// configured at a time on a single device.
+func (b *Board) Reconfigure(slot int, onDone func(error)) error {
 	if slot < 0 || slot >= len(b.slots) {
 		return fmt.Errorf("fpga: slot %d out of range [0,%d)", slot, len(b.slots))
-	}
-	if img == nil {
-		return fmt.Errorf("fpga: nil bitstream for slot %d", slot)
-	}
-	if img.Header.Slot != slot {
-		if img.Header.Slot >= 0 || !b.cfg.AllowRelocation {
-			return fmt.Errorf("fpga: bitstream %s targets slot %d, not %d (no relocation support)", img.ID(), img.Header.Slot, slot)
-		}
 	}
 	s := b.slots[slot]
 	if s.State != SlotFree {
@@ -342,8 +329,7 @@ func (b *Board) Reconfigure(slot int, img *bitstream.Image, onDone func(error)) 
 	b.accrue()
 	b.occupied++
 	s.State = SlotReconfiguring
-	s.Image = nil
-	b.queue = append(b.queue, reconfigRequest{slot: slot, img: img, onDone: onDone})
+	b.queue = append(b.queue, reconfigRequest{slot: slot, onDone: onDone})
 	b.pump()
 	return nil
 }
@@ -409,7 +395,7 @@ func (b *Board) stream(backoff sim.Duration) {
 	if b.inj != nil {
 		b.curOut = b.inj.ReconfigAttempt(b.eng.Now(), b.cur.slot, b.cur.tries)
 	}
-	b.curDur = b.ReconfigTime(b.cur.img) + b.curOut.Stall
+	b.curDur = b.cfg.ReconfigTime() + b.curOut.Stall
 	b.eng.After(backoff+b.curDur, b.completeFn)
 }
 
@@ -493,7 +479,6 @@ func (b *Board) finish() {
 		b.accrue()
 		b.occupied--
 		s.State = SlotFree
-		s.Image = nil
 		b.busy = false
 		b.pump()
 		if req.onDone != nil {
@@ -519,7 +504,6 @@ func (b *Board) finish() {
 	}
 	s := b.slots[req.slot]
 	s.State = SlotLoaded
-	s.Image = req.img
 	b.busy = false
 	b.pump()
 	if req.onDone != nil {
@@ -536,7 +520,6 @@ func (b *Board) takeOffline(slot int) {
 	}
 	b.usable--
 	s.State = SlotOffline
-	s.Image = nil
 	b.stats.Offline++
 }
 
@@ -596,7 +579,6 @@ func (b *Board) Release(slot int) error {
 	b.accrue()
 	b.occupied--
 	s.State = SlotFree
-	s.Image = nil
 	b.stats.Releases++
 	return nil
 }

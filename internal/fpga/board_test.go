@@ -3,16 +3,8 @@ package fpga
 import (
 	"testing"
 
-	"nimblock/internal/bitstream"
 	"nimblock/internal/sim"
 )
-
-func image(slot int) *bitstream.Image {
-	return &bitstream.Image{
-		Header: bitstream.Header{App: "app", Task: 0, Slot: slot},
-		Bytes:  bitstream.SlotImageBytes + bitstream.HeaderBytes,
-	}
-}
 
 func newBoard(t *testing.T, cfg Config) (*sim.Engine, *Board) {
 	t.Helper()
@@ -26,7 +18,7 @@ func newBoard(t *testing.T, cfg Config) (*sim.Engine, *Board) {
 
 func TestDefaultReconfigAround80ms(t *testing.T) {
 	_, b := newBoard(t, DefaultConfig())
-	d := b.ReconfigTime(image(0))
+	d := b.cfg.ReconfigTime()
 	if d < 70*sim.Millisecond || d > 90*sim.Millisecond {
 		t.Fatalf("reconfig time %v, want ~80ms", d)
 	}
@@ -35,8 +27,7 @@ func TestDefaultReconfigAround80ms(t *testing.T) {
 func TestReconfigureLifecycle(t *testing.T) {
 	eng, b := newBoard(t, DefaultConfig())
 	var doneAt sim.Time
-	img := image(3)
-	if err := b.Reconfigure(3, img, func(err error) {
+	if err := b.Reconfigure(3, func(err error) {
 		if err != nil {
 			t.Errorf("unexpected error: %v", err)
 		}
@@ -54,11 +45,8 @@ func TestReconfigureLifecycle(t *testing.T) {
 	if b.Slot(3).State != SlotLoaded {
 		t.Fatalf("state after reconfig = %v", b.Slot(3).State)
 	}
-	if b.Slot(3).Image != img {
-		t.Fatal("loaded image mismatch")
-	}
-	if doneAt != sim.Time(0).Add(b.ReconfigTime(img)) {
-		t.Fatalf("completion at %v, want %v", doneAt, b.ReconfigTime(img))
+	if doneAt != sim.Time(0).Add(b.cfg.ReconfigTime()) {
+		t.Fatalf("completion at %v, want %v", doneAt, b.cfg.ReconfigTime())
 	}
 	if b.Stats().Reconfigurations != 1 {
 		t.Fatalf("stats = %+v", b.Stats())
@@ -71,21 +59,21 @@ func TestCAPSerializesRequests(t *testing.T) {
 	var times []sim.Time
 	for _, slot := range []int{0, 1, 2} {
 		slot := slot
-		if err := b.Reconfigure(slot, image(slot), func(error) {
+		if err := b.Reconfigure(slot, func(error) {
 			order = append(order, slot)
 			times = append(times, eng.Now())
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.CAPQueueLen() != 2 {
-		t.Fatalf("queue length = %d, want 2", b.CAPQueueLen())
+	if len(b.queue) != 2 {
+		t.Fatalf("queue length = %d, want 2", len(b.queue))
 	}
 	eng.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("completion order %v", order)
 	}
-	d := b.ReconfigTime(image(0))
+	d := b.cfg.ReconfigTime()
 	for i, at := range times {
 		want := sim.Time(0).Add(sim.Duration(i+1) * d)
 		if at != want {
@@ -96,23 +84,17 @@ func TestCAPSerializesRequests(t *testing.T) {
 
 func TestReconfigureValidation(t *testing.T) {
 	eng, b := newBoard(t, DefaultConfig())
-	if err := b.Reconfigure(99, image(99), nil); err == nil {
+	if err := b.Reconfigure(99, nil); err == nil {
 		t.Fatal("out-of-range slot accepted")
 	}
-	if err := b.Reconfigure(0, nil, nil); err == nil {
-		t.Fatal("nil image accepted")
-	}
-	if err := b.Reconfigure(0, image(5), nil); err == nil {
-		t.Fatal("image targeting wrong slot accepted (no relocation)")
-	}
-	if err := b.Reconfigure(0, image(0), nil); err != nil {
+	if err := b.Reconfigure(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Reconfigure(0, image(0), nil); err == nil {
+	if err := b.Reconfigure(0, nil); err == nil {
 		t.Fatal("reconfigure of busy slot accepted")
 	}
 	eng.Run()
-	if err := b.Reconfigure(0, image(0), nil); err == nil {
+	if err := b.Reconfigure(0, nil); err == nil {
 		t.Fatal("reconfigure of loaded slot accepted")
 	}
 }
@@ -122,12 +104,12 @@ func TestRelease(t *testing.T) {
 	if err := b.Release(0); err == nil {
 		t.Fatal("release of free slot accepted")
 	}
-	b.Reconfigure(0, image(0), nil)
+	b.Reconfigure(0, nil)
 	eng.Run()
 	if err := b.Release(0); err != nil {
 		t.Fatal(err)
 	}
-	if b.Slot(0).State != SlotFree || b.Slot(0).Image != nil {
+	if b.Slot(0).State != SlotFree {
 		t.Fatal("release did not free slot")
 	}
 	if len(b.FreeSlots()) != b.NumSlots() {
@@ -142,7 +124,7 @@ func TestFaultInjectionRetries(t *testing.T) {
 	cfg.MaxRetries = 10
 	eng, b := newBoard(t, cfg)
 	ok := false
-	b.Reconfigure(0, image(0), func(err error) {
+	b.Reconfigure(0, func(err error) {
 		if err != nil {
 			t.Errorf("reconfig failed despite retries: %v", err)
 		}
@@ -165,7 +147,7 @@ func TestFaultInjectionExhaustsRetries(t *testing.T) {
 	eng, b := newBoard(t, cfg)
 	var gotErr error
 	called := false
-	b.Reconfigure(0, image(0), func(err error) { gotErr = err; called = true })
+	b.Reconfigure(0, func(err error) { gotErr = err; called = true })
 	eng.Run()
 	if !called || gotErr == nil {
 		t.Fatal("expected an unrecoverable reconfiguration error")
@@ -185,7 +167,7 @@ func TestFaultInjectionExhaustsRetries(t *testing.T) {
 	// The CAP must recover for subsequent work.
 	ok := false
 	b.inj = nil // heal the injected fault process
-	b.Reconfigure(1, image(1), func(err error) { ok = err == nil })
+	b.Reconfigure(1, func(err error) { ok = err == nil })
 	eng.Run()
 	if !ok {
 		t.Fatal("CAP did not recover after a failed reconfiguration")
@@ -201,7 +183,7 @@ func TestRetryAccounting(t *testing.T) {
 	cfg.FaultSeed = 42
 	cfg.MaxRetries = 10
 	eng, b := newBoard(t, cfg)
-	if err := b.Reconfigure(0, image(0), nil); err != nil {
+	if err := b.Reconfigure(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -245,7 +227,7 @@ func TestRetryBackoffTiming(t *testing.T) {
 	}
 	eng, b := newBoard(t, cfg)
 	var doneAt sim.Time
-	if err := b.Reconfigure(0, image(0), func(err error) {
+	if err := b.Reconfigure(0, func(err error) {
 		if err != nil {
 			t.Errorf("unexpected error: %v", err)
 		}
@@ -254,7 +236,7 @@ func TestRetryBackoffTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	d := b.ReconfigTime(image(0))
+	d := b.cfg.ReconfigTime()
 	// 4 attempts + backoffs of 10, 20, min(40,25)=25 ms.
 	want := sim.Time(0).Add(4*d + 10*sim.Millisecond + 20*sim.Millisecond + 25*sim.Millisecond)
 	if doneAt != want {
@@ -289,7 +271,7 @@ func TestFatalFaultTakesSlotOffline(t *testing.T) {
 	}
 	eng, b := newBoard(t, cfg)
 	var gotErr error
-	b.Reconfigure(4, image(4), func(err error) { gotErr = err })
+	b.Reconfigure(4, func(err error) { gotErr = err })
 	eng.Run()
 	if gotErr == nil {
 		t.Fatal("fatal fault reported no error")
@@ -312,7 +294,7 @@ func TestFatalFaultTakesSlotOffline(t *testing.T) {
 			t.Fatal("offline slot listed free")
 		}
 	}
-	if err := b.Reconfigure(4, image(4), nil); err == nil {
+	if err := b.Reconfigure(4, nil); err == nil {
 		t.Fatal("reconfigure of offline slot accepted")
 	}
 	if err := b.Release(4); err == nil {
@@ -336,7 +318,7 @@ func TestSetOffline(t *testing.T) {
 	}
 	// Mid-reconfiguration: the stream completes with a fatal error.
 	var gotErr error
-	if err := b.Reconfigure(1, image(1), func(err error) { gotErr = err }); err != nil {
+	if err := b.Reconfigure(1, func(err error) { gotErr = err }); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.SetOffline(1); err != nil {
@@ -350,7 +332,7 @@ func TestSetOffline(t *testing.T) {
 		t.Fatalf("state = %v, want offline", b.Slot(1).State)
 	}
 	// Loaded: the occupant must be released first.
-	b.Reconfigure(2, image(2), nil)
+	b.Reconfigure(2, nil)
 	eng.Run()
 	if err := b.SetOffline(2); err == nil {
 		t.Fatal("SetOffline of a loaded slot accepted")
@@ -403,33 +385,6 @@ func TestResourcesTable1(t *testing.T) {
 	}
 }
 
-func TestRelocationGate(t *testing.T) {
-	reloc := &bitstream.Image{
-		Header: bitstream.Header{App: "app", Task: 0, Slot: bitstream.RelocatableSlot},
-		Bytes:  bitstream.SlotImageBytes,
-	}
-	// Without relocation support, a slot-agnostic image is rejected.
-	eng, b := newBoard(t, DefaultConfig())
-	if err := b.Reconfigure(2, reloc, nil); err == nil {
-		t.Fatal("relocatable image accepted without AllowRelocation")
-	}
-	// With support, it configures into any slot.
-	cfg := DefaultConfig()
-	cfg.AllowRelocation = true
-	eng, b = newBoard(t, cfg)
-	if err := b.Reconfigure(2, reloc, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if b.Slot(2).State != SlotLoaded {
-		t.Fatalf("state = %v", b.Slot(2).State)
-	}
-	// A mismatched per-slot image is still rejected even with relocation.
-	if err := b.Reconfigure(3, image(5), nil); err == nil {
-		t.Fatal("mismatched per-slot image accepted")
-	}
-}
-
 // UsableSlots is the counter takeOffline maintains, not a scan; it must
 // agree with the slot states through every way a slot leaves service: a
 // fatal fault mid-stream, SetOffline on a free, a reconfiguring, and a
@@ -456,7 +411,7 @@ func TestUsableSlotsMatchesSlotStates(t *testing.T) {
 	}
 	check("fresh board")
 	// Fatal fault during a stream.
-	b.Reconfigure(5, image(5), nil)
+	b.Reconfigure(5, nil)
 	eng.Run()
 	check("fatal fault")
 	// Free slot, twice (idempotent).
@@ -464,13 +419,13 @@ func TestUsableSlotsMatchesSlotStates(t *testing.T) {
 	b.SetOffline(0)
 	check("SetOffline on a free slot")
 	// Reconfiguring slot: offline once the doomed stream lands.
-	b.Reconfigure(1, image(1), nil)
+	b.Reconfigure(1, nil)
 	b.SetOffline(1)
 	check("SetOffline on a reconfiguring slot, stream in flight")
 	eng.Run()
 	check("SetOffline on a reconfiguring slot, stream landed")
 	// Loaded slot: refused, then accepted after release.
-	b.Reconfigure(2, image(2), nil)
+	b.Reconfigure(2, nil)
 	eng.Run()
 	if err := b.SetOffline(2); err == nil {
 		t.Fatal("SetOffline of a loaded slot accepted")
@@ -480,7 +435,7 @@ func TestUsableSlotsMatchesSlotStates(t *testing.T) {
 	b.SetOffline(2)
 	check("SetOffline after release")
 	// Quarantine: retries exhausted, the freed slot is retired.
-	b.Reconfigure(6, image(6), nil)
+	b.Reconfigure(6, nil)
 	eng.Run()
 	if b.Slot(6).State != SlotFree || b.SlotStats(6).Faults != 2 {
 		t.Fatalf("slot 6 after exhausted retries: %v with %d faults", b.Slot(6).State, b.SlotStats(6).Faults)

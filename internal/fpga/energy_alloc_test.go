@@ -3,7 +3,6 @@ package fpga
 import (
 	"testing"
 
-	"nimblock/internal/bitstream"
 	"nimblock/internal/sim"
 )
 
@@ -38,11 +37,6 @@ func TestCAPZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imgs := []*bitstream.Image{
-		{Header: bitstream.Header{App: "app", Slot: 0}, Bytes: bitstream.SlotImageBytes},
-		{Header: bitstream.Header{App: "app", Slot: 1}, Bytes: bitstream.SlotImageBytes},
-		{Header: bitstream.Header{App: "app", Slot: 2}, Bytes: bitstream.SlotImageBytes},
-	}
 	done := 0
 	onDone := func(err error) {
 		if err != nil {
@@ -50,18 +44,18 @@ func TestCAPZeroAlloc(t *testing.T) {
 		}
 		done++
 	}
-	if err := b.Reconfigure(0, imgs[0], onDone); err != nil {
+	if err := b.Reconfigure(0, onDone); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	round := func() {
-		if err := b.Reconfigure(1, imgs[1], onDone); err != nil {
+		if err := b.Reconfigure(1, onDone); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.TransferState(0, 1<<20, onDone); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Reconfigure(2, imgs[2], onDone); err != nil {
+		if err := b.Reconfigure(2, onDone); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()

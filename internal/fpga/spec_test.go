@@ -93,8 +93,7 @@ func TestBoardEnergyIntegrals(t *testing.T) {
 	cfg.StaticWattsPerSlot = 2
 	cfg.ActiveWattsPerSlot = 1
 	eng, b := newBoard(t, cfg)
-	img := image(0)
-	if err := b.Reconfigure(0, img, func(err error) {
+	if err := b.Reconfigure(0, func(err error) {
 		if err != nil {
 			t.Errorf("reconfigure: %v", err)
 		}
@@ -102,7 +101,7 @@ func TestBoardEnergyIntegrals(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	occupied := b.ReconfigTime(img) // slot 0 occupied since t=0
+	occupied := b.cfg.ReconfigTime() // slot 0 occupied since t=0
 	hold := sim.Second
 	eng.RunUntil(eng.Now().Add(hold))
 	occupied += hold

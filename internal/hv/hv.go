@@ -1,10 +1,10 @@
 // Package hv implements the Nimblock hypervisor.
 //
 // The hypervisor is the system manager described in Section 2.2 of the
-// paper: it accepts application submissions, registers their partial
-// bitstreams, drives reconfiguration through the CAP, allocates and
-// relinquishes data buffers, launches tasks, honours batch-preemption
-// requests at batch boundaries, and retires completed applications. The
+// paper: it accepts application submissions, drives reconfiguration
+// through the CAP, allocates and relinquishes data buffers, launches
+// tasks, honours batch-preemption requests at batch boundaries, and
+// retires completed applications. The
 // scheduling *policy* is pluggable (sched.Scheduler); the hypervisor
 // invokes it at scheduling intervals and on arrival/completion/
 // reconfiguration events and executes whatever reconfigurations and
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 
-	"nimblock/internal/bitstream"
 	"nimblock/internal/fpga"
 	"nimblock/internal/hls"
 	"nimblock/internal/interconnect"
@@ -57,10 +56,6 @@ type Config struct {
 	// system. PSBus and NoC make the hand-off explicit for the
 	// interconnect study.
 	Interconnect interconnect.Config
-	// RelocatableBitstreams registers one slot-agnostic image per task
-	// instead of one per (task, slot), dividing bitstream storage by the
-	// slot count. Scheduling behaviour is unchanged.
-	RelocatableBitstreams bool
 	// Checkpoint configures the checkpoint/restore subsystem:
 	// CAP-serialized size-proportional state capture at declared
 	// preemption points, periodic and on-demand saves, and
@@ -158,10 +153,9 @@ type slotRuntime struct {
 	itemStart sim.Time     // start of the current run stretch
 	stretch   sim.Duration // wall length of the current run stretch, booked by itemDone
 
-	// The slot's in-flight CAP operation, read back by its completion:
-	// the image being configured, or the snapshot being saved or
-	// restored with the transfer's start and kind.
-	img       *bitstream.Image
+	// The slot's in-flight checkpoint transfer, read back by its
+	// completion: the snapshot being saved or restored with the
+	// transfer's start and kind.
 	snap      ckptRecord
 	xferStart sim.Time
 	periodic  bool // the capture in flight is a periodic save
@@ -206,7 +200,6 @@ type Hypervisor struct {
 	eng    *sim.Engine
 	cfg    Config
 	board  *fpga.Board
-	store  *bitstream.Store
 	mem    *mem.Manager
 	policy sched.Scheduler
 	log    *trace.Log
@@ -222,8 +215,8 @@ type Hypervisor struct {
 	results  []Result
 	nextID   int64
 
-	// reports memoizes each submitted graph's HLS report; a graph's
-	// bitstreams are registered on its first submission to this board.
+	// reports memoizes each submitted graph's HLS report, computed on
+	// its first submission to this board.
 	reports map[*taskgraph.Graph]*hls.Report
 
 	// rec accumulates hypervisor-side recovery counters (exec faults,
@@ -321,9 +314,6 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 	if cfg.BufferBytes <= 0 {
 		return nil, fmt.Errorf("hv: buffer size must be positive")
 	}
-	if cfg.RelocatableBitstreams {
-		cfg.Board.AllowRelocation = true
-	}
 	if cfg.WatchdogFactor < 0 || cfg.WatchdogGrace < 0 {
 		return nil, fmt.Errorf("hv: negative watchdog parameters")
 	}
@@ -352,7 +342,6 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 	waker, _ := policy.(sched.Waker)
 	h := &Hypervisor{
 		eng:       eng,
-		store:     bitstream.NewStore(),
 		mem:       mm,
 		policy:    policy,
 		waker:     waker,
@@ -438,16 +427,14 @@ func (h *Hypervisor) Trace() *trace.Log { return h.log }
 // Interconnect exposes the inter-slot data-movement model.
 func (h *Hypervisor) Interconnect() *interconnect.Model { return h.ic }
 
-// Store exposes the bitstream filesystem (for tests and reports).
-func (h *Hypervisor) Store() *bitstream.Store { return h.store }
-
 // Err reports the first mechanical error encountered (policy contract
 // violations surface here and abort the run).
 func (h *Hypervisor) Err() error { return h.err }
 
-// Submit schedules an application arrival. The graph's bitstreams are
-// registered with the store (one per task per slot) and the application
-// joins the pending queue at the arrival time.
+// Submit schedules an application arrival: the application joins the
+// pending queue at the arrival time. Any of its tasks can then be
+// configured into any slot at the board's one reconfiguration cost,
+// fpga.Config.ReconfigTime.
 func (h *Hypervisor) Submit(g *taskgraph.Graph, batch, priority int, arrival sim.Time) error {
 	_, err := h.SubmitID(g, batch, priority, arrival)
 	return err
@@ -474,10 +461,7 @@ func (h *Hypervisor) SubmitTenant(g *taskgraph.Graph, batch, priority int, arriv
 // to the submission, which OnRetire later reports back. Dispatchers that
 // must correlate completions with their own records use this form.
 func (h *Hypervisor) SubmitID(g *taskgraph.Graph, batch, priority int, arrival sim.Time) (int64, error) {
-	report, err := h.register(g)
-	if err != nil {
-		return 0, err
-	}
+	report := h.analyze(g)
 	h.nextID++
 	app, err := sched.NewApp(h.nextID, g, report, batch, priority, arrival)
 	if err != nil {
@@ -497,21 +481,16 @@ func (h *Hypervisor) SubmitID(g *taskgraph.Graph, batch, priority int, arrival s
 	return app.ID, nil
 }
 
-// register analyzes the graph and registers its bitstreams on the
-// graph's first submission to this board, and returns its HLS report.
-// Both are pure functions of the graph, so later submissions reuse them.
-func (h *Hypervisor) register(g *taskgraph.Graph) (*hls.Report, error) {
+// analyze returns the graph's HLS report, computing it on the graph's
+// first submission to this board. The report is a pure function of the
+// graph, so later submissions reuse it.
+func (h *Hypervisor) analyze(g *taskgraph.Graph) *hls.Report {
 	if r, ok := h.reports[g]; ok {
-		return r, nil
-	}
-	if h.cfg.RelocatableBitstreams {
-		h.store.RegisterRelocatable(g)
-	} else if err := h.store.Register(g, h.board.NumSlots()); err != nil {
-		return nil, err
+		return r
 	}
 	r := hls.Analyze(g)
 	h.reports[g] = r
-	return r, nil
+	return r
 }
 
 func (h *Hypervisor) arrive(app *sched.App) {
@@ -685,7 +664,5 @@ func (h *Hypervisor) SingleSlotLatency(g *taskgraph.Graph, batch int) sim.Durati
 // scales with the board's fabric latency factor; the reconfiguration
 // term follows its configuration bandwidths.
 func SingleSlotLatencyFor(board fpga.Config, g *taskgraph.Graph, batch int) sim.Duration {
-	bytes := float64(bitstream.SlotImageBytes + bitstream.HeaderBytes)
-	r := sim.Seconds(bytes/board.SDBytesPerSec) + sim.Seconds(bytes/board.CAPBytesPerSec)
-	return sim.Duration(g.NumTasks())*r + stretchDur(sim.Duration(batch)*g.TotalWork(), board.LatencyScale)
+	return sim.Duration(g.NumTasks())*board.ReconfigTime() + stretchDur(sim.Duration(batch)*g.TotalWork(), board.LatencyScale)
 }

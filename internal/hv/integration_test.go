@@ -5,6 +5,7 @@ import (
 
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
+	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
 	"nimblock/internal/interconnect"
 	"nimblock/internal/sched"
@@ -373,6 +374,40 @@ func TestSingleSlotLatency(t *testing.T) {
 	}
 }
 
+// The single-slot estimate is exactly what the simulator delivers: each
+// benchmark run alone under FCFS on a one-slot board responds in
+// SingleSlotLatencyFor, across bandwidths and fabric speeds.
+func TestSingleSlotLatencyIsRealized(t *testing.T) {
+	slow, fast := hv.DefaultConfig().Board, hv.DefaultConfig().Board
+	slow.CAPBytesPerSec, slow.SDBytesPerSec, slow.LatencyScale = 33e6, 91e6, 1.7
+	fast.CAPBytesPerSec, fast.SDBytesPerSec, fast.LatencyScale = 1e9, 3e9, 0.5
+	for _, board := range []fpga.Config{hv.DefaultConfig().Board, slow, fast} {
+		board.Slots = 1
+		for _, name := range apps.Names() {
+			for _, batch := range []int{1, 5} {
+				cfg := hv.DefaultConfig()
+				cfg.Board = board
+				h, err := hv.New(sim.NewEngine(), cfg, fcfs.New())
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := apps.MustGraph(name)
+				if err := h.Submit(g, batch, 1, 0); err != nil {
+					t.Fatal(err)
+				}
+				res, err := h.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := hv.SingleSlotLatencyFor(board, g, batch); res[0].Response != want {
+					t.Errorf("CAP %g SD %g scale %g, %s batch %d: response %v, SingleSlotLatencyFor %v",
+						board.CAPBytesPerSec, board.SDBytesPerSec, board.LatencyScale, name, batch, res[0].Response, want)
+				}
+			}
+		}
+	}
+}
+
 // Config validation.
 func TestHypervisorConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
@@ -416,39 +451,6 @@ func TestResultThroughput(t *testing.T) {
 	}
 	if (hv.Result{}).Throughput() != 0 {
 		t.Fatal("zero response should yield zero throughput")
-	}
-}
-
-// Relocatable bitstreams change storage, never scheduling.
-func TestRelocatableBitstreamsEquivalent(t *testing.T) {
-	run := func(reloc bool) ([]hv.Result, int64) {
-		eng := sim.NewEngine()
-		cfg := hv.DefaultConfig()
-		cfg.RelocatableBitstreams = reloc
-		h, err := hv.New(eng, cfg, fcfs.New())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range mixedWorkload() {
-			if err := h.Submit(apps.MustGraph(s.name), s.batch, s.prio, s.at); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := h.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, h.Store().Bytes()
-	}
-	plain, plainBytes := run(false)
-	reloc, relocBytes := run(true)
-	for i := range plain {
-		if plain[i] != reloc[i] {
-			t.Fatalf("relocation changed results at %d:\n%+v\n%+v", i, plain[i], reloc[i])
-		}
-	}
-	if plainBytes != 10*relocBytes {
-		t.Fatalf("storage: %d vs %d bytes, want 10x saving", plainBytes, relocBytes)
 	}
 }
 
@@ -533,21 +535,19 @@ func TestPreemptedLowPriorityRecovers(t *testing.T) {
 }
 
 // Feature matrix smoke: every policy completes under every combination
-// of relocation, explicit PS-bus interconnect, and fault injection.
+// of explicit PS-bus interconnect and fault injection.
 func TestFeatureMatrixSmoke(t *testing.T) {
 	features := []struct {
 		name string
 		mut  func(*hv.Config)
 	}{
-		{"reloc", func(c *hv.Config) { c.RelocatableBitstreams = true }},
 		{"psbus", func(c *hv.Config) { c.Interconnect = interconnect.DefaultPSBus() }},
 		{"faults", func(c *hv.Config) {
 			c.Board.FaultRate = 0.1
 			c.Board.FaultSeed = 5
 			c.Board.MaxRetries = 50
 		}},
-		{"reloc+psbus+faults", func(c *hv.Config) {
-			c.RelocatableBitstreams = true
+		{"psbus+faults", func(c *hv.Config) {
 			c.Interconnect = interconnect.DefaultPSBus()
 			c.Board.FaultRate = 0.1
 			c.Board.FaultSeed = 5

@@ -34,16 +34,12 @@ func (h *Hypervisor) Reconfigure(slot int, a *sched.App, task int) error {
 	if !a.Configurable(task) {
 		return h.fail(fmt.Errorf("hv: %s task %d not configurable (state %v)", a.Name, task, a.TaskState(task)))
 	}
-	img, err := h.store.Lookup(a.Name, task, slot)
-	if err != nil {
-		return h.fail(err)
-	}
 	if err := a.MarkConfiguring(task, slot); err != nil {
 		return h.fail(err)
 	}
-	h.slots[slot] = slotRuntime{app: a, task: task, curItem: -1, img: img}
+	h.slots[slot] = slotRuntime{app: a, task: task, curItem: -1}
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindReconfigStart, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
-	if err := h.board.Reconfigure(slot, img, h.fnsFor(slot).reconfigured); err != nil {
+	if err := h.board.Reconfigure(slot, h.fnsFor(slot).reconfigured); err != nil {
 		return h.fail(err)
 	}
 	return nil
@@ -58,7 +54,7 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 		return // frozen or dead: the board never sees the completion
 	}
 	rt := &h.slots[slot]
-	a, task, img := rt.app, rt.task, rt.img
+	a, task := rt.app, rt.task
 	if a.Retired() {
 		// Hedge-cancelled mid-reconfiguration (a configuring task never
 		// lets an app retire normally): drop the stream's result and
@@ -96,10 +92,11 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 		return
 	}
 	rt.active = true
+	d := h.cfg.Board.ReconfigTime()
 	res := &h.records[a.ID].res
-	res.Reconfig += h.board.ReconfigTime(img)
+	res.Reconfig += d
 	res.Reconfigurations++
-	h.slotBusy[slot] += h.board.ReconfigTime(img)
+	h.slotBusy[slot] += d
 	if e := h.allocOutputBuffer(a, task); e != nil {
 		h.fail(e)
 		return

@@ -88,15 +88,3 @@ func TestJSONLClosesCloser(t *testing.T) {
 		t.Fatal("close error swallowed")
 	}
 }
-
-func TestAsyncCapacityClamp(t *testing.T) {
-	var got []trace.Event
-	a := NewAsync(Func(func(e trace.Event) { got = append(got, e) }), 0)
-	a.Observe(trace.Event{Kind: trace.KindArrival, AppID: 1})
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("clamped-capacity sink delivered %d events, want 1", len(got))
-	}
-}

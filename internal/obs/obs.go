@@ -19,9 +19,7 @@
 //   - Every Sink shipped by this package is safe for concurrent use: the
 //     parallel experiment harness (internal/experiments) runs many
 //     engines at once and may point them all at one sink.
-//   - Sinks never block the simulation. The Async sink makes that
-//     explicit: it buffers into a bounded queue and counts drops instead
-//     of applying backpressure.
+//   - Sinks never block the simulation.
 package obs
 
 import (

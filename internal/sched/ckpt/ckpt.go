@@ -20,7 +20,6 @@
 package ckpt
 
 import (
-	"nimblock/internal/bitstream"
 	"nimblock/internal/core"
 	"nimblock/internal/fpga"
 	"nimblock/internal/sched"
@@ -163,13 +162,11 @@ func (s *Scheduler) estimate(a *sched.App) sim.Duration {
 	if d, ok := s.est[key]; ok {
 		return d
 	}
-	bytes := float64(bitstream.SlotImageBytes + bitstream.HeaderBytes)
-	r := sim.Seconds(bytes/s.board.SDBytesPerSec) + sim.Seconds(bytes/s.board.CAPBytesPerSec)
 	var work sim.Duration
 	for t := 0; t < a.Graph.NumTasks(); t++ {
 		work += a.Report.Task(t).Latency
 	}
-	d := sim.Duration(a.Graph.NumTasks())*r + sim.Duration(a.Batch)*work
+	d := sim.Duration(a.Graph.NumTasks())*s.board.ReconfigTime() + sim.Duration(a.Batch)*work
 	s.est[key] = d
 	return d
 }

@@ -135,10 +135,6 @@ type Config struct {
 	// EnableTrace records a full execution trace, retrievable with
 	// System.TraceDump and System.Gantt.
 	EnableTrace bool
-	// RelocatableBitstreams stores one slot-agnostic partial bitstream
-	// per task instead of one per (task, slot), dividing bitstream
-	// storage by the slot count; scheduling behaviour is unchanged.
-	RelocatableBitstreams bool
 	// Interconnect selects the inter-slot data path: "" or "folded"
 	// (calibrated default, data movement folded into task latencies),
 	// "ps-bus" (explicit serialized transfers through the PS, as on the
@@ -420,7 +416,6 @@ func (cfg Config) boardConfigs(n int, specs []*BoardSpec) (boardSet, error) {
 	// IDs, so observers aggregating per-app state should key on (App,
 	// AppID).
 	hcfg.Observer = wrapObserver(cfg.Observer)
-	hcfg.RelocatableBitstreams = cfg.RelocatableBitstreams
 	switch cfg.Interconnect {
 	case "", "folded":
 		hcfg.Interconnect = interconnect.DefaultConfig()
