@@ -66,7 +66,7 @@ func (h *Hypervisor) tryStart(slot int) {
 		return
 	}
 	rt.curItem = item
-	res := &h.records[a.ID].res
+	res := &rt.rec.res
 	if res.FirstLaunch < 0 {
 		res.FirstLaunch = h.eng.Now()
 	}
@@ -199,11 +199,11 @@ func (h *Hypervisor) itemDone(slot int) {
 		h.fail(err)
 		return
 	}
-	h.recordProduction(a, task, item, slot)
+	r := rt.rec
+	h.recordProduction(r, task, item, slot)
 	// The attempt's earlier stretches (between periodic saves) are
 	// booked now, with the final stretch; save pauses were booked at
 	// each save. The snapshot is obsolete once the item completes.
-	r := h.records[a.ID]
 	run := rt.stretch + rt.doneWall
 	r.dropSnapshot(task, item)
 	rt.base, rt.doneNominal, rt.doneWall = 0, 0, 0
@@ -282,7 +282,7 @@ func (h *Hypervisor) RequestPreempt(slot int) error {
 // slot. Only legal at a batch boundary.
 func (h *Hypervisor) doPreempt(slot int) {
 	rt := &h.slots[slot]
-	a, task := rt.app, rt.task
+	a, r, task := rt.app, rt.rec, rt.task
 	if err := a.MarkPreempted(task); err != nil {
 		h.fail(err)
 		return
@@ -290,7 +290,7 @@ func (h *Hypervisor) doPreempt(slot int) {
 	if h.vacate(slot) != nil {
 		return
 	}
-	h.records[a.ID].res.Preemptions++
+	r.res.Preemptions++
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindPreempt, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
 	h.wake(sched.ReasonSlotFree)
 }

@@ -77,7 +77,7 @@ func (h *Hypervisor) capture(slot int, periodic bool) {
 	nominal := a.Graph.Task(task).Latency
 	frac := float64(rt.base+rt.doneNominal+h.running(rt)) / float64(nominal)
 	snap := sim.Duration(a.Graph.SnapFraction(task, frac, h.cfg.Checkpoint.DefaultPoints) * float64(nominal))
-	last, _ := h.records[a.ID].snapshot(task, item)
+	last, _ := rt.rec.snapshot(task, item)
 	fresh := snap > last.progress
 	if periodic && !fresh {
 		h.armSave(slot)
@@ -119,7 +119,7 @@ func (h *Hypervisor) captureDone(slot int) {
 	}
 	a, task, item := rt.app, rt.task, rt.curItem
 	d := h.eng.Now().Sub(rt.xferStart)
-	h.records[a.ID].setSnapshot(task, item, rt.snap)
+	rt.rec.setSnapshot(task, item, rt.snap)
 	h.rec.CheckpointSaves++
 	h.rec.CheckpointOverhead += d
 	h.slotBusy[slot] += d
@@ -139,8 +139,7 @@ func (h *Hypervisor) captureDone(slot int) {
 // wasted, and checkpoint transfer time is never double-counted (it
 // lives in CheckpointOverhead). It returns the snapshot (zero if none).
 func (h *Hypervisor) settle(slot int, rt *slotRuntime) ckptRecord {
-	a := rt.app
-	r := h.records[a.ID]
+	a, r := rt.app, rt.rec
 	wall := h.attemptWall(rt)
 	last, ok := r.snapshot(rt.task, rt.curItem)
 	var committed sim.Duration
@@ -162,7 +161,7 @@ func (h *Hypervisor) settle(slot int, rt *slotRuntime) ckptRecord {
 // (batch progress survives in the App), and free the slot.
 func (h *Hypervisor) checkpointPreempt(slot int, saveDur sim.Duration) {
 	rt := &h.slots[slot]
-	a, task, item := rt.app, rt.task, rt.curItem
+	a, r, task, item := rt.app, rt.rec, rt.task, rt.curItem
 	last := h.settle(slot, rt)
 	aborted, err := a.MarkCheckpointPreempted(task)
 	if err != nil {
@@ -176,7 +175,7 @@ func (h *Hypervisor) checkpointPreempt(slot int, saveDur sim.Duration) {
 	if h.vacate(slot) != nil {
 		return
 	}
-	h.records[a.ID].res.Preemptions++
+	r.res.Preemptions++
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindCheckpoint, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: item, Dur: saveDur, Progress: last.progress})
 	h.wake(sched.ReasonSlotFree)
 }
@@ -185,7 +184,8 @@ func (h *Hypervisor) checkpointPreempt(slot int, saveDur sim.Duration) {
 // CAP, probing checkpoint-integrity faults. It reports false — run from
 // scratch — when there is no snapshot or it was lost.
 func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
-	last, ok := h.records[a.ID].snapshot(task, item)
+	rt := &h.slots[slot]
+	last, ok := rt.rec.snapshot(task, item)
 	if !ok {
 		return false
 	}
@@ -195,7 +195,6 @@ func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
 		h.snapshotFault(slot, a, task, item, last, 0)
 		return false
 	}
-	rt := &h.slots[slot]
 	rt.base = last.progress
 	rt.restoring = true
 	rt.snap, rt.corrupt, rt.xferStart = last, probe.Corrupt, h.eng.Now()
@@ -243,7 +242,7 @@ func (h *Hypervisor) restoreDone(slot int) {
 // snapshotFault discards a snapshot found lost or corrupt at restore
 // time; the item falls back to from-scratch re-execution.
 func (h *Hypervisor) snapshotFault(slot int, a *sched.App, task, item int, last ckptRecord, d sim.Duration) {
-	h.records[a.ID].dropSnapshot(task, item)
+	h.slots[slot].rec.dropSnapshot(task, item)
 	h.rec.FaultsInjected++
 	h.rec.CheckpointFaults++
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindCheckpointFault, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: item, Dur: d, Progress: last.progress})

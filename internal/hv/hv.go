@@ -140,6 +140,7 @@ type Instance = *Hypervisor
 // slotRuntime is the hypervisor's view of one slot.
 type slotRuntime struct {
 	app       *sched.App
+	rec       *appRecord // app's record, so the item path never looks it up by ID
 	task      int
 	active    bool // reconfiguration finished, logic live
 	curItem   int  // item in flight, -1 if waiting at a batch boundary
@@ -564,7 +565,8 @@ func (h *Hypervisor) fail(err error) error {
 // trace records an event in the in-memory log (when enabled) and fans
 // it out to the live observer (when attached). The disabled path — nil
 // log, nil observer — must stay allocation-free: it runs once per event
-// on the simulator hot path (a test in this package enforces it).
+// on the simulator hot path (a test in this package enforces it). It is
+// small enough to inline, so with tracing off the event is never copied.
 func (h *Hypervisor) trace(e trace.Event) {
 	// Every emitted event is one heartbeat: a frozen board emits nothing
 	// (its callbacks are guarded), so liveness polls see the counter
@@ -572,6 +574,13 @@ func (h *Hypervisor) trace(e trace.Event) {
 	// change for the tick-skipping rule.
 	h.progress++
 	h.changes++
+	if h.log != nil || h.obs != nil {
+		h.emit(e)
+	}
+}
+
+// emit hands a traced event to the log and the observer.
+func (h *Hypervisor) emit(e trace.Event) {
 	h.log.Add(e)
 	if h.obs != nil {
 		h.obs.Observe(e)

@@ -37,7 +37,8 @@ func (h *Hypervisor) Reconfigure(slot int, a *sched.App, task int) error {
 	if err := a.MarkConfiguring(task, slot); err != nil {
 		return h.fail(err)
 	}
-	h.slots[slot] = slotRuntime{app: a, task: task, curItem: -1}
+	// The one place a slot gains an occupant: the record travels with it.
+	h.slots[slot] = slotRuntime{app: a, rec: h.records[a.ID], task: task, curItem: -1}
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindReconfigStart, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
 	if err := h.board.Reconfigure(slot, h.fnsFor(slot).reconfigured); err != nil {
 		return h.fail(err)
@@ -93,11 +94,11 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 	}
 	rt.active = true
 	d := h.cfg.Board.ReconfigTime()
-	res := &h.records[a.ID].res
+	res := &rt.rec.res
 	res.Reconfig += d
 	res.Reconfigurations++
 	h.slotBusy[slot] += d
-	if e := h.allocOutputBuffer(a, task); e != nil {
+	if e := h.allocOutputBuffer(rt.rec, task); e != nil {
 		h.fail(e)
 		return
 	}
@@ -125,12 +126,11 @@ func taskLabel(t int) string {
 // allocOutputBuffer gives the task a place to write results; consumers
 // hold references until they finish the batch. Re-activations after
 // preemption reuse the existing buffer.
-func (h *Hypervisor) allocOutputBuffer(a *sched.App, task int) error {
-	r := h.records[a.ID]
+func (h *Hypervisor) allocOutputBuffer(r *appRecord, task int) error {
 	if _, exists := r.bufOut[task]; exists {
 		return nil
 	}
-	refs := len(a.Graph.Succ(task))
+	refs := len(r.app.Graph.Succ(task))
 	if refs == 0 {
 		refs = 1 // sink: released when the task itself completes
 	}
@@ -147,7 +147,7 @@ func (h *Hypervisor) allocOutputBuffer(a *sched.App, task int) error {
 
 // finishTask relinquishes buffers and frees the slot.
 func (h *Hypervisor) finishTask(slot int, a *sched.App, task int) error {
-	bufOut := h.records[a.ID].bufOut
+	bufOut := h.slots[slot].rec.bufOut
 	// Drop one reference on each predecessor's output: this consumer is done.
 	for _, p := range a.Graph.Pred(task) {
 		if id, ok := bufOut[p]; ok {
@@ -174,11 +174,10 @@ func (h *Hypervisor) finishTask(slot int, a *sched.App, task int) error {
 // recordProduction notes where a (task, item) output was produced so
 // consumer-side hand-offs can be priced. Only needed for explicit
 // interconnect models.
-func (h *Hypervisor) recordProduction(a *sched.App, task, item, slot int) {
+func (h *Hypervisor) recordProduction(r *appRecord, task, item, slot int) {
 	if h.ic.Kind() == interconnect.Folded {
 		return
 	}
-	r := h.records[a.ID]
 	if r.prodAt == nil {
 		r.prodAt = map[[2]int]prodInfo{}
 	}
@@ -191,7 +190,7 @@ func (h *Hypervisor) dataReadyAt(a *sched.App, task, slot, item int) sim.Time {
 	if h.ic.Kind() == interconnect.Folded || len(a.Graph.Pred(task)) == 0 {
 		return h.eng.Now()
 	}
-	r := h.records[a.ID]
+	r := h.slots[slot].rec
 	if r.handoff == nil {
 		r.handoff = map[[3]int]sim.Time{}
 	}

@@ -48,8 +48,27 @@ func BenchmarkCandidates(b *testing.B) {
 	}
 }
 
+// BenchmarkNextWake asks for the pool's wake over 20 pending apps, one
+// millisecond after they were first seen: every balance is still below
+// the top level, so each app has a crossing ahead.
+func BenchmarkNextWake(b *testing.B) {
+	apps := benchApps(b, 20)
+	p := NewTokenPool()
+	p.Accumulate(0, apps)
+	now := sim.Time(sim.Millisecond)
+	p.Accumulate(now, apps)
+	if p.NextWake(now, apps) == sim.Never {
+		b.Fatal("no crossing ahead")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.NextWake(now, apps)
+	}
+}
+
 func BenchmarkConfigurableTasks(b *testing.B) {
-	a := benchApps(b, 1)[0] // first name alphabetically: AlexNet (38 tasks)
+	a := benchApps(b, 1)[0] // first name alphabetically: 3DRendering (a 3-task chain)
 	a.MarkConfiguring(0, 0)
 	a.MarkActive(0)
 	b.ReportAllocs()

@@ -58,6 +58,7 @@ type Scheduler struct {
 	inner *core.Scheduler
 	board fpga.Config
 	est   map[estKey]sim.Duration
+	guard guardedWorld // the core pass's world, kept so Schedule does not box a new one
 }
 
 type estKey struct {
@@ -79,6 +80,7 @@ func New(opts Options, board fpga.Config) *Scheduler {
 		inner: core.New(opts.Core, board),
 		board: board,
 		est:   map[estKey]sim.Duration{},
+		guard: guardedWorld{min: opts.RescuePriority},
 	}
 }
 
@@ -97,7 +99,8 @@ func (s *Scheduler) Pipelining() bool { return s.inner.Pipelining() }
 // whatever is still pending and past its slack.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	s.place(w)
-	s.inner.Schedule(guardedWorld{World: w, min: s.opts.RescuePriority}, why)
+	s.guard.World = w
+	s.inner.Schedule(&s.guard, why)
 	s.rescue(w)
 }
 

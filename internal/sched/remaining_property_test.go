@@ -19,10 +19,10 @@ func remainingFromScratch(a *App) sim.Duration {
 }
 
 // randomStep applies one random legal lifecycle transition to a random
-// task, the way a hypervisor would: configure, activate, start and
-// finish items, and kill, checkpoint-preempt or batch-preempt an active
-// task. It names the transition applied, or "" when the drawn task had
-// none, and the task it drew.
+// task, the way a hypervisor would: configure, activate or fail a
+// configuration, start and finish items, and kill, checkpoint-preempt
+// or batch-preempt an active task. It names the transition applied, or
+// "" when the drawn task had none, and the task it drew.
 func randomStep(a *App, rng *rand.Rand) (op string, t int, err error) {
 	t = rng.Intn(a.Graph.NumTasks())
 	switch a.TaskState(t) {
@@ -31,6 +31,9 @@ func randomStep(a *App, rng *rand.Rand) (op string, t int, err error) {
 			return "configure", t, a.MarkConfiguring(t, t)
 		}
 	case TaskConfiguring:
+		if rng.Intn(10) == 0 {
+			return "config-failed", t, a.MarkConfigFailed(t)
+		}
 		return "activate", t, a.MarkActive(t)
 	case TaskActive:
 		r := rng.Intn(20)

@@ -28,13 +28,13 @@ type entry struct {
 // Scheduler is the round-robin policy.
 type Scheduler struct {
 	queues [][]entry
-	issued map[int64]map[int]bool // app ID -> task -> queued at least once
+	issued map[*sched.App][]bool // app -> task -> queued at least once
 	seq    int64
 	free   []bool // scratch for dispatch's free-slot lookup
 }
 
 // New returns a round-robin scheduler.
-func New() *Scheduler { return &Scheduler{issued: map[int64]map[int]bool{}} }
+func New() *Scheduler { return &Scheduler{issued: map[*sched.App][]bool{}} }
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "RR" }
@@ -51,6 +51,7 @@ func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	if s.queues == nil {
 		s.queues = make([][]entry, w.NumSlots())
 	}
+	s.forgetRetired(w)
 	s.reroute(w)
 	// Dispatching a task can make its successors configurable and
 	// therefore issuable; iterate to a fixpoint.
@@ -59,6 +60,21 @@ func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 		dispatched := s.dispatch(w)
 		if issued == 0 && dispatched == 0 {
 			return
+		}
+	}
+}
+
+// forgetRetired drops the issue flags of apps that left the pending
+// list. Flags are kept only for pending apps and an app leaves only by
+// retiring (or being aborted), so the table outgrows the pending list
+// only after a departure, and it is swept at most once per departure.
+func (s *Scheduler) forgetRetired(w sched.World) {
+	if len(s.issued) <= len(w.Apps()) {
+		return
+	}
+	for a := range s.issued {
+		if a.Retired() {
+			delete(s.issued, a)
 		}
 	}
 }
@@ -109,17 +125,21 @@ func (s *Scheduler) enqueue(w sched.World, e entry) bool {
 }
 
 // issue sends newly ready tasks to the shortest slot queue, returning how
-// many tasks were enqueued.
+// many tasks were enqueued. A task is issued at most once, ever.
 func (s *Scheduler) issue(w sched.World) int {
 	n := 0
 	for _, a := range w.Apps() {
-		for _, t := range a.ConfigurableTasks() {
-			m := s.issued[a.ID]
-			if m == nil {
-				m = map[int]bool{}
-				s.issued[a.ID] = m
-			}
-			if m[t] {
+		tasks := a.ConfigurableTasks()
+		if len(tasks) == 0 {
+			continue
+		}
+		issued := s.issued[a]
+		if issued == nil {
+			issued = make([]bool, a.Graph.NumTasks())
+			s.issued[a] = issued
+		}
+		for _, t := range tasks {
+			if issued[t] {
 				continue
 			}
 			s.seq++
@@ -127,7 +147,7 @@ func (s *Scheduler) issue(w sched.World) int {
 				// Board fully offline; retry at the next opportunity.
 				return n
 			}
-			m[t] = true
+			issued[t] = true
 			n++
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"nimblock/internal/apps"
+	"nimblock/internal/hv"
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/schedtest"
+	"nimblock/internal/sim"
 )
 
 func TestIdentity(t *testing.T) {
@@ -96,4 +98,72 @@ func TestTasksIssuedOnce(t *testing.T) {
 	if len(w.Reconfigs) != 1 {
 		t.Fatalf("reconfigs = %v; a queued task was re-issued", w.Reconfigs)
 	}
+}
+
+// Regression: the issue flags once outlived their apps, so a
+// long-lived board grew them once per submission. After each of 1,000
+// sequential apps retires on one RR board, and after every policy call,
+// the policy keeps flags and queue entries only for pending apps.
+func TestStateBoundedToPendingApps(t *testing.T) {
+	const total = 1000
+	s := New()
+	eng := sim.NewEngine()
+	g := apps.MustGraph(apps.LeNet)
+	var h *hv.Hypervisor
+	retired := 0
+	check := func(when string) {
+		pending := map[*sched.App]bool{}
+		for _, a := range h.Apps() {
+			pending[a] = true
+		}
+		for a := range s.issued {
+			if !pending[a] {
+				t.Fatalf("%s, after %d retirements: issue flags kept for %s, which is not pending", when, retired, a)
+			}
+		}
+		for _, q := range s.queues {
+			for _, e := range q {
+				if !pending[e.app] {
+					t.Fatalf("%s, after %d retirements: queue entry kept for %s, which is not pending", when, retired, e.app)
+				}
+			}
+		}
+	}
+	cfg := hv.DefaultConfig()
+	cfg.OnRetire = func(int64) {
+		retired++
+		if retired < total {
+			if err := h.Submit(g, 2, 3, eng.Now()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	h, err := hv.New(eng, cfg, checked{s, func() { check("after a call") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Submit(g, 2, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if retired != total {
+		t.Fatalf("%d of %d apps retired", retired, total)
+	}
+	check("at the end")
+	if n := len(s.issued); n != 0 {
+		t.Fatalf("issue flags kept for %d apps after every app retired", n)
+	}
+}
+
+// checked runs a check after every Schedule call of the policy it wraps.
+type checked struct {
+	*Scheduler
+	after func()
+}
+
+func (c checked) Schedule(w sched.World, why sched.Reason) {
+	c.Scheduler.Schedule(w, why)
+	c.after()
 }

@@ -200,16 +200,23 @@ type App struct {
 	slot      []int
 	doneCnt   []int // items finish in order: task t's done items are [0, doneCnt[t])
 	inflight  []int
+	cfg       []int // ConfigurableTasks' answer, valid while cfgValid
 	tasksFin  int
-	retired   bool
+	slotsUsed int          // tasks configuring or active
 	remaining sim.Duration // RemainingEstimate, lowered as items finish
 
-	// TokenPool accrual state: whether the app has been given its
-	// initial tokens, and the instant it was first seen.
-	tokenSeen  bool
+	// TokenPool accrual state: the instant the app was first seen, and
+	// the last crossing NextWake derived for it.
 	tokenSince sim.Time
+	crossAt    sim.Time
 
-	cfgScratch []int // reused by ConfigurableTasks
+	// The small fields share one word, which keeps App in the 320-byte
+	// allocation class: apps are created once per submission and live
+	// until the board is collected.
+	retired   bool
+	tokenSeen bool // the pool has given the app its initial tokens
+	cfgValid  bool // no task entered or left TaskIdle since cfg was built
+	crossKey  int8 // 1 + the PriorityLevels index crossAt is for; 0 before the first
 }
 
 // NewApp builds runtime state for a submission.
@@ -288,16 +295,10 @@ func (a *App) ServiceWeight() float64 {
 // Done reports whether every task has processed every batch item.
 func (a *App) Done() bool { return a.tasksFin == a.Graph.NumTasks() }
 
-// SlotsUsed counts slots currently held (configuring or active).
-func (a *App) SlotsUsed() int {
-	n := 0
-	for _, s := range a.state {
-		if s == TaskConfiguring || s == TaskActive {
-			n++
-		}
-	}
-	return n
-}
+// SlotsUsed counts slots currently held (configuring or active). It is
+// a counter the Mark* transitions keep: configuring a task raises it,
+// and a task going back to idle or finishing its batch lowers it.
+func (a *App) SlotsUsed() int { return a.slotsUsed }
 
 // OverConsumption is slots used beyond the policy allocation (Algorithm 2
 // line 4 of the paper).
@@ -310,12 +311,16 @@ func (a *App) OverConsumption() int { return a.SlotsUsed() - a.SlotsAllocated }
 // policies; whether the configured task may actually *start* items before
 // its predecessors finish the whole batch is the pipelining policy,
 // enforced by NextReadyItem.
+//
+// An idle task is always unfinished: only MarkItemDone completes a
+// batch, and it moves the task to TaskDone. So the rule reads the task
+// states alone.
 func (a *App) Configurable(t int) bool {
-	if a.state[t] != TaskIdle || a.doneCnt[t] == a.Batch {
+	if a.state[t] != TaskIdle {
 		return false
 	}
 	for _, p := range a.Graph.Pred(t) {
-		if a.state[p] == TaskIdle && a.doneCnt[p] < a.Batch {
+		if a.state[p] == TaskIdle {
 			return false
 		}
 	}
@@ -327,15 +332,31 @@ func (a *App) Configurable(t int) bool {
 // ConfigurableTasks call on the same app; callers must not retain or
 // mutate it. Policies call this in their inner loops, so it must not
 // allocate.
+//
+// Configurable reads only which tasks are idle, so the list can change
+// only when a task enters or leaves TaskIdle. It is rebuilt on the
+// first call after such a transition and returned unchanged until the
+// next one.
 func (a *App) ConfigurableTasks() []int {
-	out := a.cfgScratch[:0]
+	if a.cfgValid {
+		return a.cfg
+	}
+	out := a.cfg[:0]
 	for _, t := range a.Graph.Topo() {
 		if a.Configurable(t) {
 			out = append(out, t)
 		}
 	}
-	a.cfgScratch = out
+	a.cfg, a.cfgValid = out, true
 	return out
+}
+
+// toIdle returns task t to TaskIdle from a slot-holding state.
+func (a *App) toIdle(t int) {
+	a.state[t] = TaskIdle
+	a.slot[t] = -1
+	a.slotsUsed--
+	a.cfgValid = false
 }
 
 // NextReadyItem returns the next batch item task t can process, or -1.
@@ -383,6 +404,8 @@ func (a *App) MarkConfiguring(t, slot int) error {
 	}
 	a.state[t] = TaskConfiguring
 	a.slot[t] = slot
+	a.slotsUsed++
+	a.cfgValid = false
 	return nil
 }
 
@@ -401,8 +424,7 @@ func (a *App) MarkConfigFailed(t int) error {
 	if a.state[t] != TaskConfiguring {
 		return fmt.Errorf("sched: %s task %d is %v, cannot fail configuration", a.Name, t, a.state[t])
 	}
-	a.state[t] = TaskIdle
-	a.slot[t] = -1
+	a.toIdle(t)
 	return nil
 }
 
@@ -414,8 +436,7 @@ func (a *App) MarkPreempted(t int) error {
 	if a.inflight[t] >= 0 {
 		return fmt.Errorf("sched: %s task %d preempted mid-item %d", a.Name, t, a.inflight[t])
 	}
-	a.state[t] = TaskIdle
-	a.slot[t] = -1
+	a.toIdle(t)
 	return nil
 }
 
@@ -431,8 +452,7 @@ func (a *App) MarkCheckpointPreempted(t int) (int, error) {
 	}
 	item := a.inflight[t]
 	a.inflight[t] = -1
-	a.state[t] = TaskIdle
-	a.slot[t] = -1
+	a.toIdle(t)
 	return item, nil
 }
 
@@ -447,8 +467,7 @@ func (a *App) MarkKilled(t int) (int, error) {
 	}
 	item := a.inflight[t]
 	a.inflight[t] = -1
-	a.state[t] = TaskIdle
-	a.slot[t] = -1
+	a.toIdle(t)
 	return item, nil
 }
 
@@ -471,15 +490,18 @@ func (a *App) MarkItemStarted(t, i int) error {
 // whether the task has now finished its whole batch; if so the task
 // transitions to TaskDone and its slot association is cleared.
 func (a *App) MarkItemDone(t, i int) (taskDone bool, err error) {
-	if a.inflight[t] != i {
+	if i < 0 || a.inflight[t] != i {
 		return false, fmt.Errorf("sched: %s task %d finishing item %d but in-flight is %d", a.Name, t, i, a.inflight[t])
 	}
 	a.inflight[t] = -1
 	a.doneCnt[t]++
 	a.remaining -= a.Report.Task(t).Latency
 	if a.doneCnt[t] == a.Batch {
+		// Active -> Done leaves the idle set, and so the configurable
+		// list, as it was.
 		a.state[t] = TaskDone
 		a.slot[t] = -1
+		a.slotsUsed--
 		a.tasksFin++
 		return true, nil
 	}

@@ -88,6 +88,10 @@ func latencyEstimate(a *App) sim.Duration { return max(a.Report.AppLatency(), 1)
 // no candidate can join or leave the pool, and the threshold cannot
 // move, before then unless an application arrives or retires. An
 // application the pool has not seen yet makes the wake now.
+//
+// Each application's crossing is memoized on the App, keyed by the
+// level it is for, and derived again only when its balance passes that
+// level: at most len(PriorityLevels) times per application.
 func (p *TokenPool) NextWake(now sim.Time, apps []*App) sim.Time {
 	wake := sim.Never
 	for _, a := range apps {
@@ -101,13 +105,25 @@ func (p *TokenPool) NextWake(now sim.Time, apps []*App) sim.Time {
 
 // crossing is the first instant at which the application's balance
 // reaches the lowest priority level above its current balance, or
-// sim.Never if it holds the top level or accrues nothing.
+// sim.Never if it holds the top level or accrues nothing. Besides the
+// level, the instant depends only on the app's first-seen instant,
+// priority and latency estimate, which are fixed once the pool has seen
+// it, and on Alpha, which is fixed for the one pool that schedules it;
+// so the memo is exact.
 func (p *TokenPool) crossing(a *App) sim.Time {
 	i := slices.IndexFunc(PriorityLevels, func(l int) bool { return float64(l) > a.Tokens })
 	if i < 0 || p.Alpha <= 0 {
 		return sim.Never
 	}
-	level := float64(PriorityLevels[i])
+	if int(a.crossKey) != i+1 {
+		a.crossKey, a.crossAt = int8(i+1), p.crossingAt(a, float64(PriorityLevels[i]))
+	}
+	return a.crossAt
+}
+
+// crossingAt is the first instant at which the application's balance
+// reaches level, or sim.Never if that lies beyond the simulated range.
+func (p *TokenPool) crossingAt(a *App, level float64) sim.Time {
 	// Invert the closed form, then settle on the exact first microsecond
 	// at which tokensAt reaches the level: its floating-point evaluation
 	// is monotone in t, so the wake is never late by rounding.

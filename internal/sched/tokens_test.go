@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -231,5 +233,82 @@ func TestCandidateNonEmptyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// freshCrossing is TokenPool.crossing without the memo: the inversion
+// for the lowest level above the app's balance, derived every call.
+func freshCrossing(p *TokenPool, a *App) sim.Time {
+	for _, l := range PriorityLevels {
+		if float64(l) > a.Tokens {
+			if p.Alpha <= 0 {
+				return sim.Never
+			}
+			return p.crossingAt(a, float64(l))
+		}
+	}
+	return sim.Never
+}
+
+// Property: accumulated at random instants, and at the very instants
+// the pool names as wakes, the memoized NextWake equals the fresh
+// inversion for every app, alone and over the whole pool, while the
+// balances climb through every priority level to the top.
+func TestCrossingMemoMatchesFresh(t *testing.T) {
+	for k, alpha := range []float64{DefaultAlpha, 0.37, 2.5} {
+		rng := rand.New(rand.NewSource(int64(k + 1)))
+		p := &TokenPool{Alpha: alpha}
+		var pending []*App
+		var maxE sim.Duration
+		for i, name := range apps.Names() {
+			for j, prio := range PriorityLevels {
+				a := mkApp(t, int64(3*i+j+1), name, 1+rng.Intn(8), prio, sim.Time(rng.Intn(1000)))
+				pending = append(pending, a)
+				maxE = max(maxE, latencyEstimate(a))
+			}
+		}
+		seen := map[int]bool{} // level index an app's balance was below; -1 for the top
+		now := sim.Time(0)
+		for step := 0; step < 100_000; step++ {
+			p.Accumulate(now, pending)
+			want := sim.Never
+			top := true
+			for _, a := range pending {
+				fresh := freshCrossing(p, a)
+				if got := p.NextWake(now, []*App{a}); got != fresh {
+					t.Fatalf("alpha %v step %d at %v: %s tokens %v: memoized wake %v, fresh %v",
+						alpha, step, now, a, a.Tokens, got, fresh)
+				}
+				want = min(want, fresh)
+				i := slices.IndexFunc(PriorityLevels, func(l int) bool { return float64(l) > a.Tokens })
+				seen[i] = true
+				top = top && i < 0
+			}
+			if got := p.NextWake(now, pending); got != want {
+				t.Fatalf("alpha %v step %d at %v: pool wake %v, fresh %v", alpha, step, now, got, want)
+			}
+			if top {
+				// A balance starts at its priority, so never below level 0.
+				for i := -1; i < len(PriorityLevels); i++ {
+					if !seen[i] && i != 0 {
+						t.Fatalf("alpha %v: no balance was ever below level index %d", alpha, i)
+					}
+				}
+				break
+			}
+			switch rng.Intn(3) {
+			case 0:
+				now = want // land exactly on the next crossing
+			case 1:
+				now += sim.Time(rng.Intn(1000))
+			default:
+				now += sim.Time(rng.Int63n(int64(maxE)/4 + 1))
+			}
+		}
+		for _, a := range pending {
+			if freshCrossing(p, a) != sim.Never {
+				t.Fatalf("alpha %v: %s still below the top level (tokens %v)", alpha, a, a.Tokens)
+			}
+		}
 	}
 }
