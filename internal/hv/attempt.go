@@ -135,6 +135,7 @@ func (h *Hypervisor) beginRun(slot int) {
 		rt.wdEv = h.eng.After(rt.wdLeft, fns.watchdog)
 	}
 	if h.cfg.Checkpoint.Period > 0 && h.ckptOn() && !rt.hung {
+		rt.freshAt = h.freshBound(rt)
 		h.armSave(slot)
 	}
 }
@@ -148,13 +149,13 @@ func (h *Hypervisor) stopTimers(rt *slotRuntime) {
 	rt.itemEv, rt.wdEv, rt.ckptEv = 0, 0, 0
 }
 
-// running is the nominal progress of the attempt's current stretch; a
-// hung kernel makes none.
-func (h *Hypervisor) running(rt *slotRuntime) sim.Duration {
+// runningAt is the nominal progress of the attempt's current stretch
+// at instant t; a hung kernel makes none.
+func (h *Hypervisor) runningAt(rt *slotRuntime, t sim.Time) sim.Duration {
 	if rt.hung {
 		return 0
 	}
-	return unstretchDur(h.eng.Now().Sub(rt.itemStart), rt.factor)
+	return unstretchDur(t.Sub(rt.itemStart), rt.factor)
 }
 
 // pause stops the slot's timers and folds the attempt's running stretch
@@ -163,7 +164,7 @@ func (h *Hypervisor) running(rt *slotRuntime) sim.Duration {
 func (h *Hypervisor) pause(rt *slotRuntime) {
 	h.stopTimers(rt)
 	elapsed := h.eng.Now().Sub(rt.itemStart)
-	rt.doneNominal += h.running(rt)
+	rt.doneNominal += h.runningAt(rt, h.eng.Now())
 	rt.doneWall += elapsed
 	rt.itemStart = h.eng.Now()
 	rt.wdLeft -= elapsed
@@ -203,10 +204,11 @@ func (h *Hypervisor) itemDone(slot int) {
 	h.recordProduction(r, task, item, slot)
 	// The attempt's earlier stretches (between periodic saves) are
 	// booked now, with the final stretch; save pauses were booked at
-	// each save. The snapshot is obsolete once the item completes.
+	// each save. The snapshot, held by the slot, is obsolete once the
+	// item completes.
 	run := rt.stretch + rt.doneWall
-	r.dropSnapshot(task, item)
 	rt.base, rt.doneNominal, rt.doneWall = 0, 0, 0
+	rt.last, rt.hasLast = ckptRecord{}, false
 	r.res.Run += run
 	h.addService(a, run)
 	h.slotBusy[slot] += run

@@ -10,6 +10,7 @@ package hv
 
 import (
 	"fmt"
+	"math"
 
 	"nimblock/internal/fpga"
 	"nimblock/internal/sched"
@@ -24,10 +25,13 @@ type ckptRecord struct {
 	bytes    int64
 }
 
-func (r *appRecord) snapshot(task, item int) (ckptRecord, bool) {
-	rec, ok := r.ckpt[[2]int{task, item}]
-	return rec, ok
-}
+// A snapshot lives in one place at a time. While its item is in flight
+// the slot owns it (slotRuntime.last): restore moves it out of the
+// record's map at attempt start, and captureDone replaces it there.
+// The map holds the snapshots of items that are not in flight: settle
+// writes the slot's back when an attempt ends early, Evacuate flushes
+// in-flight slots before it collects, and SeedCheckpoints installs
+// migrated ones. itemDone clears the slot's; no map entry is touched.
 
 func (r *appRecord) setSnapshot(task, item int, rec ckptRecord) {
 	if r.ckpt == nil {
@@ -36,7 +40,15 @@ func (r *appRecord) setSnapshot(task, item int, rec ckptRecord) {
 	r.ckpt[[2]int{task, item}] = rec
 }
 
-func (r *appRecord) dropSnapshot(task, item int) { delete(r.ckpt, [2]int{task, item}) }
+// takeSnapshot removes the item's snapshot from the map and returns it.
+func (r *appRecord) takeSnapshot(task, item int) (ckptRecord, bool) {
+	key := [2]int{task, item}
+	rec, ok := r.ckpt[key]
+	if ok {
+		delete(r.ckpt, key)
+	}
+	return rec, ok
+}
 
 // ckptOn reports whether the checkpoint/restore subsystem is live.
 func (h *Hypervisor) ckptOn() bool { return h.cfg.Checkpoint.Enabled }
@@ -65,20 +77,67 @@ func (h *Hypervisor) periodicSave(slot int) {
 	h.capture(slot, true)
 }
 
+// snapAt is the nominal progress of the latest preemption point the
+// slot's item has passed at instant t of its running stretch. It is
+// monotone in t: progress only grows within a stretch, and so does the
+// point it rounds down to.
+func (h *Hypervisor) snapAt(rt *slotRuntime, t sim.Time) sim.Duration {
+	nominal := rt.app.Graph.Task(rt.task).Latency
+	frac := float64(rt.base+rt.doneNominal+h.runningAt(rt, t)) / float64(nominal)
+	return sim.Duration(rt.app.Graph.SnapFraction(rt.task, frac, h.cfg.Checkpoint.DefaultPoints) * float64(nominal))
+}
+
+// freshSlack is how far freshBound's analytic guess is moved early, so
+// that its float rounding cannot overshoot the first fresh instant.
+const freshSlack = 2 * sim.Microsecond
+
+// freshBound returns an instant before which no save of the slot's
+// running stretch can pass a new preemption point, so a periodic save
+// before it needs no check. It guesses the instant of the next point
+// past the last snapshot, or one microsecond past the stretch end (when
+// the item completes and its timers stop) if that comes first or no
+// point is left. It accepts the guess only if the exact check is still
+// false one microsecond earlier; by monotonicity (snapAt) it is then
+// false at every earlier instant of the stretch. A guess that fails the
+// check yields the stretch start, which skips nothing.
+func (h *Hypervisor) freshBound(rt *slotRuntime) sim.Time {
+	start, end := rt.itemStart, rt.itemStart.Add(rt.stretch)
+	guess := end + 1
+	if p, ok := rt.app.Graph.NextPoint(rt.task, rt.last.progress, h.cfg.Checkpoint.DefaultPoints); ok {
+		nominal := rt.app.Graph.Task(rt.task).Latency
+		need := sim.Duration(math.Ceil(p*float64(nominal))) - rt.base - rt.doneNominal
+		guess = min(guess, start.Add(stretchDur(need, rt.factor)-freshSlack))
+	}
+	if guess <= start || h.snapAt(rt, guess-1) > rt.last.progress {
+		return start
+	}
+	return guess
+}
+
 // capture saves the state of the slot's running item at the latest
 // preemption point it has passed. A periodic save with no new point
 // since the last snapshot leaves the item running and tries again next
-// period. An on-demand capture (a mid-item preemption request) pauses
+// period; before the stretch's fresh bound it knows that without
+// looking. An on-demand capture (a mid-item preemption request) pauses
 // the item either way; with nothing new to save it releases the slot at
 // once, and work past the last snapshot re-executes on resume.
 func (h *Hypervisor) capture(slot int, periodic bool) {
 	rt := &h.slots[slot]
-	a, task, item := rt.app, rt.task, rt.curItem
-	nominal := a.Graph.Task(task).Latency
-	frac := float64(rt.base+rt.doneNominal+h.running(rt)) / float64(nominal)
-	snap := sim.Duration(a.Graph.SnapFraction(task, frac, h.cfg.Checkpoint.DefaultPoints) * float64(nominal))
-	last, _ := rt.rec.snapshot(task, item)
-	fresh := snap > last.progress
+	now := h.eng.Now()
+	if periodic && now < rt.freshAt {
+		if h.strictSaves == nil {
+			h.armSave(slot)
+			return
+		}
+		*h.strictSaves++
+		if h.snapAt(rt, now) > rt.last.progress {
+			h.fail(fmt.Errorf("hv: slot %d passed a new preemption point at %v, before its fresh bound %v", slot, now, rt.freshAt))
+			return
+		}
+	}
+	a, task := rt.app, rt.task
+	snap := h.snapAt(rt, now)
+	fresh := snap > rt.last.progress
 	if periodic && !fresh {
 		h.armSave(slot)
 		return
@@ -90,7 +149,7 @@ func (h *Hypervisor) capture(slot int, periodic bool) {
 		return
 	}
 	rt.snap = ckptRecord{progress: snap, bytes: h.taskStateBytes(a, task)}
-	rt.xferStart, rt.periodic = h.eng.Now(), periodic
+	rt.xferStart, rt.periodic = now, periodic
 	h.changes++ // the CAP turns busy; the save is traced when it lands
 	if err := h.board.TransferState(slot, rt.snap.bytes, h.fnsFor(slot).captured); err != nil {
 		h.fail(err)
@@ -119,7 +178,7 @@ func (h *Hypervisor) captureDone(slot int) {
 	}
 	a, task, item := rt.app, rt.task, rt.curItem
 	d := h.eng.Now().Sub(rt.xferStart)
-	rt.rec.setSnapshot(task, item, rt.snap)
+	rt.last, rt.hasLast = rt.snap, true
 	h.rec.CheckpointSaves++
 	h.rec.CheckpointOverhead += d
 	h.slotBusy[slot] += d
@@ -137,14 +196,15 @@ func (h *Hypervisor) captureDone(slot int) {
 // settle books an attempt that ends without completing: wall compute up
 // to the last snapshot is committed run time, everything since is
 // wasted, and checkpoint transfer time is never double-counted (it
-// lives in CheckpointOverhead). It returns the snapshot (zero if none).
+// lives in CheckpointOverhead). The snapshot goes back to the record's
+// map to resume the item later; settle returns it (zero if none).
 func (h *Hypervisor) settle(slot int, rt *slotRuntime) ckptRecord {
-	a, r := rt.app, rt.rec
+	a, r, last := rt.app, rt.rec, rt.last
 	wall := h.attemptWall(rt)
-	last, ok := r.snapshot(rt.task, rt.curItem)
 	var committed sim.Duration
-	if ok {
+	if rt.hasLast {
 		committed = stretchDur(last.progress-rt.base, rt.factor)
+		r.setSnapshot(rt.task, rt.curItem, last)
 	}
 	if committed > wall {
 		committed = wall
@@ -180,12 +240,13 @@ func (h *Hypervisor) checkpointPreempt(slot int, saveDur sim.Duration) {
 	h.wake(sched.ReasonSlotFree)
 }
 
-// restore starts streaming the item's last snapshot back through the
-// CAP, probing checkpoint-integrity faults. It reports false — run from
-// scratch — when there is no snapshot or it was lost.
+// restore moves the item's last snapshot into the slot and starts
+// streaming it back through the CAP, probing checkpoint-integrity
+// faults. It reports false — run from scratch — when there is no
+// snapshot or it was lost.
 func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
 	rt := &h.slots[slot]
-	last, ok := rt.rec.snapshot(task, item)
+	last, ok := rt.rec.takeSnapshot(task, item)
 	if !ok {
 		return false
 	}
@@ -195,6 +256,7 @@ func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
 		h.snapshotFault(slot, a, task, item, last, 0)
 		return false
 	}
+	rt.last, rt.hasLast = last, true
 	rt.base = last.progress
 	rt.restoring = true
 	rt.snap, rt.corrupt, rt.xferStart = last, probe.Corrupt, h.eng.Now()
@@ -242,7 +304,8 @@ func (h *Hypervisor) restoreDone(slot int) {
 // snapshotFault discards a snapshot found lost or corrupt at restore
 // time; the item falls back to from-scratch re-execution.
 func (h *Hypervisor) snapshotFault(slot int, a *sched.App, task, item int, last ckptRecord, d sim.Duration) {
-	h.slots[slot].rec.dropSnapshot(task, item)
+	rt := &h.slots[slot]
+	rt.last, rt.hasLast = ckptRecord{}, false
 	h.rec.FaultsInjected++
 	h.rec.CheckpointFaults++
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindCheckpointFault, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: item, Dur: d, Progress: last.progress})

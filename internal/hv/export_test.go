@@ -16,3 +16,8 @@ func (h *Hypervisor) UnretiredApps() []*sched.App {
 // Changes reports the board's count of World-visible changes, the
 // counter the tick-skipping rule compares.
 func (h *Hypervisor) Changes() uint64 { return h.changes }
+
+// StrictSaves makes the board check every periodic save exactly, even
+// before the stretch's fresh bound, count those saves in checked, and
+// fail the run if one of them finds a new preemption point.
+func (h *Hypervisor) StrictSaves(checked *int) { h.strictSaves = checked }

@@ -122,8 +122,12 @@ func (h *Hypervisor) Evacuate() []Evacuee {
 				continue
 			}
 			// The dying stretch of an in-flight item was never booked
-			// into Run; Freeze already folded it into doneWall.
+			// into Run; Freeze already folded it into doneWall. Its
+			// snapshot, held by the slot, joins the record's.
 			ev.WorkDone += rt.doneWall
+			if rt.hasLast {
+				r.setSnapshot(rt.task, rt.curItem, rt.last)
+			}
 		}
 		for key, rec := range r.ckpt {
 			ev.Snapshots = append(ev.Snapshots, Snapshot{
@@ -146,7 +150,8 @@ func (h *Hypervisor) Evacuate() []Evacuee {
 }
 
 // SeedCheckpoints installs snapshots evacuated from a dead board under
-// a freshly submitted ID on this board. When the migrated item starts,
+// a freshly submitted ID on this board, before any of its items is in
+// flight. When the migrated item starts,
 // the normal restore path streams the state in through this board's CAP
 // — migration is priced by the same cost model as any restore.
 func (h *Hypervisor) SeedCheckpoints(id int64, snaps []Snapshot) {

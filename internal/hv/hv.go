@@ -154,6 +154,14 @@ type slotRuntime struct {
 	itemStart sim.Time     // start of the current run stretch
 	stretch   sim.Duration // wall length of the current run stretch, booked by itemDone
 
+	// The in-flight item's latest snapshot, owned by the slot while the
+	// item runs (see checkpoint.go), and the fresh bound of the running
+	// stretch: no periodic save before freshAt can pass a new preemption
+	// point (freshBound).
+	last    ckptRecord
+	hasLast bool
+	freshAt sim.Time
+
 	// The slot's in-flight checkpoint transfer, read back by its
 	// completion: the snapshot being saved or restored with the
 	// transfer's start and kind.
@@ -184,7 +192,7 @@ type appRecord struct {
 	bufOut  map[int]int64         // task -> output buffer ID
 	handoff map[[3]int]sim.Time   // (pred, succ, item) -> data-ready time
 	prodAt  map[[2]int]prodInfo   // (task, item) -> production record
-	ckpt    map[[2]int]ckptRecord // (task, item) -> last snapshot
+	ckpt    map[[2]int]ckptRecord // (task, item) -> last snapshot of an item not in flight
 }
 
 // owner returns the application's buffer-owner label, formatted once
@@ -239,6 +247,13 @@ type Hypervisor struct {
 	changes uint64
 	quiet   uint64
 	wakeAt  sim.Time
+
+	// strictSaves, when non-nil, makes every periodic save run the
+	// exact freshness check: a save before the stretch's fresh bound is
+	// counted there and fails the run if it finds a new preemption
+	// point. Only tests set it, as the reference the save skipping is
+	// compared against.
+	strictSaves *int
 
 	// Board-level failure-domain state (see failover.go). progress is
 	// the monotonic heartbeat counter liveness polls compare; frozen

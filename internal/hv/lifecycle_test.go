@@ -62,6 +62,10 @@ type lifecycleCase struct {
 	// reference (see skip_test.go) instead of letting the board skip
 	// ticks, and counts the ticks its strict check covered.
 	everyTick *int
+	// strictSaves, when non-nil, runs the boards under the strict
+	// periodic-save reference (see save_skip_test.go) and counts the
+	// saves its exact check covered.
+	strictSaves *int
 }
 
 // lifecycleOutcome is what a scenario produced.
@@ -188,6 +192,9 @@ func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
 	h, err := hv.New(b.eng, cfg, pol)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.strictSaves != nil {
+		h.StrictSaves(c.strictSaves)
 	}
 	b.h = h
 	return b
@@ -402,16 +409,23 @@ func TestLifecycleGolden(t *testing.T) {
 // mix, and slowdown/abort/freeze instants, and checks that every run
 // keeps the scheduler invariants, balances its submissions, drains its
 // buffers, and reports a non-negative abort cost. Each input also runs
-// under the every-tick reference, which must produce the same outcome:
-// tick skipping is exact on every input. Its seed corpus lives in
+// under the every-tick reference and under the strict periodic-save
+// reference, each of which must produce the same outcome: tick and
+// save skipping are exact on every input. Its seed corpus lives in
 // testdata/fuzz/FuzzHypervisorLifecycle.
 func FuzzHypervisorLifecycle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, mode, faultBits uint8, slowMs, abortMs, freezeMs uint16) {
 		c := newLifecycleCase(seed, int(mode), faultBits, slowMs%5000, abortMs%5000, freezeMs%8000)
 		out := runLifecycle(t, c)
-		c.everyTick = new(int)
-		if ref := runLifecycle(t, c); ref != out {
+		tick := c
+		tick.everyTick = new(int)
+		if ref := runLifecycle(t, tick); ref != out {
 			t.Fatalf("tick skipping changed the outcome:\n skipping   %+v\n every tick %+v", out, ref)
+		}
+		strict := c
+		strict.strictSaves = new(int)
+		if ref := runLifecycle(t, strict); ref != out {
+			t.Fatalf("save skipping changed the outcome:\n skipping %+v\n strict   %+v", out, ref)
 		}
 		checkLifecycleConservation(t, out)
 	})

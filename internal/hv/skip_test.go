@@ -147,22 +147,27 @@ func TestTickSkipMatchesEveryTick(t *testing.T) {
 	}
 }
 
-// runSkipCase runs the submissions on a board under the policy, skipping
-// ticks or under the every-tick reference, and returns a digest of its
-// JSONL trace, results, recovery and energy reports.
-func runSkipCase(t *testing.T, cfg hv.Config, mk func(fpga.Config) sched.Scheduler, subs []submission, checked *int) string {
+// runSkipCase runs the submissions on a board under the policy and
+// returns a digest of its JSONL trace, results, recovery and energy
+// reports. A non-nil ticks runs it under the every-tick reference, a
+// non-nil saves under the strict periodic-save reference; each counts
+// the calls its strict check covered.
+func runSkipCase(t *testing.T, cfg hv.Config, mk func(fpga.Config) sched.Scheduler, subs []submission, ticks, saves *int) string {
 	t.Helper()
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONL(&buf)
 	cfg.Observer = jsonl
 	pol := mk(cfg.Board)
-	if checked != nil {
-		pol = newEveryTick(t, pol, checked)
+	if ticks != nil {
+		pol = newEveryTick(t, pol, ticks)
 	}
 	eng := sim.NewEngine()
 	h, err := hv.New(eng, cfg, pol)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if saves != nil {
+		h.StrictSaves(saves)
 	}
 	for _, s := range subs {
 		if err := h.Submit(apps.MustGraph(s.name), s.batch, s.prio, s.at); err != nil {
@@ -199,8 +204,8 @@ func TestTickSkipKeepsSLORescueTick(t *testing.T) {
 		return ckpt.New(ckpt.Options{Core: core.Options{Pipelining: true}}, b)
 	}
 	checked := 0
-	skip := runSkipCase(t, cfg, mk, subs, nil)
-	ref := runSkipCase(t, cfg, mk, subs, &checked)
+	skip := runSkipCase(t, cfg, mk, subs, nil, nil)
+	ref := runSkipCase(t, cfg, mk, subs, &checked, nil)
 	if skip != ref {
 		t.Fatalf("tick skipping changed the run:\n skipping   %s\n every tick %s", skip, ref)
 	}

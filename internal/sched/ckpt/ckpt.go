@@ -57,13 +57,7 @@ type Scheduler struct {
 	opts  Options
 	inner *core.Scheduler
 	board fpga.Config
-	est   map[estKey]sim.Duration
 	guard guardedWorld // the core pass's world, kept so Schedule does not box a new one
-}
-
-type estKey struct {
-	name  string
-	batch int
 }
 
 // New returns a NimblockCheckpoint scheduler planning against boards
@@ -79,7 +73,6 @@ func New(opts Options, board fpga.Config) *Scheduler {
 		opts:  opts,
 		inner: core.New(opts.Core, board),
 		board: board,
-		est:   map[estKey]sim.Duration{},
 		guard: guardedWorld{min: opts.RescuePriority},
 	}
 }
@@ -159,19 +152,19 @@ func (s *Scheduler) place(w sched.World) {
 }
 
 // estimate is the application's single-slot latency from HLS estimates
-// alone: one reconfiguration per task plus the serial batch.
+// alone: one reconfiguration per task plus the serial batch. It is
+// memoized on the app, which one scheduler plans for its whole life, so
+// the memo leaves with the app.
 func (s *Scheduler) estimate(a *sched.App) sim.Duration {
-	key := estKey{name: a.Name, batch: a.Batch}
-	if d, ok := s.est[key]; ok {
-		return d
+	if a.SLOEstimate > 0 {
+		return a.SLOEstimate
 	}
 	var work sim.Duration
 	for t := 0; t < a.Graph.NumTasks(); t++ {
 		work += a.Report.Task(t).Latency
 	}
-	d := sim.Duration(a.Graph.NumTasks())*s.board.ReconfigTime() + sim.Duration(a.Batch)*work
-	s.est[key] = d
-	return d
+	a.SLOEstimate = sim.Duration(a.Graph.NumTasks())*s.board.ReconfigTime() + sim.Duration(a.Batch)*work
+	return a.SLOEstimate
 }
 
 // lastStart is the latest instant the application can start and still

@@ -47,6 +47,12 @@ func (s *Scheduler) NextWake(w sched.World) sim.Time { return s.pool.NextWake(w.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	apps := w.Apps()
 	s.pool.Accumulate(w.Now(), apps)
+	free := w.FreeSlots()
+	if len(free) == 0 {
+		// Nothing to place. The order below only reads flags and
+		// estimates into scratch slices, so it is not worth building.
+		return
+	}
 	s.cands = sched.CandidatesInto(s.cands, apps)
 	// Shortest estimated remaining work first (PREMA's selection rule).
 	order := s.order[:0]
@@ -69,7 +75,6 @@ func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 		return 0
 	})
 	s.order = order
-	free := w.FreeSlots()
 	idx := 0
 	for _, c := range order {
 		a := c.app

@@ -184,8 +184,6 @@ type App struct {
 
 	// Tokens is the PREMA-style token balance (policy-owned).
 	Tokens float64
-	// Candidate reports whether the app is in the candidate pool.
-	Candidate bool
 	// CandidateSince is when the app first joined the candidate pool.
 	CandidateSince sim.Time
 	// SlotsAllocated is the policy's current slot allocation (Nimblock).
@@ -195,6 +193,10 @@ type App struct {
 	// Plan memoizes the app's saturation plan for the board size it was
 	// last planned at (Nimblock).
 	Plan Plan
+	// SLOEstimate memoizes the app's single-slot latency estimate, the
+	// base of its deadline (NimblockCheckpoint); zero until first
+	// computed. It depends only on the app and the board it runs on.
+	SLOEstimate sim.Duration
 
 	state     []TaskState
 	slot      []int
@@ -210,9 +212,12 @@ type App struct {
 	tokenSince sim.Time
 	crossAt    sim.Time
 
-	// The small fields share one word, which keeps App in the 320-byte
-	// allocation class: apps are created once per submission and live
-	// until the board is collected.
+	// Candidate reports whether the app is in the candidate pool.
+	Candidate bool
+
+	// The small fields share one word with Candidate, which keeps App in
+	// the 320-byte allocation class: apps are created once per
+	// submission and live until the board is collected.
 	retired   bool
 	tokenSeen bool // the pool has given the app its initial tokens
 	cfgValid  bool // no task entered or left TaskIdle since cfg was built

@@ -393,6 +393,31 @@ func (g *Graph) SnapFraction(i int, frac float64, defaultPoints int) float64 {
 	return best
 }
 
+// NextPoint returns the first preemption point of task i, as a fraction
+// of one item, whose snapshot captures more nominal work than last: the
+// first point p, declared or default as in SnapFraction, with
+// sim.Duration(p × Latency) > last. It reports false when no point is
+// left.
+func (g *Graph) NextPoint(i int, last sim.Duration, defaultPoints int) (float64, bool) {
+	t := &g.tasks[i]
+	passes := func(p float64) bool { return sim.Duration(p*float64(t.Latency)) > last }
+	if len(t.Checkpoints) > 0 {
+		for _, p := range t.Checkpoints {
+			if passes(p) {
+				return p, true
+			}
+		}
+		return 0, false
+	}
+	step := 1.0 / float64(defaultPoints+1)
+	for k := 1; k <= defaultPoints; k++ {
+		if p := float64(k) * step; passes(p) {
+			return p, true
+		}
+	}
+	return 0, false
+}
+
 // Validate re-checks internal invariants; it is used by property tests.
 func (g *Graph) Validate() error {
 	if len(g.topo) != len(g.tasks) {
