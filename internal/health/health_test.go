@@ -316,3 +316,34 @@ func TestMonitorBaselinesLivenessAtFreeze(t *testing.T) {
 		})
 	}
 }
+
+// Arming the liveness poll and firing it allocate nothing: the poll is
+// bound once in NewMonitor, not re-bound as a method value per Kick.
+func TestKickZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	var progress uint64
+	m := NewMonitor(eng, 2, Config{}, Hooks{
+		Progress: func(int) uint64 { return progress },
+		Busy:     func(int) bool { return false },
+		OnDead:   func(int) { t.Fatal("an idle board died") },
+	}, nil)
+	polls := 0
+	kickAndPoll := func() {
+		m.Kick()
+		if !eng.Step() {
+			t.Fatal("Kick armed no poll")
+		}
+		polls++
+		progress++
+	}
+	kickAndPoll() // warm the engine's event pool
+	if n := testing.AllocsPerRun(100, kickAndPoll); n != 0 {
+		t.Fatalf("Kick and its poll allocate %v per run, want 0", n)
+	}
+	if m.armed || eng.Pending() != 0 {
+		t.Fatalf("an idle fleet left its poll armed (pending %d)", eng.Pending())
+	}
+	if polls != 102 {
+		t.Fatalf("%d polls fired, want 102", polls)
+	}
+}

@@ -43,12 +43,14 @@ type Monitor struct {
 	armed    bool // liveness poll scheduled
 	stats    Stats
 	ins      *Instruments
+	pollFn   func() // m.poll, bound once so arming the poll allocates nothing
 }
 
 // NewMonitor builds a monitor for n boards.
 func NewMonitor(eng *sim.Engine, n int, cfg Config, hooks Hooks, ins *Instruments) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{eng: eng, cfg: cfg, hooks: hooks, ins: ins}
+	m.pollFn = m.poll
 	for b := 0; b < n; b++ {
 		m.trackers = append(m.trackers, NewTracker(cfg, b))
 	}
@@ -182,7 +184,7 @@ func (m *Monitor) Kick() {
 		return
 	}
 	m.armed = true
-	m.eng.After(m.cfg.LivenessInterval, m.poll)
+	m.eng.After(m.cfg.LivenessInterval, m.pollFn)
 }
 
 // poll compares every board's progress counter against the previous

@@ -193,7 +193,7 @@ func (h *Hypervisor) retire(a *sched.App) error {
 	// Any buffers still owned by the app would be leaks; reclaim and
 	// surface them.
 	if n := h.forget(a); n != 0 {
-		return fmt.Errorf("hv: %s retired with %d leaked buffers", r.owner(), n)
+		return fmt.Errorf("hv: %s#%d retired with %d leaked buffers", a.Name, a.ID, n)
 	}
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindRetire, App: a.Name, AppID: a.ID, Task: -1, Slot: -1, Item: -1})
 	if h.cfg.OnRetire != nil {

@@ -63,8 +63,8 @@ func TestCheckpointPreemptionHappens(t *testing.T) {
 			t.Errorf("%s: run %v < nominal %v (checkpoint lost work)", r.App, r.Run, want)
 		}
 	}
-	if h.Mem().Live() != 0 {
-		t.Fatalf("%d buffers leaked", h.Mem().Live())
+	if h.LiveBuffers() != 0 {
+		t.Fatalf("%d buffers leaked", h.LiveBuffers())
 	}
 }
 

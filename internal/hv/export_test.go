@@ -21,3 +21,24 @@ func (h *Hypervisor) Changes() uint64 { return h.changes }
 // before the stretch's fresh bound, count those saves in checked, and
 // fail the run if one of them finds a new preemption point.
 func (h *Hypervisor) StrictSaves(checked *int) { h.strictSaves = checked }
+
+// LiveBuffers reports the board's count of allocated, unreleased
+// output buffers.
+func (h *Hypervisor) LiveBuffers() int { return h.bufLive }
+
+// UsedBufferBytes reports the bytes those buffers hold.
+func (h *Hypervisor) UsedBufferBytes() int64 { return h.bufUsed }
+
+// ScanBuffers recomputes both counters from every record's ledger, the
+// reference the board-wide counters are checked against.
+func (h *Hypervisor) ScanBuffers() (live int, used int64) {
+	for _, r := range h.records {
+		for _, c := range r.refs {
+			if c > 0 {
+				live++
+				used += h.cfg.BufferBytes
+			}
+		}
+	}
+	return live, used
+}

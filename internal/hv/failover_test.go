@@ -96,8 +96,8 @@ func TestEvacuateConservation(t *testing.T) {
 			t.Fatalf("evacuee %d carried no work despite 2s of runtime: %+v", i, ev)
 		}
 	}
-	if h.Mem().Live() != 0 {
-		t.Fatalf("%d buffers leaked across evacuation", h.Mem().Live())
+	if h.LiveBuffers() != 0 {
+		t.Fatalf("%d buffers leaked across evacuation", h.LiveBuffers())
 	}
 }
 
@@ -191,8 +191,8 @@ func TestAbortDropsHedgeLoser(t *testing.T) {
 	if again, _ := h.Abort(loser); again {
 		t.Fatal("second abort of the same ID succeeded")
 	}
-	if h.Mem().Live() != 0 {
-		t.Fatalf("%d buffers leaked by abort", h.Mem().Live())
+	if h.LiveBuffers() != 0 {
+		t.Fatalf("%d buffers leaked by abort", h.LiveBuffers())
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"nimblock/internal/fpga"
 	"nimblock/internal/hls"
 	"nimblock/internal/interconnect"
-	"nimblock/internal/mem"
 	"nimblock/internal/obs"
 	"nimblock/internal/sched"
 	"nimblock/internal/sim"
@@ -41,9 +40,14 @@ type Config struct {
 	// SchedInterval is the periodic scheduling (and slot reallocation)
 	// interval; the evaluation system uses 400 ms.
 	SchedInterval sim.Duration
-	// MemCapacity is the shared DDR available for data buffers.
+	// MemCapacity is the shared DDR available for data buffers, in
+	// bytes; it must be positive. A task's output buffer is allocated
+	// when the task is first configured, and the configuration fails the
+	// run if the buffer would take live buffers past the capacity.
 	MemCapacity int64
-	// BufferBytes is the size of one inter-task data buffer.
+	// BufferBytes is the size of one task's output buffer; every buffer
+	// has this size, so the board holds at most MemCapacity/BufferBytes
+	// buffers at once.
 	BufferBytes int64
 	// Horizon bounds simulated time; Run fails if applications are still
 	// pending at the horizon (a wedged policy, not a slow workload).
@@ -186,22 +190,16 @@ type slotRuntime struct {
 // evacuation, or abort. The maps are created on first use: most
 // submissions never need a hand-off memo or a snapshot.
 type appRecord struct {
-	app     *sched.App
-	res     Result
-	label   string                // buffer-owner label, formatted on first use
-	bufOut  map[int]int64         // task -> output buffer ID
+	app *sched.App
+	res Result
+	// refs is the app's buffer ledger, indexed by task: the consumers
+	// still to finish with the task's output buffer. 0 means not
+	// allocated yet, bufReleased that the buffer was freed (see
+	// allocOutputBuffer). Made on the first allocation.
+	refs    []int32
 	handoff map[[3]int]sim.Time   // (pred, succ, item) -> data-ready time
 	prodAt  map[[2]int]prodInfo   // (task, item) -> production record
 	ckpt    map[[2]int]ckptRecord // (task, item) -> last snapshot of an item not in flight
-}
-
-// owner returns the application's buffer-owner label, formatted once
-// per app instead of once per allocation and release.
-func (r *appRecord) owner() string {
-	if r.label == "" {
-		r.label = fmt.Sprintf("%s#%d", r.app.Name, r.app.ID)
-	}
-	return r.label
 }
 
 // Hypervisor executes submissions under one scheduling policy.
@@ -209,7 +207,6 @@ type Hypervisor struct {
 	eng    *sim.Engine
 	cfg    Config
 	board  *fpga.Board
-	mem    *mem.Manager
 	policy sched.Scheduler
 	log    *trace.Log
 	obs    obs.Sink
@@ -223,6 +220,11 @@ type Hypervisor struct {
 	slotBusy []sim.Duration // per-slot occupied time (reconfig + compute)
 	results  []Result
 	nextID   int64
+
+	// Board-wide totals of the records' buffer ledgers: buffers
+	// allocated and not yet released, and the bytes they hold.
+	bufLive int
+	bufUsed int64
 
 	// reports memoizes each submitted graph's HLS report, computed on
 	// its first submission to this board.
@@ -347,9 +349,8 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 			cfg.Checkpoint.DefaultPoints = DefaultCheckpointPoints
 		}
 	}
-	mm, err := mem.NewManager(cfg.MemCapacity)
-	if err != nil {
-		return nil, err
+	if cfg.MemCapacity <= 0 {
+		return nil, fmt.Errorf("mem: capacity must be positive, got %d", cfg.MemCapacity)
 	}
 	ic, err := interconnect.New(cfg.Interconnect)
 	if err != nil {
@@ -358,7 +359,6 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 	waker, _ := policy.(sched.Waker)
 	h := &Hypervisor{
 		eng:       eng,
-		mem:       mm,
 		policy:    policy,
 		waker:     waker,
 		records:   map[int64]*appRecord{},
@@ -433,9 +433,6 @@ func (h *Hypervisor) Policy() sched.Scheduler { return h.policy }
 
 // Board exposes the simulated FPGA (for tests and reports).
 func (h *Hypervisor) Board() *fpga.Board { return h.board }
-
-// Mem exposes the buffer manager (for tests and reports).
-func (h *Hypervisor) Mem() *mem.Manager { return h.mem }
 
 // Trace returns the execution trace, or nil when tracing is disabled.
 func (h *Hypervisor) Trace() *trace.Log { return h.log }
@@ -537,7 +534,14 @@ func without(list []*sched.App, app *sched.App) []*sched.App {
 // is leaving the board — retired, evacuated, or aborted: its buffers and
 // its record. It reports how many buffers were still live.
 func (h *Hypervisor) forget(a *sched.App) int {
-	n := h.mem.ReleaseOwner(h.records[a.ID].owner())
+	n := 0
+	for _, c := range h.records[a.ID].refs {
+		if c > 0 {
+			n++
+		}
+	}
+	h.bufLive -= n
+	h.bufUsed -= int64(n) * h.cfg.BufferBytes
 	delete(h.records, a.ID)
 	return n
 }

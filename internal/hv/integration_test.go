@@ -94,11 +94,11 @@ func TestAllPoliciesComplete(t *testing.T) {
 					t.Errorf("%s: no reconfigurations recorded", r.App)
 				}
 			}
-			if h.Mem().Live() != 0 {
-				t.Errorf("%d buffers leaked", h.Mem().Live())
+			if h.LiveBuffers() != 0 {
+				t.Errorf("%d buffers leaked", h.LiveBuffers())
 			}
-			if h.Mem().Used() != 0 {
-				t.Errorf("%d bytes leaked", h.Mem().Used())
+			if h.UsedBufferBytes() != 0 {
+				t.Errorf("%d bytes leaked", h.UsedBufferBytes())
 			}
 		})
 	}
@@ -582,7 +582,7 @@ func TestFeatureMatrixSmoke(t *testing.T) {
 				if len(res) != len(subs) {
 					t.Fatalf("%d results", len(res))
 				}
-				if h.Mem().Live() != 0 {
+				if h.LiveBuffers() != 0 {
 					t.Fatal("buffers leaked")
 				}
 			})

@@ -264,8 +264,8 @@ func TestRandomDAGInvariantsProperty(t *testing.T) {
 						t.Fatalf("seed %d: app %s ran for %v", seed, r.App, r.Run)
 					}
 				}
-				if h.Mem().Live() != 0 {
-					t.Fatalf("seed %d: %d buffers leaked", seed, h.Mem().Live())
+				if h.LiveBuffers() != 0 {
+					t.Fatalf("seed %d: %d buffers leaked", seed, h.LiveBuffers())
 				}
 			}
 		})

@@ -21,6 +21,7 @@ import (
 	"nimblock/internal/sched/ckpt"
 	"nimblock/internal/sched/schedtest"
 	"nimblock/internal/sim"
+	"nimblock/internal/trace"
 	"nimblock/internal/workload"
 )
 
@@ -66,6 +67,12 @@ type lifecycleCase struct {
 	// periodic-save reference (see save_skip_test.go) and counts the
 	// saves its exact check covered.
 	strictSaves *int
+	// ledgerSteps, when non-nil, drives the boards one event at a time,
+	// checks the buffer counters against a scan of every record after
+	// each (see ledger_test.go), and counts the events checked.
+	ledgerSteps *int
+	// pool overrides lifecyclePool.
+	pool []string
 }
 
 // lifecycleOutcome is what a scenario produced.
@@ -77,6 +84,7 @@ type lifecycleOutcome struct {
 	aborted   int
 	migrated  int // evacuees that retired on the second board
 	spent     sim.Duration
+	captures  int64  // on-demand checkpoint captures on both boards
 	err       string // a board's Collect error; the rest of the run is skipped
 }
 
@@ -174,6 +182,7 @@ type lifecycleBoard struct {
 	chk   *schedtest.Checker
 	jsonl *obs.JSONL
 	buf   bytes.Buffer
+	kinds obs.Counting
 }
 
 func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
@@ -184,7 +193,7 @@ func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
 	b.chk.MinReconfigGap = 0
 	b.jsonl = obs.NewJSONL(&b.buf)
 	cfg := lifecycleConfig(c)
-	cfg.Observer = obs.Tee(b.jsonl, b.chk)
+	cfg.Observer = obs.Tee(b.jsonl, b.chk, &b.kinds)
 	pol := lifecyclePolicy(t, c, cfg)
 	if c.everyTick != nil {
 		pol = newEveryTick(t, pol, c.everyTick)
@@ -198,6 +207,33 @@ func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
 	}
 	b.h = h
 	return b
+}
+
+// run drives the board to the horizon, one event at a time with the
+// buffer counters checked after each when c.ledgerSteps is set. The
+// stepped run must drain before the horizon, so it fires exactly the
+// events RunUntil would.
+func (b *lifecycleBoard) run(t *testing.T, c lifecycleCase) {
+	t.Helper()
+	horizon := lifecycleConfig(c).Horizon
+	if c.ledgerSteps != nil {
+		for b.eng.Step() {
+			*c.ledgerSteps++
+			checkLedger(t, b.h)
+			if b.eng.Now() > horizon {
+				t.Fatalf("event at %v, past the horizon %v", b.eng.Now(), horizon)
+			}
+		}
+	}
+	b.eng.RunUntil(horizon)
+}
+
+// drained fails the test if the board still holds a buffer.
+func (b *lifecycleBoard) drained(t *testing.T, name string) {
+	t.Helper()
+	if live, used := b.h.LiveBuffers(), b.h.UsedBufferBytes(); live != 0 || used != 0 {
+		t.Fatalf("%s drained with %d live buffers, %d bytes", name, live, used)
+	}
 }
 
 // digest folds the board's trace stream, results, recovery and energy
@@ -242,7 +278,11 @@ func checkOutstanding(t *testing.T, h *hv.Hypervisor, when string) {
 func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
 	t.Helper()
 	b := newLifecycleBoard(t, c)
-	seq := workload.Generate(workload.Spec{Scenario: workload.Stress, Events: 10, BatchCap: 4, Pool: lifecyclePool}, c.seed)
+	pool := lifecyclePool
+	if c.pool != nil {
+		pool = c.pool
+	}
+	seq := workload.Generate(workload.Spec{Scenario: workload.Stress, Events: 10, BatchCap: 4, Pool: pool}, c.seed)
 	ids := make([]int64, len(seq))
 	for i, ev := range seq {
 		id, err := b.h.SubmitID(apps.MustGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival)
@@ -290,7 +330,7 @@ func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
 			checkOutstanding(t, b.h, "after evacuate")
 		})
 	}
-	b.eng.RunUntil(lifecycleConfig(c).Horizon)
+	b.run(t, c)
 	checkOutstanding(t, b.h, "drained")
 
 	var w bytes.Buffer
@@ -303,9 +343,8 @@ func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
 	if err := b.chk.Finish(len(res)); err != nil {
 		t.Fatalf("board 1: %v", err)
 	}
-	if live := b.h.Mem().Live(); live != 0 {
-		t.Fatalf("board 1 drained with %d live buffers", live)
-	}
+	b.drained(t, "board 1")
+	out.captures = b.kinds.Count(trace.KindCheckpoint)
 	for _, ev := range evs {
 		fmt.Fprintf(&w, "evacuee id=%d app=%s prio=%d batch=%d arrival=%v work=%v snaps=%+v\n",
 			ev.ID, ev.App.Name, ev.Priority, ev.Batch, ev.Arrival, ev.WorkDone, ev.Snapshots)
@@ -324,7 +363,7 @@ func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
 				b2.chk.Seed(id, sn.Task, sn.Item, sn.Progress)
 			}
 		}
-		b2.eng.RunUntil(lifecycleConfig(c).Horizon)
+		b2.run(t, c)
 		res2, err := b2.digest(t, &w)
 		if err != nil {
 			out.err, out.digest = err.Error(), fmt.Sprintf("%x", sha256.Sum256(w.Bytes()))
@@ -334,9 +373,8 @@ func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
 		if err := b2.chk.Finish(len(res2)); err != nil {
 			t.Fatalf("board 2: %v", err)
 		}
-		if live := b2.h.Mem().Live(); live != 0 {
-			t.Fatalf("board 2 drained with %d live buffers", live)
-		}
+		b2.drained(t, "board 2")
+		out.captures += b2.kinds.Count(trace.KindCheckpoint)
 	}
 	out.digest = fmt.Sprintf("%x", sha256.Sum256(w.Bytes()))
 	return out

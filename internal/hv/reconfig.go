@@ -107,61 +107,63 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 	h.poke(sched.ReasonReconfigDone)
 }
 
-// taskLabels pre-formats the output-buffer labels for the task indices
-// any real graph uses; taskLabel falls back to formatting past that.
-var taskLabels = [...]string{
-	"task0.out", "task1.out", "task2.out", "task3.out",
-	"task4.out", "task5.out", "task6.out", "task7.out",
-	"task8.out", "task9.out", "task10.out", "task11.out",
-	"task12.out", "task13.out", "task14.out", "task15.out",
-}
-
-func taskLabel(t int) string {
-	if t >= 0 && t < len(taskLabels) {
-		return taskLabels[t]
-	}
-	return fmt.Sprintf("task%d.out", t)
-}
+// bufReleased marks a ledger entry whose buffer was freed, so a second
+// release is an error and a re-activation allocates nothing.
+const bufReleased = -1
 
 // allocOutputBuffer gives the task a place to write results; consumers
 // hold references until they finish the batch. Re-activations after
 // preemption reuse the existing buffer.
 func (h *Hypervisor) allocOutputBuffer(r *appRecord, task int) error {
-	if _, exists := r.bufOut[task]; exists {
+	if r.refs == nil {
+		r.refs = make([]int32, r.app.Graph.NumTasks())
+	}
+	if r.refs[task] != 0 {
 		return nil
 	}
-	refs := len(r.app.Graph.Succ(task))
-	if refs == 0 {
-		refs = 1 // sink: released when the task itself completes
+	bytes := h.cfg.BufferBytes
+	if h.bufUsed+bytes > h.cfg.MemCapacity {
+		return fmt.Errorf("mem: out of memory: %d used + %d requested > %d capacity", h.bufUsed, bytes, h.cfg.MemCapacity)
 	}
-	b, err := h.mem.Allocate(r.owner(), taskLabel(task), h.cfg.BufferBytes, refs)
-	if err != nil {
-		return err
+	// A sink's buffer is released when the task itself completes.
+	r.refs[task] = int32(max(len(r.app.Graph.Succ(task)), 1))
+	h.bufLive++
+	h.bufUsed += bytes
+	return nil
+}
+
+// releaseBuffer drops one consumer's reference on the task's output
+// buffer, freeing it at zero. A buffer never allocated has nothing to
+// release; one already freed is an error.
+func (h *Hypervisor) releaseBuffer(r *appRecord, task int) error {
+	switch c := r.refs[task]; c {
+	case 0:
+		return nil
+	case bufReleased:
+		return fmt.Errorf("mem: release of dead buffer %s#%d task%d.out", r.app.Name, r.app.ID, task)
+	case 1:
+		r.refs[task] = bufReleased
+		h.bufLive--
+		h.bufUsed -= h.cfg.BufferBytes
+	default:
+		r.refs[task] = c - 1
 	}
-	if r.bufOut == nil {
-		r.bufOut = map[int]int64{}
-	}
-	r.bufOut[task] = b.ID
 	return nil
 }
 
 // finishTask relinquishes buffers and frees the slot.
 func (h *Hypervisor) finishTask(slot int, a *sched.App, task int) error {
-	bufOut := h.slots[slot].rec.bufOut
+	r := h.slots[slot].rec
 	// Drop one reference on each predecessor's output: this consumer is done.
 	for _, p := range a.Graph.Pred(task) {
-		if id, ok := bufOut[p]; ok {
-			if err := h.mem.Release(id); err != nil {
-				return err
-			}
+		if err := h.releaseBuffer(r, p); err != nil {
+			return err
 		}
 	}
 	// Sink tasks own their single output reference.
 	if len(a.Graph.Succ(task)) == 0 {
-		if id, ok := bufOut[task]; ok {
-			if err := h.mem.Release(id); err != nil {
-				return err
-			}
+		if err := h.releaseBuffer(r, task); err != nil {
+			return err
 		}
 	}
 	if err := h.vacate(slot); err != nil {

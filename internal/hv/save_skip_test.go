@@ -80,3 +80,48 @@ func TestSaveSkipKeepsOnDemandCaptures(t *testing.T) {
 		t.Fatal("the strict check covered no save")
 	}
 }
+
+// TestSaveSkipWithOnDemandCaptures combines skipped periodic saves with
+// on-demand captures in the same runs. The lifecycle pool's items are
+// short, so NimblockCheckpoint's SLO rescue rarely captures a running
+// item there; with minute-long DigitRecognition items in the pool it
+// does. Over 20 seeds with the golden fault mix and board operations,
+// with and without the freeze and evacuation, the skipping board must
+// match the strict periodic-save reference exactly, and the reference,
+// driven one event at a time, keeps its buffer counters equal to a scan
+// of the records and ends with no buffer held (runLifecycle).
+func TestSaveSkipWithOnDemandCaptures(t *testing.T) {
+	seeds := int64(20)
+	if testing.Short() {
+		seeds = 6
+	}
+	combined, captures := 0, int64(0)
+	for _, freeze := range []bool{true, false} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			c := goldenLifecycleCase(seed, modePeriodic)
+			c.policy = "NimblockCheckpoint"
+			c.pool = []string{"LeNet", "OpticalFlow", "DigitRecognition"}
+			if !freeze {
+				c.freezeAt = 0
+			}
+			skip := runLifecycle(t, c)
+			checked, steps := 0, 0
+			c.strictSaves, c.ledgerSteps = &checked, &steps
+			ref := runLifecycle(t, c)
+			if skip != ref {
+				t.Fatalf("seed %d freeze %v: save skipping changed the outcome:\n skipping %+v\n strict   %+v", seed, freeze, skip, ref)
+			}
+			checkLifecycleConservation(t, ref)
+			captures += ref.captures
+			if ref.captures > 0 && checked > 0 {
+				combined++
+			}
+		}
+	}
+	// Most runs must both skip saves and capture on demand, or the
+	// comparison says nothing about the combination.
+	if combined < int(seeds) {
+		t.Fatalf("only %d of %d runs both skipped a save and captured on demand", combined, 2*seeds)
+	}
+	t.Logf("%d of %d runs combined skipped saves with %d on-demand captures", combined, 2*seeds, captures)
+}

@@ -145,9 +145,14 @@ func Analyze(g *taskgraph.Graph, report *hls.Report, batch int, board fpga.Confi
 	if g.NumTasks() < max {
 		max = g.NumTasks()
 	}
+	// One estimated graph serves every slot count.
+	est, err := estimateGraph(g, report)
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{Makespans: make([]sim.Duration, max)}
 	for k := 1; k <= max; k++ {
-		m, err := Makespan(g, report, batch, k, board, pipelining)
+		m, err := runAlone(est, batch, k, board, &greedy{pipe: pipelining})
 		if err != nil {
 			return Result{}, err
 		}
