@@ -86,7 +86,8 @@ type SubmitOptions struct {
 	// AdmissionConfig.DeadlineFactor.
 	SLO time.Duration
 	// Weight is the tenant's service weight for fairness-aware
-	// scheduling (AlgoNimblockEnergy); <= 0 means 1.
+	// scheduling (AlgoNimblockEnergy); 0 means 1. A negative, NaN or
+	// infinite weight is rejected by SubmitWith.
 	Weight float64
 }
 

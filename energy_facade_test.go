@@ -1,6 +1,7 @@
 package nimblock
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,73 @@ func TestSystemBoardSpecValidation(t *testing.T) {
 	cfg.Board = &BoardSpec{Slots: 0}
 	if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "slot") {
 		t.Fatalf("invalid board spec error = %v", err)
+	}
+}
+
+// A negative, NaN or infinite tenant weight is refused where it enters,
+// by every front-end, and leaves nothing behind: the same front-end then
+// runs its valid submissions to completion. Weight 0 means 1.
+func TestTenantWeightValidation(t *testing.T) {
+	app, _ := Benchmark(LeNet)
+	for _, tc := range []struct {
+		name   string
+		weight float64
+	}{{"negative", -1}, {"NaN", math.NaN()}, {"+Inf", math.Inf(1)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Algorithm = AlgoNimblockEnergy
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SubmitTenant(app, 2, PriorityMedium, 0, "bad", tc.weight); err == nil {
+				t.Error("System.SubmitTenant accepted the weight")
+			}
+			if err := sys.SubmitTenant(app, 2, PriorityMedium, 0, "good", 0); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := sys.Run(); err != nil || len(res) != 1 {
+				t.Errorf("System.Run = %d results, %v; want the one valid submission", len(res), err)
+			}
+
+			ccfg := DefaultClusterConfig()
+			ccfg.Algorithm = AlgoNimblockEnergy
+			cl, err := NewCluster(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.SubmitWith(app, 2, PriorityMedium, 0, SubmitOptions{Tenant: "bad", Weight: tc.weight}); err == nil {
+				t.Error("Cluster.SubmitWith accepted the weight")
+			}
+			if err := cl.SubmitWith(app, 2, PriorityMedium, 0, SubmitOptions{Tenant: "good"}); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := cl.Run(); err != nil || len(res) != 1 {
+				t.Errorf("Cluster.Run = %d results, %v; want the one valid submission", len(res), err)
+			}
+
+			pcfg := DefaultServerlessConfig()
+			pcfg.Algorithm = AlgoNimblockEnergy
+			pl, err := NewPlatform(pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.RegisterWith("bad", app, PriorityMedium, FunctionOptions{Tenant: "bad", Weight: tc.weight}); err == nil {
+				t.Error("Platform.RegisterWith accepted the weight")
+			}
+			if err := pl.Invoke("bad", 2, 0); err == nil {
+				t.Error("Platform.Invoke ran a function whose registration was refused")
+			}
+			if err := pl.RegisterWith("good", app, PriorityMedium, FunctionOptions{Tenant: "good"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.Invoke("good", 2, 0); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := pl.Run(); err != nil || len(res) != 1 {
+				t.Errorf("Platform.Run = %d results, %v; want the one valid invocation", len(res), err)
+			}
+		})
 	}
 }
 

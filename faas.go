@@ -92,7 +92,8 @@ type FunctionOptions struct {
 	// SLO is the per-invocation latency budget for deadline admission.
 	SLO time.Duration
 	// Weight is the tenant's service weight for fairness-aware
-	// scheduling (AlgoNimblockEnergy); <= 0 means 1.
+	// scheduling (AlgoNimblockEnergy); 0 means 1. A negative, NaN or
+	// infinite weight is rejected by RegisterWith.
 	Weight float64
 }
 

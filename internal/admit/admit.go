@@ -27,6 +27,7 @@ package admit
 
 import (
 	"fmt"
+	"math"
 
 	"nimblock/internal/obs"
 	"nimblock/internal/sim"
@@ -54,9 +55,10 @@ type Config struct {
 	// consideration.
 	Quotas map[string]int
 	// Weights sets tenants' relative shares of a full admission queue.
-	// Unlisted tenants weigh 1. While the queue is not full every tenant
-	// may exceed its share (the controller is work-conserving); once
-	// full, entries of over-share tenants are shed first.
+	// Each must be positive and finite; unlisted tenants weigh 1. While
+	// the queue is not full every tenant may exceed its share (the
+	// controller is work-conserving); once full, entries of over-share
+	// tenants are shed first.
 	Weights map[string]float64
 	// Registry, when non-nil, receives admission counters and queue
 	// gauges (admit_* instruments) for live observation.
@@ -175,8 +177,8 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 	for t, w := range cfg.Weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("admit: tenant %q weight %g <= 0", t, w)
+		if !(w > 0 && w <= math.MaxFloat64) {
+			return nil, fmt.Errorf("admit: tenant %q weight %g is not positive and finite", t, w)
 		}
 	}
 	c := &Controller{cfg: cfg, usage: map[string]int{}}

@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -29,6 +30,8 @@ func TestValidation(t *testing.T) {
 		{Quotas: map[string]int{"a": 0}},
 		{Weights: map[string]float64{"a": 0}},
 		{Weights: map[string]float64{"a": -3}},
+		{Weights: map[string]float64{"a": math.NaN()}},
+		{Weights: map[string]float64{"a": math.Inf(1)}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

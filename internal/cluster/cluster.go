@@ -232,6 +232,9 @@ func (c *Cluster) SubmitWith(g *taskgraph.Graph, batch, priority int, arrival si
 	if g == nil {
 		return fmt.Errorf("cluster: nil graph")
 	}
+	if err := hv.CheckWeight(opts.Weight); err != nil {
+		return err
+	}
 	sub := &submission{idx: c.core.Add(g.Name(), batch, priority, arrival), g: g, batch: batch, priority: priority, opts: opts}
 	c.subs = append(c.subs, sub)
 	c.eng.At(arrival, func() {

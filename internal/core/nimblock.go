@@ -20,7 +20,9 @@
 //     user-logic state is ever checkpointed.
 //
 // Options switch off preemption and/or pipelining for the paper's
-// ablation study (Section 5.6).
+// ablation study (Section 5.6). Energy is NimblockEnergy: the same pass
+// with a fairness order on the candidates and without phase 3 of the
+// reallocation (see energy.go).
 package core
 
 import (
@@ -44,7 +46,6 @@ func DefaultOptions() Options { return Options{Preemption: true, Pipelining: tru
 // Scheduler is the Nimblock policy.
 type Scheduler struct {
 	opts  Options
-	pool  *sched.TokenPool
 	plans *saturate.Planner
 	cands []*sched.App // scratch, reused across Schedule calls
 }
@@ -53,11 +54,7 @@ type Scheduler struct {
 // like the given configuration (the saturation analysis sweeps its slot
 // count and reconfiguration latency).
 func New(opts Options, board fpga.Config) *Scheduler {
-	return &Scheduler{
-		opts:  opts,
-		pool:  sched.NewTokenPool(),
-		plans: saturate.NewPlanner(board, opts.Pipelining),
-	}
+	return &Scheduler{opts: opts, plans: saturate.NewPlanner(board, opts.Pipelining)}
 }
 
 // Name implements sched.Scheduler, matching the ablation labels used in
@@ -79,57 +76,23 @@ func (s *Scheduler) Name() string {
 func (s *Scheduler) Pipelining() bool { return s.opts.Pipelining }
 
 // NextWake implements sched.Waker: the policy reads the clock only
-// through its token pool.
-func (s *Scheduler) NextWake(w sched.World) sim.Time { return s.pool.NextWake(w.Now(), w.Apps()) }
+// through its tokens.
+func (s *Scheduler) NextWake(w sched.World) sim.Time { return sched.TokenWake(w.Now(), w.Apps()) }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	apps := w.Apps()
-	s.pool.Accumulate(w.Now(), apps)
+	sched.AccrueTokens(w.Now(), apps)
 	s.cands = sched.CandidatesInto(s.cands, apps)
 	s.reallocate(w, s.cands)
-	s.selectAndLaunch(w, s.cands)
+	launch(w, s.cands, s.opts.Preemption)
 }
 
 // reallocate recomputes SlotsAllocated for every pending application
 // (Section 4.2). It runs on every scheduling opportunity, which subsumes
 // the paper's "periodic intervals plus candidate-pool changes" triggers.
 func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
-	for _, a := range w.Apps() {
-		a.SlotsAllocated = 0
-	}
-	// Budget only the usable slots: a quarantined board degrades into a
-	// smaller one and the goal numbers below are recomputed to match.
-	usable := w.UsableSlots()
-	remaining := usable
-	if remaining == 0 {
-		return
-	}
-	// Phase 1: one slot per candidate, oldest first, so every candidate
-	// makes forward progress.
-	for _, a := range cands {
-		if remaining == 0 {
-			return
-		}
-		a.SlotsAllocated = 1
-		remaining--
-	}
-	// Phase 2: raise allocations to the goal number, oldest first.
-	for _, a := range cands {
-		if remaining == 0 {
-			return
-		}
-		an := s.plans.Plan(a, usable)
-		a.Goal = an.Goal
-		add := an.Goal - a.SlotsAllocated
-		if add > remaining {
-			add = remaining
-		}
-		if add > 0 {
-			a.SlotsAllocated += add
-			remaining -= add
-		}
-	}
+	usable, remaining := allocateGoals(w, cands, s.plans)
 	// Phase 3: hand leftover slots to applications that can still make
 	// use of them, in age order, so older applications can pipeline
 	// aggressively toward their deadlines.
@@ -137,11 +100,7 @@ func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
 		if remaining == 0 {
 			return
 		}
-		an := s.plans.Plan(a, usable)
-		add := an.MaxUseful - a.SlotsAllocated
-		if add > remaining {
-			add = remaining
-		}
+		add := min(s.plans.Plan(a, usable).MaxUseful-a.SlotsAllocated, remaining)
 		if add > 0 {
 			a.SlotsAllocated += add
 			remaining -= add
@@ -149,10 +108,50 @@ func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
 	}
 }
 
-// selectAndLaunch picks one task to configure (Section 4.3). Only one
-// slot can be reconfigured at a time, so at most one reconfiguration is
-// issued per opportunity, and only when the CAP is idle.
-func (s *Scheduler) selectAndLaunch(w sched.World, cands []*sched.App) {
+// allocateGoals runs phases 1 and 2 of the reallocation: one slot per
+// candidate, then up to each candidate's goal number, both in candidate
+// order. It returns the usable slot count it budgeted and the slots
+// left over.
+func allocateGoals(w sched.World, cands []*sched.App, plans *saturate.Planner) (usable, remaining int) {
+	for _, a := range w.Apps() {
+		a.SlotsAllocated = 0
+	}
+	// Budget only the usable slots: a quarantined board degrades into a
+	// smaller one and the goal numbers below are recomputed to match.
+	usable = w.UsableSlots()
+	remaining = usable
+	// Phase 1: one slot per candidate, so every candidate makes forward
+	// progress.
+	for _, a := range cands {
+		if remaining == 0 {
+			return usable, 0
+		}
+		a.SlotsAllocated = 1
+		remaining--
+	}
+	// Phase 2: raise allocations to the goal number.
+	for _, a := range cands {
+		if remaining == 0 {
+			return usable, 0
+		}
+		an := plans.Plan(a, usable)
+		a.Goal = an.Goal
+		add := min(an.Goal-a.SlotsAllocated, remaining)
+		if add > 0 {
+			a.SlotsAllocated += add
+			remaining -= add
+		}
+	}
+	return usable, remaining
+}
+
+// launch picks one task to configure (Section 4.3): the first candidate
+// with allocation headroom and a configurable task wins the idle CAP,
+// and the lowest-index free slot hosts it. Only one slot can be
+// reconfigured at a time, so at most one reconfiguration is issued per
+// opportunity, and only when the CAP is idle. With preemption on, a
+// ready task that finds no free slot triggers Algorithm 2.
+func launch(w sched.World, cands []*sched.App, preemption bool) {
 	if w.CAPBusy() {
 		return
 	}
@@ -169,8 +168,8 @@ func (s *Scheduler) selectAndLaunch(w sched.World, cands []*sched.App) {
 			return
 		}
 		// A task is ready but no slot is available: consider preemption.
-		if s.opts.Preemption {
-			s.preempt(w)
+		if preemption {
+			preempt(w)
 		}
 		return
 	}
@@ -182,7 +181,7 @@ func (s *Scheduler) selectAndLaunch(w sched.World, cands []*sched.App) {
 // mid-item and re-evaluates at the next step; our preemption request is
 // honoured by the hypervisor at the batch boundary, which yields the same
 // boundary-only semantics without re-polling.
-func (s *Scheduler) preempt(w sched.World) {
+func preempt(w sched.World) {
 	// One preemption in flight at a time.
 	for slot := 0; slot < w.NumSlots(); slot++ {
 		if w.PreemptRequested(slot) {

@@ -9,7 +9,6 @@ import (
 	"nimblock/internal/fpga"
 	"nimblock/internal/hls"
 	"nimblock/internal/sched"
-	"nimblock/internal/sched/energy"
 	"nimblock/internal/sim"
 )
 
@@ -282,7 +281,6 @@ func TestSelectHonoursAllocation(t *testing.T) {
 }
 
 func TestPreemptPicksMaxOverConsumer(t *testing.T) {
-	s := New(DefaultOptions(), board())
 	w := newFakeWorld(4)
 	// hog uses 3 slots, allocated 1 -> over-consumption 2.
 	hog := mkApp(t, 1, apps.OpticalFlow, 10, 1, 0)
@@ -296,7 +294,7 @@ func TestPreemptPicksMaxOverConsumer(t *testing.T) {
 	mild.SlotsAllocated = 0
 	w.apps = []*sched.App{hog, mild}
 
-	s.preempt(w)
+	preempt(w)
 	if len(w.preempts) != 1 {
 		t.Fatalf("preempts = %v, want exactly one", w.preempts)
 	}
@@ -308,28 +306,26 @@ func TestPreemptPicksMaxOverConsumer(t *testing.T) {
 }
 
 func TestPreemptNoOverConsumer(t *testing.T) {
-	s := New(DefaultOptions(), board())
 	w := newFakeWorld(2)
 	a := mkApp(t, 1, apps.LeNet, 2, 3, 0)
 	w.occupy(t, 0, a, 0)
 	a.SlotsAllocated = 2
 	w.apps = []*sched.App{a}
-	s.preempt(w)
+	preempt(w)
 	if len(w.preempts) != 0 {
 		t.Fatal("preempted without an over-consumer")
 	}
 }
 
 func TestPreemptOnePendingAtATime(t *testing.T) {
-	s := New(DefaultOptions(), board())
 	w := newFakeWorld(3)
 	hog := mkApp(t, 1, apps.OpticalFlow, 10, 1, 0)
 	w.occupy(t, 0, hog, 0)
 	w.occupy(t, 1, hog, 1)
 	hog.SlotsAllocated = 1
 	w.apps = []*sched.App{hog}
-	s.preempt(w)
-	s.preempt(w)
+	preempt(w)
+	preempt(w)
 	if len(w.preempts) != 1 {
 		t.Fatalf("preempts = %v, want one while a request is pending", w.preempts)
 	}
@@ -383,7 +379,7 @@ func TestPlanMemoFollowsUsableSlots(t *testing.T) {
 	shapes := []shape{{apps.AlexNet, 5}, {apps.OpticalFlow, 10}, {apps.LeNet, 2}}
 	policies := map[string]func() sched.Scheduler{
 		"Nimblock":       func() sched.Scheduler { return New(DefaultOptions(), board()) },
-		"NimblockEnergy": func() sched.Scheduler { return energy.New(board()) },
+		"NimblockEnergy": func() sched.Scheduler { return NewEnergy(board()) },
 	}
 	// world builds a 10-slot board with slots [usable, 10) offline and
 	// the CAP busy, so Schedule only accrues tokens and reallocates.

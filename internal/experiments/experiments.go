@@ -20,7 +20,6 @@ import (
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/baseline"
 	"nimblock/internal/sched/ckpt"
-	"nimblock/internal/sched/energy"
 	"nimblock/internal/sched/fcfs"
 	"nimblock/internal/sched/prema"
 	"nimblock/internal/sched/rr"
@@ -97,8 +96,8 @@ var policies = map[string]func(board fpga.Config) sched.Scheduler{
 	"NimblockNoPreempt":       func(b fpga.Config) sched.Scheduler { return core.New(core.Options{Pipelining: true}, b) },
 	"NimblockNoPipe":          func(b fpga.Config) sched.Scheduler { return core.New(core.Options{Preemption: true}, b) },
 	"NimblockNoPreemptNoPipe": func(b fpga.Config) sched.Scheduler { return core.New(core.Options{}, b) },
-	"NimblockCheckpoint":      func(b fpga.Config) sched.Scheduler { return ckpt.New(ckpt.DefaultOptions(), b) },
-	"NimblockEnergy":          func(b fpga.Config) sched.Scheduler { return energy.New(b) },
+	"NimblockCheckpoint":      func(b fpga.Config) sched.Scheduler { return ckpt.New(core.DefaultOptions(), b) },
+	"NimblockEnergy":          func(b fpga.Config) sched.Scheduler { return core.NewEnergy(b) },
 }
 
 // Policy resolves a policy name once into a factory that builds a fresh

@@ -197,6 +197,9 @@ func (p *Platform) Register(name string, fn Function) error {
 	if fn.Priority < 1 {
 		return fmt.Errorf("faas: function %q priority %d < 1", name, fn.Priority)
 	}
+	if err := hv.CheckWeight(fn.Weight); err != nil {
+		return fmt.Errorf("faas: function %q: %w", name, err)
+	}
 	if _, dup := p.funcs[name]; dup {
 		return fmt.Errorf("faas: function %q already registered", name)
 	}

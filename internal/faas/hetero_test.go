@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"nimblock/internal/apps"
+	"nimblock/internal/core"
 	"nimblock/internal/hv"
 	"nimblock/internal/sched"
-	"nimblock/internal/sched/energy"
 	"nimblock/internal/sim"
 )
 
@@ -24,7 +24,7 @@ func heteroPlatform(t *testing.T, scales []float64) (*sim.Engine, *Platform) {
 		cfgs[i] = c
 	}
 	cfg.BoardConfigs = cfgs
-	p, err := New(eng, cfg, func(hv.Config) sched.Scheduler { return energy.New(hv.DefaultConfig().Board) })
+	p, err := New(eng, cfg, func(hv.Config) sched.Scheduler { return core.NewEnergy(hv.DefaultConfig().Board) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFunctionTenantAndEnergyWiring(t *testing.T) {
 	bcfg.Board.StaticWattsPerSlot = 1.5
 	bcfg.Board.ActiveWattsPerSlot = 0.5
 	cfg.BoardConfigs = []hv.Config{bcfg, bcfg}
-	p, err := New(eng, cfg, func(board hv.Config) sched.Scheduler { return energy.New(board.Board) })
+	p, err := New(eng, cfg, func(board hv.Config) sched.Scheduler { return core.NewEnergy(board.Board) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ package hv
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"nimblock/internal/fpga"
@@ -456,10 +457,10 @@ func (h *Hypervisor) Submit(g *taskgraph.Graph, batch, priority int, arrival sim
 // SubmitTenant is SubmitID with a tenant attribution: fabric compute
 // time delivered to the submission accrues to the tenant's service
 // account (TenantService), weighted by the tenant's share for fairness
-// arithmetic. Weight 0 means 1.
+// arithmetic. Weight 0 means 1; see CheckWeight.
 func (h *Hypervisor) SubmitTenant(g *taskgraph.Graph, batch, priority int, arrival sim.Time, tenant string, weight float64) (int64, error) {
-	if weight < 0 {
-		return 0, fmt.Errorf("hv: negative tenant weight %v", weight)
+	if err := CheckWeight(weight); err != nil {
+		return 0, err
 	}
 	id, err := h.SubmitID(g, batch, priority, arrival)
 	if err != nil {
@@ -468,6 +469,16 @@ func (h *Hypervisor) SubmitTenant(g *taskgraph.Graph, batch, priority int, arriv
 	a := h.apps[len(h.apps)-1]
 	a.Tenant, a.Weight = tenant, weight
 	return id, nil
+}
+
+// CheckWeight rejects a tenant weight that is negative, NaN or
+// infinite. Front-ends call it when a weight is submitted or registered,
+// so a bad weight fails there rather than at dispatch.
+func CheckWeight(weight float64) error {
+	if !(weight >= 0 && weight <= math.MaxFloat64) {
+		return fmt.Errorf("hv: tenant weight %v is negative or not finite", weight)
+	}
+	return nil
 }
 
 // SubmitID is Submit returning the board-local application ID assigned

@@ -169,7 +169,7 @@ func lifecyclePolicy(t *testing.T, c lifecycleCase, cfg hv.Config) sched.Schedul
 		return skipPolicies[i].mk(cfg.Board)
 	}
 	if c.mode == modeOnDemand {
-		return ckpt.New(ckpt.DefaultOptions(), cfg.Board)
+		return ckpt.New(core.DefaultOptions(), cfg.Board)
 	}
 	return core.New(core.DefaultOptions(), cfg.Board)
 }

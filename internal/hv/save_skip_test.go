@@ -65,7 +65,7 @@ func TestSaveSkipKeepsOnDemandCaptures(t *testing.T) {
 		{apps.LeNet, 2, 9, 5 * sim.Time(sim.Second)},
 	}
 	mk := func(b fpga.Config) sched.Scheduler {
-		return ckpt.New(ckpt.Options{Core: core.Options{Pipelining: true}}, b)
+		return ckpt.New(core.Options{Pipelining: true}, b)
 	}
 	checked := 0
 	skip := runSkipCase(t, cfg, mk, subs, nil, nil)

@@ -15,7 +15,6 @@ import (
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/baseline"
 	"nimblock/internal/sched/ckpt"
-	"nimblock/internal/sched/energy"
 	"nimblock/internal/sched/fcfs"
 	"nimblock/internal/sched/prema"
 	"nimblock/internal/sched/rr"
@@ -34,8 +33,8 @@ var skipPolicies = []skipPolicy{
 	{"PREMA", func(fpga.Config) sched.Scheduler { return prema.New() }},
 	{"RR", func(fpga.Config) sched.Scheduler { return rr.New() }},
 	{"Nimblock", func(b fpga.Config) sched.Scheduler { return core.New(core.DefaultOptions(), b) }},
-	{"NimblockCheckpoint", func(b fpga.Config) sched.Scheduler { return ckpt.New(ckpt.DefaultOptions(), b) }},
-	{"NimblockEnergy", func(b fpga.Config) sched.Scheduler { return energy.New(b) }},
+	{"NimblockCheckpoint", func(b fpga.Config) sched.Scheduler { return ckpt.New(core.DefaultOptions(), b) }},
+	{"NimblockEnergy", func(b fpga.Config) sched.Scheduler { return core.NewEnergy(b) }},
 }
 
 // everyTick is the reference for tick skipping. It hides the policy's
@@ -201,7 +200,7 @@ func TestTickSkipKeepsSLORescueTick(t *testing.T) {
 		{apps.LeNet, 2, 9, 5 * sim.Time(sim.Second)},
 	}
 	mk := func(b fpga.Config) sched.Scheduler {
-		return ckpt.New(ckpt.Options{Core: core.Options{Pipelining: true}}, b)
+		return ckpt.New(core.Options{Pipelining: true}, b)
 	}
 	checked := 0
 	skip := runSkipCase(t, cfg, mk, subs, nil, nil)

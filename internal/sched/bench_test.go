@@ -25,20 +25,18 @@ func benchApps(b *testing.B, n int) []*App {
 
 func BenchmarkTokenAccumulation(b *testing.B) {
 	apps := benchApps(b, 20)
-	p := NewTokenPool()
-	p.Accumulate(0, apps)
+	AccrueTokens(0, apps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Accumulate(sim.Time(i+1)*sim.Time(sim.Millisecond), apps)
+		AccrueTokens(sim.Time(i+1)*sim.Time(sim.Millisecond), apps)
 	}
 }
 
 func BenchmarkCandidates(b *testing.B) {
 	apps := benchApps(b, 20)
-	p := NewTokenPool()
-	p.Accumulate(0, apps)
-	p.Accumulate(sim.Time(sim.Second), apps)
+	AccrueTokens(0, apps)
+	AccrueTokens(sim.Time(sim.Second), apps)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,22 +46,21 @@ func BenchmarkCandidates(b *testing.B) {
 	}
 }
 
-// BenchmarkNextWake asks for the pool's wake over 20 pending apps, one
+// BenchmarkNextWake asks TokenWake for the wake over 20 pending apps, one
 // millisecond after they were first seen: every balance is still below
 // the top level, so each app has a crossing ahead.
 func BenchmarkNextWake(b *testing.B) {
 	apps := benchApps(b, 20)
-	p := NewTokenPool()
-	p.Accumulate(0, apps)
+	AccrueTokens(0, apps)
 	now := sim.Time(sim.Millisecond)
-	p.Accumulate(now, apps)
-	if p.NextWake(now, apps) == sim.Never {
+	AccrueTokens(now, apps)
+	if TokenWake(now, apps) == sim.Never {
 		b.Fatal("no crossing ahead")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.NextWake(now, apps)
+		TokenWake(now, apps)
 	}
 }
 

@@ -26,55 +26,27 @@ import (
 	"nimblock/internal/sim"
 )
 
-// DefaultSLOFactor scales the single-slot estimate into a deadline; 3x
-// is the paper's mid "loose" deadline tier.
-const DefaultSLOFactor = 3.0
+// SLOFactor scales the single-slot latency estimate into each
+// application's deadline (arrival + SLOFactor x estimate); 3x is the
+// paper's mid "loose" deadline tier.
+const SLOFactor = 3.0
 
-// DefaultRescuePriority is the minimum priority eligible for SLO-rescue
+// RescuePriority is the minimum priority whose SLO triggers a rescue
 // preemption: only the paper's highest (real-time) tier.
-const DefaultRescuePriority = 9
-
-// Options configures the policy.
-type Options struct {
-	// Core selects the underlying Nimblock features.
-	Core core.Options
-	// SLOFactor scales the single-slot latency estimate into each
-	// application's deadline (arrival + SLOFactor x estimate). Zero means
-	// DefaultSLOFactor.
-	SLOFactor float64
-	// RescuePriority is the minimum priority whose SLO triggers a rescue
-	// preemption. Zero means DefaultRescuePriority.
-	RescuePriority int
-}
-
-// DefaultOptions enables the full algorithm with the default SLO model.
-func DefaultOptions() Options {
-	return Options{Core: core.DefaultOptions(), SLOFactor: DefaultSLOFactor, RescuePriority: DefaultRescuePriority}
-}
+const RescuePriority = 9
 
 // Scheduler wraps the core Nimblock policy with the SLO-rescue pass.
 type Scheduler struct {
-	opts  Options
 	inner *core.Scheduler
 	board fpga.Config
 	guard guardedWorld // the core pass's world, kept so Schedule does not box a new one
 }
 
 // New returns a NimblockCheckpoint scheduler planning against boards
-// shaped like the given configuration.
-func New(opts Options, board fpga.Config) *Scheduler {
-	if opts.SLOFactor <= 0 {
-		opts.SLOFactor = DefaultSLOFactor
-	}
-	if opts.RescuePriority <= 0 {
-		opts.RescuePriority = DefaultRescuePriority
-	}
-	return &Scheduler{
-		opts:  opts,
-		inner: core.New(opts.Core, board),
-		board: board,
-		guard: guardedWorld{min: opts.RescuePriority},
-	}
+// shaped like the given configuration, on top of the core Nimblock
+// policy with the given features.
+func New(opts core.Options, board fpga.Config) *Scheduler {
+	return &Scheduler{inner: core.New(opts, board), board: board}
 }
 
 // Name implements sched.Scheduler.
@@ -104,7 +76,7 @@ func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 func (s *Scheduler) NextWake(w sched.World) sim.Time {
 	wake, now := s.inner.NextWake(w), w.Now()
 	for _, a := range w.Apps() {
-		if a.Priority < s.opts.RescuePriority {
+		if a.Priority < RescuePriority {
 			continue
 		}
 		if t := s.lastStart(a) + 1; t > now {
@@ -118,13 +90,10 @@ func (s *Scheduler) NextWake(w sched.World) sim.Time {
 // against rescue-priority occupants: a rescued real-time application
 // must not be evicted on behalf of a lower-priority over-consumption
 // claim, or the rescue and the core pass livelock swapping the slot.
-type guardedWorld struct {
-	sched.World
-	min int
-}
+type guardedWorld struct{ sched.World }
 
 func (g guardedWorld) RequestPreempt(slot int) error {
-	if a, _, ok := g.World.SlotOccupant(slot); ok && a.Priority >= g.min {
+	if a, _, ok := g.World.SlotOccupant(slot); ok && a.Priority >= RescuePriority {
 		return nil // declined: the occupant outranks boundary preemption
 	}
 	return g.World.RequestPreempt(slot)
@@ -171,7 +140,7 @@ func (s *Scheduler) estimate(a *sched.App) sim.Duration {
 // meet its deadline (arrival + SLOFactor x estimate) running single-slot.
 func (s *Scheduler) lastStart(a *sched.App) sim.Time {
 	est := s.estimate(a)
-	return a.Arrival.Add(sim.Duration(float64(est) * s.opts.SLOFactor)).Add(-est)
+	return a.Arrival.Add(sim.Duration(float64(est) * SLOFactor)).Add(-est)
 }
 
 // urgent returns the oldest pending rescue-priority application that
@@ -180,7 +149,7 @@ func (s *Scheduler) urgent(w sched.World) *sched.App {
 	now := w.Now()
 	var urgent *sched.App
 	for _, a := range w.Apps() {
-		if a.Priority < s.opts.RescuePriority || a.SlotsUsed() > 0 {
+		if a.Priority < RescuePriority || a.SlotsUsed() > 0 {
 			continue
 		}
 		if len(a.ConfigurableTasks()) == 0 {

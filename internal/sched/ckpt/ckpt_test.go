@@ -22,7 +22,7 @@ import (
 // highest priority level, then a late high-priority arrival.
 
 func TestNameAndPipelining(t *testing.T) {
-	s := ckpt.New(ckpt.DefaultOptions(), hv.DefaultConfig().Board)
+	s := ckpt.New(core.DefaultOptions(), hv.DefaultConfig().Board)
 	if s.Name() != "NimblockCheckpoint" {
 		t.Fatalf("name %q", s.Name())
 	}
@@ -67,7 +67,7 @@ func arrive(t *testing.T, w *schedtest.World, now, arrival sim.Time) *sched.App 
 // Past its SLO slack, the pending priority-9 app triggers a preemption
 // of the lower-priority mid-item occupant with the most work remaining.
 func TestRescuePreemptsBusiestLowerPriorityVictim(t *testing.T) {
-	s := ckpt.New(ckpt.DefaultOptions(), hv.DefaultConfig().Board)
+	s := ckpt.New(core.DefaultOptions(), hv.DefaultConfig().Board)
 	w, _ := saturate(t, s, 2, 2, 6) // slot 1 holds the bigger batch
 	arrive(t, w, sim.Time(450*sim.Second), 0)
 	s.Schedule(w, sched.ReasonTick)
@@ -79,7 +79,7 @@ func TestRescuePreemptsBusiestLowerPriorityVictim(t *testing.T) {
 // An app that can still meet its deadline by starting now is left to
 // wait for a boundary: no mid-item preemption.
 func TestNoRescueWhileOnTrack(t *testing.T) {
-	s := ckpt.New(ckpt.DefaultOptions(), hv.DefaultConfig().Board)
+	s := ckpt.New(core.DefaultOptions(), hv.DefaultConfig().Board)
 	w, _ := saturate(t, s, 2, 2, 6)
 	arrive(t, w, sim.Time(450*sim.Second), sim.Time(450*sim.Second)) // just arrived
 	s.Schedule(w, sched.ReasonTick)
@@ -90,7 +90,7 @@ func TestNoRescueWhileOnTrack(t *testing.T) {
 
 // With a free slot the core pass places the app; nothing is preempted.
 func TestNoRescueWithFreeSlot(t *testing.T) {
-	s := ckpt.New(ckpt.DefaultOptions(), hv.DefaultConfig().Board)
+	s := ckpt.New(core.DefaultOptions(), hv.DefaultConfig().Board)
 	w, _ := saturate(t, s, 3, 2, 6) // slot 2 stays free
 	urgent := arrive(t, w, sim.Time(450*sim.Second), 0)
 	s.Schedule(w, sched.ReasonTick)
@@ -104,7 +104,7 @@ func TestNoRescueWithFreeSlot(t *testing.T) {
 
 // Only strictly lower-priority occupants are victims.
 func TestNoRescueOfEqualPriorityVictims(t *testing.T) {
-	s := ckpt.New(ckpt.DefaultOptions(), hv.DefaultConfig().Board)
+	s := ckpt.New(core.DefaultOptions(), hv.DefaultConfig().Board)
 	w := schedtest.NewWorld(1)
 	peer := schedtest.NewApp(t, 1, apps.Synthetic("bigjob", 1, 65*sim.Second), 4, 9, 0)
 	w.Occupy(t, 0, peer, 0)
@@ -120,7 +120,7 @@ func TestNoRescueOfEqualPriorityVictims(t *testing.T) {
 // A preemption already in flight suppresses further rescues: at most
 // one outstanding request at a time.
 func TestNoRescueWhilePreemptionInFlight(t *testing.T) {
-	s := ckpt.New(ckpt.DefaultOptions(), hv.DefaultConfig().Board)
+	s := ckpt.New(core.DefaultOptions(), hv.DefaultConfig().Board)
 	w, _ := saturate(t, s, 2, 2, 6)
 	arrive(t, w, sim.Time(450*sim.Second), 0)
 	w.Preempted[0] = true
@@ -176,7 +176,7 @@ func TestRescueImprovesHighPriorityResponse(t *testing.T) {
 	board := hv.DefaultConfig().Board
 	board.Slots = 2
 	plain, plainLog, _ := rescueRun(t, core.New(core.DefaultOptions(), board))
-	rescued, log, h := rescueRun(t, ckpt.New(ckpt.DefaultOptions(), board))
+	rescued, log, h := rescueRun(t, ckpt.New(core.DefaultOptions(), board))
 
 	if n := plainLog.Count(trace.KindCheckpoint); n != 0 {
 		t.Fatalf("plain Nimblock issued %d mid-item preemptions; the scenario no longer isolates the rescue pass", n)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nimblock/internal/apps"
+	"nimblock/internal/core"
 	"nimblock/internal/fpga"
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/schedtest"
@@ -15,7 +16,7 @@ import (
 // memo holds its own estimate, on the first call and on every later one.
 func TestEstimateMemoIsPerApp(t *testing.T) {
 	board := fpga.DefaultConfig()
-	s := New(DefaultOptions(), board)
+	s := New(core.DefaultOptions(), board)
 	var pending []*sched.App
 	for i, name := range apps.Names() {
 		for _, batch := range []int{1, 7, 30} {

@@ -25,13 +25,12 @@ type byRem struct {
 
 // Scheduler is the task-based PREMA policy.
 type Scheduler struct {
-	pool  *sched.TokenPool
 	cands []*sched.App // scratch, reused across Schedule calls
 	order []byRem      // scratch, reused across Schedule calls
 }
 
 // New returns a PREMA scheduler.
-func New() *Scheduler { return &Scheduler{pool: sched.NewTokenPool()} }
+func New() *Scheduler { return &Scheduler{} }
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "PREMA" }
@@ -40,13 +39,13 @@ func (s *Scheduler) Name() string { return "PREMA" }
 func (s *Scheduler) Pipelining() bool { return false }
 
 // NextWake implements sched.Waker: the policy reads the clock only
-// through its token pool.
-func (s *Scheduler) NextWake(w sched.World) sim.Time { return s.pool.NextWake(w.Now(), w.Apps()) }
+// through its tokens.
+func (s *Scheduler) NextWake(w sched.World) sim.Time { return sched.TokenWake(w.Now(), w.Apps()) }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
 	apps := w.Apps()
-	s.pool.Accumulate(w.Now(), apps)
+	sched.AccrueTokens(w.Now(), apps)
 	free := w.FreeSlots()
 	if len(free) == 0 {
 		// Nothing to place. The order below only reads flags and

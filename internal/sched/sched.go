@@ -5,9 +5,12 @@
 // launch, buffer management, batch-boundary preemption — and exposes them
 // through the World interface. A Scheduler is pure policy: at each
 // scheduling opportunity it inspects the world and issues reconfiguration
-// or preemption requests. Five policies are implemented: the no-sharing
-// baseline, FCFS, task-based PREMA, Coyote-style round-robin, and the
-// Nimblock algorithm itself (package core).
+// or preemption requests. The policies are the no-sharing baseline,
+// FCFS, task-based PREMA and Coyote-style round-robin (packages under
+// sched), the Nimblock algorithm and NimblockEnergy (package core), and
+// NimblockCheckpoint (package ckpt, on top of core). The PREMA token
+// accrual that PREMA, Nimblock and NimblockEnergy share is here, as the
+// stateless functions AccrueTokens and TokenWake.
 package sched
 
 import (
@@ -207,8 +210,8 @@ type App struct {
 	slotsUsed int          // tasks configuring or active
 	remaining sim.Duration // RemainingEstimate, lowered as items finish
 
-	// TokenPool accrual state: the instant the app was first seen, and
-	// the last crossing NextWake derived for it.
+	// Token accrual state: the instant the app was first seen, and the
+	// last crossing TokenWake derived for it.
 	tokenSince sim.Time
 	crossAt    sim.Time
 

@@ -524,7 +524,7 @@ func (c *Checker) Finish(results int) error {
 }
 
 // CheckTokenInvariants verifies the PREMA token-pool properties on a set
-// of pending applications immediately after TokenPool.Accumulate:
+// of pending applications immediately after sched.AccrueTokens:
 //
 //   - non-negativity: no application ever holds negative tokens;
 //   - threshold consistency: with threshold defined as the maximum token

@@ -10,7 +10,6 @@ import (
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/baseline"
 	"nimblock/internal/sched/ckpt"
-	"nimblock/internal/sched/energy"
 	"nimblock/internal/sched/fcfs"
 	"nimblock/internal/sched/prema"
 	"nimblock/internal/sched/rr"
@@ -35,8 +34,8 @@ func BenchmarkSteadySchedule(b *testing.B) {
 		{"PREMA", func() sched.Scheduler { return prema.New() }},
 		{"RR", func() sched.Scheduler { return rr.New() }},
 		{"Nimblock", func() sched.Scheduler { return core.New(core.DefaultOptions(), board) }},
-		{"NimblockCheckpoint", func() sched.Scheduler { return ckpt.New(ckpt.DefaultOptions(), board) }},
-		{"NimblockEnergy", func() sched.Scheduler { return energy.New(board) }},
+		{"NimblockCheckpoint", func() sched.Scheduler { return ckpt.New(core.DefaultOptions(), board) }},
+		{"NimblockEnergy", func() sched.Scheduler { return core.NewEnergy(board) }},
 	} {
 		b.Run(p.name, func(b *testing.B) {
 			s := p.mk()

@@ -17,7 +17,7 @@ func tokenApps(t *testing.T) []*sched.App {
 		NewApp(t, 2, g, 2, 3, 0),
 		NewApp(t, 3, g, 2, 9, 0),
 	}
-	sched.NewTokenPool().Accumulate(sim.Time(0), apps)
+	sched.AccrueTokens(sim.Time(0), apps)
 	return apps
 }
 

@@ -38,19 +38,18 @@ func randomApps(t *testing.T, rng *rand.Rand, n int) []*sched.App {
 	return out
 }
 
-// Property: after every Accumulate call, on a randomly churning pending
+// Property: after every AccrueTokens call, on a randomly churning pending
 // queue, the token-pool invariants hold — non-negative finite balances,
 // threshold-consistent candidate marking, and a never-empty candidate
 // pool while applications wait.
 func TestTokenPoolInvariantsProperty(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pool := sched.NewTokenPool()
 		apps := randomApps(t, rng, 2+rng.Intn(8))
 		now := sim.Time(0)
 		for step := 0; step < 60; step++ {
 			now += sim.Time(rng.Intn(500_000)) // up to 0.5 s per step
-			pool.Accumulate(now, apps)
+			sched.AccrueTokens(now, apps)
 			if err := schedtest.CheckTokenInvariants(apps); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
@@ -79,17 +78,16 @@ func TestTokenAccrualConservation(t *testing.T) {
 			cp := *a
 			fine[i] = &cp
 		}
-		poolC, poolF := sched.NewTokenPool(), sched.NewTokenPool()
 		start := sim.Time(1000)
-		poolC.Accumulate(start, coarse)
-		poolF.Accumulate(start, fine)
+		sched.AccrueTokens(start, coarse)
+		sched.AccrueTokens(start, fine)
 
 		end := start + sim.Time(10_000_000) // 10 s later
-		poolC.Accumulate(end, coarse)
+		sched.AccrueTokens(end, coarse)
 		for now := start; now < end; now += sim.Time(250_000 + rng.Intn(750_000)) {
-			poolF.Accumulate(now, fine)
+			sched.AccrueTokens(now, fine)
 		}
-		poolF.Accumulate(end, fine)
+		sched.AccrueTokens(end, fine)
 
 		for i := range coarse {
 			got, want := fine[i].Tokens, coarse[i].Tokens
@@ -113,7 +111,6 @@ func TestTokensAgreeOnTickSubsets(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		every := randomApps(t, rng, 2+rng.Intn(8))
 		sparse := copyApps(every)
-		poolE, poolS := sched.NewTokenPool(), sched.NewTokenPool()
 		calls := 0
 		for step := 0; step < 300; step++ {
 			now := sim.Time(step) * tick
@@ -130,12 +127,12 @@ func TestTokensAgreeOnTickSubsets(t *testing.T) {
 				forced = true
 			}
 			was := candidateFlags(every)
-			poolE.Accumulate(now, every)
+			sched.AccrueTokens(now, every)
 			if !forced && slices.Equal(was, candidateFlags(every)) && rng.Intn(4) != 0 {
 				continue
 			}
 			calls++
-			poolS.Accumulate(now, sparse)
+			sched.AccrueTokens(now, sparse)
 			for i, e := range every {
 				s := sparse[i]
 				if s.Tokens != e.Tokens || s.Candidate != e.Candidate || s.CandidateSince != e.CandidateSince {

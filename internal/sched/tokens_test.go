@@ -22,21 +22,19 @@ func mkApp(t *testing.T, id int64, name string, batch, prio int, arrival sim.Tim
 }
 
 func TestInitialTokensEqualPriority(t *testing.T) {
-	p := NewTokenPool()
 	a := mkApp(t, 1, apps.LeNet, 5, 9, 0)
-	p.Accumulate(0, []*App{a})
+	AccrueTokens(0, []*App{a})
 	if a.Tokens != 9 {
 		t.Fatalf("initial tokens = %v, want priority 9", a.Tokens)
 	}
 }
 
 func TestTokensGrowWithWaitAndPriority(t *testing.T) {
-	p := NewTokenPool()
 	lo := mkApp(t, 1, apps.LeNet, 5, 1, 0)
 	hi := mkApp(t, 2, apps.LeNet, 5, 9, 0)
 	all := []*App{lo, hi}
-	p.Accumulate(0, all)
-	p.Accumulate(10*sim.Time(sim.Second), all)
+	AccrueTokens(0, all)
+	AccrueTokens(10*sim.Time(sim.Second), all)
 	if hi.Tokens-9 <= (lo.Tokens-1)*8.9 {
 		t.Fatalf("high-priority accumulation too slow: lo=%v hi=%v", lo.Tokens, hi.Tokens)
 	}
@@ -46,12 +44,11 @@ func TestTokensGrowWithWaitAndPriority(t *testing.T) {
 }
 
 func TestShortAppsDegradeFaster(t *testing.T) {
-	p := NewTokenPool()
 	short := mkApp(t, 1, apps.ImageCompression, 1, 3, 0)
 	long := mkApp(t, 2, apps.DigitRecognition, 1, 3, 0)
 	all := []*App{short, long}
-	p.Accumulate(0, all)
-	p.Accumulate(sim.Time(sim.Second), all)
+	AccrueTokens(0, all)
+	AccrueTokens(sim.Time(sim.Second), all)
 	if short.Tokens <= long.Tokens {
 		t.Fatalf("short app should accumulate faster: short=%v long=%v", short.Tokens, long.Tokens)
 	}
@@ -70,11 +67,10 @@ func TestFloorPriority(t *testing.T) {
 }
 
 func TestThresholdingCandidates(t *testing.T) {
-	p := NewTokenPool()
 	a := mkApp(t, 1, apps.LeNet, 5, 9, 0) // tokens 9
 	b := mkApp(t, 2, apps.LeNet, 5, 3, 0) // tokens 3
 	c := mkApp(t, 3, apps.LeNet, 5, 1, 0) // tokens 1
-	p.Accumulate(0, []*App{a, b, c})
+	AccrueTokens(0, []*App{a, b, c})
 	// Threshold = floor(9) = 9 -> only a qualifies.
 	if !a.Candidate || b.Candidate || c.Candidate {
 		t.Fatalf("candidates = %v %v %v, want only first", a.Candidate, b.Candidate, c.Candidate)
@@ -84,20 +80,18 @@ func TestThresholdingCandidates(t *testing.T) {
 func TestCandidatePoolNeverEmptyWhileAppsWait(t *testing.T) {
 	// Regression for the >= vs > deviation: with a single app whose
 	// tokens sit exactly on a priority level, the pool must not be empty.
-	p := NewTokenPool()
 	a := mkApp(t, 1, apps.LeNet, 5, 3, 0)
-	p.Accumulate(0, []*App{a})
+	AccrueTokens(0, []*App{a})
 	if !a.Candidate {
 		t.Fatal("single waiting app is not a candidate")
 	}
 }
 
 func TestCandidateSinceStable(t *testing.T) {
-	p := NewTokenPool()
 	a := mkApp(t, 1, apps.LeNet, 5, 9, 0)
-	p.Accumulate(0, []*App{a})
+	AccrueTokens(0, []*App{a})
 	first := a.CandidateSince
-	p.Accumulate(sim.Time(sim.Second), []*App{a})
+	AccrueTokens(sim.Time(sim.Second), []*App{a})
 	if a.CandidateSince != first {
 		t.Fatal("CandidateSince changed while app stayed in the pool")
 	}
@@ -123,7 +117,6 @@ func TestCandidatesOrderedByPoolAge(t *testing.T) {
 // Accrual state lives on the apps, so accumulating over a pending list
 // that apps join and leave allocates nothing.
 func TestAccumulateZeroAlloc(t *testing.T) {
-	p := NewTokenPool()
 	var all []*App
 	for i := 0; i < 8; i++ {
 		all = append(all, mkApp(t, int64(i+1), apps.LeNet, 5, PriorityLevels[i%3], 0))
@@ -134,23 +127,22 @@ func TestAccumulateZeroAlloc(t *testing.T) {
 		now = now.Add(sim.Millisecond)
 		// A sliding window: one app leaves the front or rejoins the back.
 		lo := step % 4
-		p.Accumulate(now, all[lo:lo+4])
+		AccrueTokens(now, all[lo:lo+4])
 		step++
 	})
 	if allocs != 0 {
-		t.Fatalf("Accumulate allocates %v times per call", allocs)
+		t.Fatalf("AccrueTokens allocates %v times per call", allocs)
 	}
 }
 
 // A late joiner starts at exactly its priority, while apps already seen
 // keep accruing from their own last accrual instant.
 func TestLateJoinerStartsAtPriority(t *testing.T) {
-	p := NewTokenPool()
 	a := mkApp(t, 1, apps.LeNet, 5, 3, 0)
 	b := mkApp(t, 2, apps.LeNet, 5, 9, 0)
 	late := mkApp(t, 3, apps.LeNet, 5, 1, 0)
-	p.Accumulate(0, []*App{a})
-	p.Accumulate(sim.Time(sim.Second), []*App{a, b})
+	AccrueTokens(0, []*App{a})
+	AccrueTokens(sim.Time(sim.Second), []*App{a, b})
 	if b.Tokens != 9 {
 		t.Fatalf("joiner tokens = %v, want priority 9", b.Tokens)
 	}
@@ -158,14 +150,13 @@ func TestLateJoinerStartsAtPriority(t *testing.T) {
 	// a at 0, 1 s, 2 s and b from 1 s.
 	refA := mkApp(t, 1, apps.LeNet, 5, 3, 0)
 	refB := mkApp(t, 2, apps.LeNet, 5, 9, 0)
-	ref := NewTokenPool()
 	for _, at := range []sim.Time{0, sim.Time(sim.Second), 2 * sim.Time(sim.Second)} {
-		ref.Accumulate(at, []*App{refA})
+		AccrueTokens(at, []*App{refA})
 	}
-	ref.Accumulate(sim.Time(sim.Second), []*App{refB})
-	ref.Accumulate(2*sim.Time(sim.Second), []*App{refB})
+	AccrueTokens(sim.Time(sim.Second), []*App{refB})
+	AccrueTokens(2*sim.Time(sim.Second), []*App{refB})
 
-	p.Accumulate(2*sim.Time(sim.Second), []*App{a, b, late})
+	AccrueTokens(2*sim.Time(sim.Second), []*App{a, b, late})
 	if late.Tokens != 1 {
 		t.Fatalf("late joiner tokens = %v, want priority 1", late.Tokens)
 	}
@@ -185,13 +176,12 @@ func TestTokenMonotonicityProperty(t *testing.T) {
 		prio := PriorityLevels[int(prioSel)%len(PriorityLevels)]
 		g := apps.MustGraph(apps.LeNet)
 		a, _ := NewApp(1, g, hls.Analyze(g), 3, prio, 0)
-		p := NewTokenPool()
 		now := sim.Time(0)
-		p.Accumulate(now, []*App{a})
+		AccrueTokens(now, []*App{a})
 		prev := a.Tokens
 		for _, s := range steps {
 			now = now.Add(sim.Duration(s) * sim.Millisecond)
-			p.Accumulate(now, []*App{a})
+			AccrueTokens(now, []*App{a})
 			if a.Tokens < prev || a.Tokens < float64(prio) {
 				return false
 			}
@@ -221,9 +211,8 @@ func TestCandidateNonEmptyProperty(t *testing.T) {
 			a, _ := NewApp(int64(i), g, hls.Analyze(g), 2, prio, sim.Time(i))
 			all = append(all, a)
 		}
-		p := NewTokenPool()
-		p.Accumulate(0, all)
-		p.Accumulate(sim.Time(gap), all)
+		AccrueTokens(0, all)
+		AccrueTokens(sim.Time(gap), all)
 		for _, a := range all {
 			if a.Candidate {
 				return true
@@ -236,79 +225,73 @@ func TestCandidateNonEmptyProperty(t *testing.T) {
 	}
 }
 
-// freshCrossing is TokenPool.crossing without the memo: the inversion
-// for the lowest level above the app's balance, derived every call.
-func freshCrossing(p *TokenPool, a *App) sim.Time {
+// freshCrossing is crossing without the memo: the inversion for the
+// lowest level above the app's balance, derived every call.
+func freshCrossing(a *App) sim.Time {
 	for _, l := range PriorityLevels {
 		if float64(l) > a.Tokens {
-			if p.Alpha <= 0 {
-				return sim.Never
-			}
-			return p.crossingAt(a, float64(l))
+			return crossingAt(a, float64(l))
 		}
 	}
 	return sim.Never
 }
 
-// Property: accumulated at random instants, and at the very instants
-// the pool names as wakes, the memoized NextWake equals the fresh
-// inversion for every app, alone and over the whole pool, while the
-// balances climb through every priority level to the top.
+// Property: accrued at random instants, and at the very instants
+// TokenWake names as wakes, the memoized wake equals the fresh
+// inversion for every app, alone and over the whole pending list, while
+// the balances climb through every priority level to the top.
 func TestCrossingMemoMatchesFresh(t *testing.T) {
-	for k, alpha := range []float64{DefaultAlpha, 0.37, 2.5} {
-		rng := rand.New(rand.NewSource(int64(k + 1)))
-		p := &TokenPool{Alpha: alpha}
-		var pending []*App
-		var maxE sim.Duration
-		for i, name := range apps.Names() {
-			for j, prio := range PriorityLevels {
-				a := mkApp(t, int64(3*i+j+1), name, 1+rng.Intn(8), prio, sim.Time(rng.Intn(1000)))
-				pending = append(pending, a)
-				maxE = max(maxE, latencyEstimate(a))
-			}
+	rng := rand.New(rand.NewSource(1))
+	var pending []*App
+	var maxE sim.Duration
+	for i, name := range apps.Names() {
+		for j, prio := range PriorityLevels {
+			a := mkApp(t, int64(3*i+j+1), name, 1+rng.Intn(8), prio, sim.Time(rng.Intn(1000)))
+			pending = append(pending, a)
+			maxE = max(maxE, latencyEstimate(a))
 		}
-		seen := map[int]bool{} // level index an app's balance was below; -1 for the top
-		now := sim.Time(0)
-		for step := 0; step < 100_000; step++ {
-			p.Accumulate(now, pending)
-			want := sim.Never
-			top := true
-			for _, a := range pending {
-				fresh := freshCrossing(p, a)
-				if got := p.NextWake(now, []*App{a}); got != fresh {
-					t.Fatalf("alpha %v step %d at %v: %s tokens %v: memoized wake %v, fresh %v",
-						alpha, step, now, a, a.Tokens, got, fresh)
-				}
-				want = min(want, fresh)
-				i := slices.IndexFunc(PriorityLevels, func(l int) bool { return float64(l) > a.Tokens })
-				seen[i] = true
-				top = top && i < 0
-			}
-			if got := p.NextWake(now, pending); got != want {
-				t.Fatalf("alpha %v step %d at %v: pool wake %v, fresh %v", alpha, step, now, got, want)
-			}
-			if top {
-				// A balance starts at its priority, so never below level 0.
-				for i := -1; i < len(PriorityLevels); i++ {
-					if !seen[i] && i != 0 {
-						t.Fatalf("alpha %v: no balance was ever below level index %d", alpha, i)
-					}
-				}
-				break
-			}
-			switch rng.Intn(3) {
-			case 0:
-				now = want // land exactly on the next crossing
-			case 1:
-				now += sim.Time(rng.Intn(1000))
-			default:
-				now += sim.Time(rng.Int63n(int64(maxE)/4 + 1))
-			}
-		}
+	}
+	seen := map[int]bool{} // level index an app's balance was below; -1 for the top
+	now := sim.Time(0)
+	for step := 0; step < 100_000; step++ {
+		AccrueTokens(now, pending)
+		want := sim.Never
+		top := true
 		for _, a := range pending {
-			if freshCrossing(p, a) != sim.Never {
-				t.Fatalf("alpha %v: %s still below the top level (tokens %v)", alpha, a, a.Tokens)
+			fresh := freshCrossing(a)
+			if got := TokenWake(now, []*App{a}); got != fresh {
+				t.Fatalf("step %d at %v: %s tokens %v: memoized wake %v, fresh %v",
+					step, now, a, a.Tokens, got, fresh)
 			}
+			want = min(want, fresh)
+			i := slices.IndexFunc(PriorityLevels, func(l int) bool { return float64(l) > a.Tokens })
+			seen[i] = true
+			top = top && i < 0
+		}
+		if got := TokenWake(now, pending); got != want {
+			t.Fatalf("step %d at %v: pending-list wake %v, fresh %v", step, now, got, want)
+		}
+		if top {
+			// A balance starts at its priority, so never below level 0.
+			for i := -1; i < len(PriorityLevels); i++ {
+				if !seen[i] && i != 0 {
+					t.Fatalf("no balance was ever below level index %d", i)
+				}
+			}
+			break
+		}
+		switch rng.Intn(3) {
+		case 0:
+			now = want // land exactly on the next crossing
+		case 1:
+			now += sim.Time(rng.Intn(1000))
+		default:
+			now += sim.Time(rng.Int63n(int64(maxE)/4 + 1))
+		}
+	}
+	for _, a := range pending {
+		if freshCrossing(a) != sim.Never {
+			t.Fatalf("%s still below the top level (tokens %v)", a, a.Tokens)
 		}
 	}
 }

@@ -483,8 +483,8 @@ func (s *System) Submit(app *Application, batch, priority int, arrival time.Dura
 // SubmitTenant is Submit with a tenant label and a service weight.
 // The fairness-aware AlgoNimblockEnergy policy favours tenants whose
 // weighted delivered service lags; other policies ignore the label but
-// still account service per tenant (see TenantServices). A weight <= 0
-// means 1.
+// still account service per tenant (see TenantServices). A weight of 0
+// means 1; a negative, NaN or infinite weight is rejected.
 func (s *System) SubmitTenant(app *Application, batch, priority int, arrival time.Duration, tenant string, weight float64) error {
 	if app == nil {
 		return fmt.Errorf("nimblock: nil application")
