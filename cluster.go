@@ -240,8 +240,9 @@ func (c *Cluster) Run() ([]ClusterResult, error) {
 // power model.
 func (c *Cluster) Energy() EnergyStats { return energyStats(c.energy, c.cl.Energy()) }
 
-// TenantServices reports the weighted service delivered to each tenant
-// named in SubmitWith options, merged across boards.
+// TenantServices reports the service (fabric compute time, not divided
+// by weights) delivered to each tenant named in SubmitWith options,
+// merged across boards.
 func (c *Cluster) TenantServices() map[string]time.Duration {
 	return tenantServices(c.cl.TenantServices())
 }

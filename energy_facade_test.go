@@ -112,6 +112,33 @@ func TestSystemTenantFairness(t *testing.T) {
 	}
 }
 
+// TenantServices is delivered compute time, not divided by the
+// submission weight: the same LeNet batch reports the same service at
+// weight 1 and at weight 4.
+func TestSystemTenantServicesIgnoreWeight(t *testing.T) {
+	app, _ := Benchmark(LeNet)
+	service := func(weight float64) time.Duration {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Algorithm = AlgoNimblockEnergy
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SubmitTenant(app, 4, PriorityMedium, 0, "tenant", weight); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sys.TenantServices()["tenant"]
+	}
+	one, four := service(1), service(4)
+	if one <= 0 || one != four {
+		t.Fatalf("TenantServices = %v at weight 1, %v at weight 4; want the same positive compute time", one, four)
+	}
+}
+
 // Config.Board must survive validation: a meaningless spec fails
 // NewSystem instead of silently misconfiguring the board.
 func TestSystemBoardSpecValidation(t *testing.T) {

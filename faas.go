@@ -178,8 +178,8 @@ func (pl *Platform) Stats() PlatformStats {
 // carry a power model.
 func (pl *Platform) Energy() EnergyStats { return energyStats(pl.energy, pl.p.Energy()) }
 
-// TenantServices reports the weighted service delivered to each
-// function tenant, merged across boards.
+// TenantServices reports the service (fabric compute time, not divided
+// by weights) delivered to each function tenant, merged across boards.
 func (pl *Platform) TenantServices() map[string]time.Duration {
 	return tenantServices(pl.p.TenantServices())
 }

@@ -8,11 +8,12 @@ package fleet
 // snapshots plus the estimates already routed this epoch; (2) advance
 // every shard engine to the epoch boundary with RunUntil — in parallel,
 // since shards share no state — so all clocks land on the same instant;
-// (3) at the barrier, refresh the per-board load snapshots the next
-// epoch's placement will read. Boards on a shared engine never touch
-// each other's state (only placement reads across boards, and only at
-// barriers), so a board's event outcomes are invariant under regrouping
-// — the shard-determinism property the tests pin.
+// (3) at the barrier, refresh the load snapshots the next epoch's
+// placement will read, for the boards that reported a load change.
+// Boards on a shared engine never touch each other's state (only
+// placement reads across boards, and only at barriers), so a board's
+// event outcomes are invariant under regrouping — the shard-determinism
+// property the tests pin.
 
 import (
 	"fmt"
@@ -73,30 +74,69 @@ func (f *Fleet) advance(end sim.Time) int64 {
 }
 
 // barrier refreshes placement state once every shard clock sits at the
-// same epoch boundary, and reports the fleet's true pending count.
+// same epoch boundary, and reports the fleet's true pending count. It
+// visits only the boards on the dirty lists: a board whose load did not
+// move since its last visit keeps its snapshot, its score and its share
+// of the pending totals, and no work was routed to it (a submission
+// reports a load change).
 func (f *Fleet) barrier() int {
-	pending := 0
-	var perShard []int // per-shard pending, tallied only for the gauges
-	if f.gauges != nil {
-		perShard = f.gauges.perShard
-		clear(perShard)
-	}
-	for g := 0; g < f.cfg.Boards; g++ {
-		b := f.Board(g)
-		f.outSnap[g] = b.OutstandingEstimate()
-		f.routed[g] = 0
-		p := b.PendingCount()
-		pending += p
-		if perShard != nil {
-			perShard[f.core.Shard(g)] += p
+	for s, list := range f.dirty {
+		for _, g := range list {
+			f.marked[g] = false
+			b := f.Board(g)
+			f.outSnap[g] = b.OutstandingEstimate()
+			f.routed[g] = 0
+			f.scores[g] = f.score(g)
+			p := b.PendingCount()
+			f.pending += p - f.pendAt[g]
+			f.shardPend[s] += p - f.pendAt[g]
+			f.pendAt[g] = p
 		}
+		f.dirty[s] = list[:0]
 	}
-	f.pendEst = pending
+	f.pendEst = f.pending
 	if f.gauges != nil {
-		for s, p := range perShard {
+		for s, p := range f.shardPend {
 			f.gauges.shardPending[s].Set(float64(p))
 		}
-		f.gauges.pending.Set(float64(pending))
+		f.gauges.pending.Set(float64(f.pending))
+	}
+	return f.pending
+}
+
+// arrivals is the stream cursor the epochs advance: the next event
+// pulled off the stream and not yet routed.
+type arrivals struct {
+	stream *workload.Stream
+	next   workload.Event
+	have   bool
+	done   bool // the stream is exhausted
+}
+
+// routeUntil routes the stream's arrivals up to end, in stream order.
+func (f *Fleet) routeUntil(in *arrivals, end sim.Time) {
+	for {
+		if !in.have && !in.done {
+			in.next, in.have = in.stream.Next()
+			in.done = !in.have
+		}
+		if !in.have || in.next.Arrival > end {
+			return
+		}
+		f.route(in.next)
+		in.have = false
+	}
+}
+
+// sync advances every shard to the epoch boundary end and runs the
+// barrier there, returning its pending count.
+func (f *Fleet) sync(end sim.Time) int {
+	f.stats.EventsFired += f.advance(end)
+	f.stats.Epochs++
+	f.now = end
+	pending := f.barrier()
+	if f.gauges != nil {
+		f.gauges.epoch.Set(f.now.Seconds())
 	}
 	return pending
 }
@@ -109,57 +149,20 @@ func (f *Fleet) Run(stream *workload.Stream) ([]Result, error) {
 	if stream == nil {
 		return nil, fmt.Errorf("fleet: nil stream")
 	}
-	horizon := f.cfg.HV.Horizon
-	var (
-		now        sim.Time
-		lookahead  workload.Event
-		haveEvent  bool
-		streamDone bool
-	)
-	for !streamDone || f.pending() {
-		end := now.Add(f.cfg.Epoch)
-		if end > horizon {
-			end = horizon
-		}
-		// Route this epoch's arrivals in stream order.
-		for {
-			if !haveEvent && !streamDone {
-				lookahead, haveEvent = stream.Next()
-				streamDone = !haveEvent
-			}
-			if !haveEvent || lookahead.Arrival > end {
-				break
-			}
-			f.route(lookahead)
-			haveEvent = false
-		}
-		f.stats.EventsFired += f.advance(end)
-		f.stats.Epochs++
-		now = end
-		pending := f.barrier()
-		if f.gauges != nil {
-			f.gauges.epoch.Set(now.Seconds())
-		}
-		if streamDone && pending == 0 {
+	in := &arrivals{stream: stream}
+	for {
+		end := min(f.now.Add(f.cfg.Epoch), f.cfg.HV.Horizon)
+		f.routeUntil(in, end)
+		pending := f.sync(end)
+		if in.done && pending == 0 {
 			break
 		}
-		if now >= horizon {
-			return nil, fmt.Errorf("fleet: %d submissions still pending at horizon %v", pending, horizon)
+		if f.now >= f.cfg.HV.Horizon {
+			return nil, fmt.Errorf("fleet: %d submissions still pending at horizon %v", pending, f.cfg.HV.Horizon)
 		}
 	}
-	f.stats.Makespan = now
+	f.stats.Makespan = f.now
 	return f.collect()
-}
-
-// pending reports whether any board still holds unfinished work; used
-// only for the degenerate empty-stream first iteration.
-func (f *Fleet) pending() bool {
-	for g := 0; g < f.cfg.Boards; g++ {
-		if f.Board(g).PendingCount() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // collect assembles per-submission results in stream order and the

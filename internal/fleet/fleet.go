@@ -103,7 +103,19 @@ type Fleet struct {
 	down    []bool         // health mask: true = not placeable
 	outSnap []sim.Duration // barrier snapshot of OutstandingEstimate
 	routed  []sim.Duration // estimates routed since the last barrier
+	scores  []float64      // score(g), refreshed whenever an input changes
+	pendAt  []int          // PendingCount at the board's last barrier visit
 	pendEst int            // barrier pending + routed since, for shedding
+
+	// Barrier state. A board's hv.Config.OnLoad puts it on its shard's
+	// dirty list (marked dedupes), so the barrier visits only boards
+	// whose load moved and keeps the pending totals as running deltas.
+	// Each list is written only by its shard's worker during advance.
+	dirty     [][]int  // shard -> boards reported since the last barrier
+	marked    []bool   // board -> on its shard's dirty list
+	pending   int      // fleet pending count at the last barrier
+	shardPend []int    // per-shard pending count at the last barrier
+	now       sim.Time // the last barrier's epoch boundary
 
 	graphs  map[string]*taskgraph.Graph // O(apps), not O(events)
 	estMemo map[estKey]sim.Duration
@@ -139,7 +151,7 @@ func New(cfg Config, mkPolicy func(hv.Config) sched.Scheduler) (*Fleet, error) {
 		Boards:       cfg.Boards,
 		HV:           cfg.HV,
 		BoardConfigs: cfg.BoardConfigs,
-	}, mkPolicy, frontend.Hooks{})
+	}, mkPolicy, frontend.Hooks{Loaded: f.loaded})
 	if err != nil {
 		return nil, err
 	}
@@ -147,8 +159,27 @@ func New(cfg Config, mkPolicy func(hv.Config) sched.Scheduler) (*Fleet, error) {
 	f.down = make([]bool, cfg.Boards)
 	f.outSnap = make([]sim.Duration, cfg.Boards)
 	f.routed = make([]sim.Duration, cfg.Boards)
+	f.scores = make([]float64, cfg.Boards)
+	f.pendAt = make([]int, cfg.Boards)
+	f.marked = make([]bool, cfg.Boards)
+	f.dirty = make([][]int, cfg.Shards)
+	f.shardPend = make([]int, cfg.Shards)
+	for g := range f.scores {
+		f.scores[g] = f.score(g)
+	}
 	f.initInstruments()
 	return f, nil
+}
+
+// loaded is every board's frontend.Hooks.Loaded: it queues board g for
+// the next barrier on its own shard's list.
+func (f *Fleet) loaded(g int) {
+	if f.marked[g] {
+		return
+	}
+	f.marked[g] = true
+	s := f.core.Shard(g)
+	f.dirty[s] = append(f.dirty[s], g)
 }
 
 // Shards reports the shard count.
@@ -164,7 +195,10 @@ func (f *Fleet) Board(g int) *hv.Hypervisor { return f.core.Board(g) }
 // SetBoardDown marks a board unplaceable (or placeable again) at the
 // next routing decision — the fleet-level health mask. Work already on
 // the board keeps running; new placements avoid it.
-func (f *Fleet) SetBoardDown(g int, down bool) { f.down[g] = down }
+func (f *Fleet) SetBoardDown(g int, down bool) {
+	f.down[g] = down
+	f.scores[g] = f.score(g)
+}
 
 // graph resolves an application name to its shared immutable task
 // graph; one graph per distinct app regardless of arrival count.
@@ -198,8 +232,9 @@ func (f *Fleet) estimate(g int, app string, graph *taskgraph.Graph, batch int) s
 // score ranks global board g for the next placement by its estimated
 // outstanding seconds, barrier snapshot plus work routed this epoch
 // (see frontend.PlacementScore) — the cluster's hetero-aware score
-// lifted fleet-wide. Down boards rank +Inf; ties break toward the
-// lowest global index.
+// lifted fleet-wide. Down boards rank +Inf. f.scores caches it: it is
+// recomputed when the snapshot, the routed sum, the usable slot count
+// (reported through loaded) or the down flag changes.
 func (f *Fleet) score(g int) float64 {
 	if f.down[g] {
 		return math.Inf(1)
@@ -207,12 +242,13 @@ func (f *Fleet) score(g int) float64 {
 	return frontend.PlacementScore(f.Board(g).Board(), (f.outSnap[g] + f.routed[g]).Seconds())
 }
 
-// pick selects the board for the next placement; -1 when nothing is
-// placeable.
+// pick selects the board for the next placement, the lowest cached
+// score with ties broken toward the lowest global index; -1 when
+// nothing is placeable.
 func (f *Fleet) pick() int {
 	best, bestScore := -1, math.Inf(1)
-	for g := 0; g < f.cfg.Boards; g++ {
-		if s := f.score(g); s < bestScore {
+	for g, s := range f.scores {
+		if s < bestScore {
 			best, bestScore = g, s
 		}
 	}
@@ -248,6 +284,7 @@ func (f *Fleet) route(ev workload.Event) {
 	}
 	f.core.Bind(g, id, idx, nil)
 	f.routed[g] += f.estimate(g, ev.App, graph, ev.Batch)
+	f.scores[g] = f.score(g)
 	f.pendEst++
 	if f.gauges != nil {
 		f.gauges.shardSubmitted[f.core.Shard(g)].Inc()

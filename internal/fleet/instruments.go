@@ -16,7 +16,6 @@ type instruments struct {
 	epoch          *obs.Gauge
 	shardSubmitted []*obs.Counter
 	shardPending   []*obs.Gauge
-	perShard       []int // barrier scratch behind shardPending
 }
 
 // initInstruments registers the fleet's metrics; a nil Registry leaves
@@ -40,6 +39,5 @@ func (f *Fleet) initInstruments() {
 			fmt.Sprintf("fleet_shard%d_pending", s),
 			fmt.Sprintf("Unfinished submissions on shard %d at the last epoch barrier.", s)))
 	}
-	ins.perShard = make([]int, len(f.engs))
 	f.gauges = ins
 }

@@ -188,6 +188,9 @@ func (c *Core) boardDead(b int) {
 		c.errs = append(c.errs, fmt.Errorf("%s: rebuilding board %d: %w", c.cfg.Name, b, err))
 	} else {
 		c.boards[b] = h
+		if c.hooks.Loaded != nil {
+			c.hooks.Loaded(b)
+		}
 	}
 	c.bound[b] = map[int64]binding{}
 	if c.hooks.Lost != nil {

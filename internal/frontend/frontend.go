@@ -68,6 +68,11 @@ type Hooks struct {
 	// Lost runs after a dead board has been rebuilt, before its
 	// evacuees fail over: per-board front-end state starts over.
 	Lost func(board int)
+	// Loaded, when set, runs whenever the board's outstanding estimate,
+	// pending count or usable slot count may have changed (hv's
+	// OnLoad), and when the board is rebuilt. It runs on the board's
+	// shard, so a multi-shard front-end keeps what it records per shard.
+	Loaded func(board int)
 }
 
 // Outcome is one submission's terminal state. For completed work Result
@@ -191,7 +196,8 @@ func New(engs []*sim.Engine, cfg Config, mkPolicy func(hv.Config) sched.Schedule
 }
 
 // newBoard builds (or rebuilds, after a death) board i's hypervisor
-// with the core's retire hook chained after any user-provided one.
+// with the core's retire hook, and the front-end's Loaded hook when it
+// has one, chained after any user-provided ones.
 func (c *Core) newBoard(i int) (*hv.Hypervisor, error) {
 	bcfg := c.boardConfig(i)
 	board, user := i, bcfg.OnRetire
@@ -200,6 +206,14 @@ func (c *Core) newBoard(i int) (*hv.Hypervisor, error) {
 			user(id)
 		}
 		c.onRetire(board, id)
+	}
+	if loaded, userLoad := c.hooks.Loaded, bcfg.OnLoad; loaded != nil {
+		bcfg.OnLoad = func() {
+			if userLoad != nil {
+				userLoad()
+			}
+			loaded(board)
+		}
 	}
 	return hv.New(c.engs[c.shard[i]], bcfg, c.mkPolicy(bcfg))
 }

@@ -58,7 +58,7 @@ func (h *Hypervisor) tryStart(slot int) {
 	// Inter-slot hand-off: the item's input data may still be in flight
 	// from producer slots; retry once it lands.
 	if avail := h.dataReadyAt(a, task, slot, item); avail > h.eng.Now() {
-		h.eng.At(avail, h.fnsFor(slot).kick)
+		h.eng.At(avail, h.bind(&h.fnsAt(slot).kick, (*Hypervisor).tryStart, slot))
 		return
 	}
 	if err := a.MarkItemStarted(task, item); err != nil {
@@ -120,7 +120,7 @@ func (h *Hypervisor) startAttempt(slot int, a *sched.App, task, item int) {
 // timers.
 func (h *Hypervisor) beginRun(slot int) {
 	rt := &h.slots[slot]
-	fns := h.fnsFor(slot)
+	fns := h.fnsAt(slot)
 	nominal := rt.app.Graph.Task(rt.task).Latency
 	remaining := nominal - rt.base - rt.doneNominal
 	if remaining < 0 {
@@ -129,10 +129,10 @@ func (h *Hypervisor) beginRun(slot int) {
 	rt.stretch = stretchDur(remaining, rt.factor)
 	rt.itemStart = h.eng.Now()
 	if !rt.hung {
-		rt.itemEv = h.eng.After(rt.stretch, fns.itemDone)
+		rt.itemEv = h.eng.After(rt.stretch, h.bind(&fns.itemDone, (*Hypervisor).itemDone, slot))
 	}
 	if h.cfg.WatchdogFactor > 0 && rt.wdLeft > 0 {
-		rt.wdEv = h.eng.After(rt.wdLeft, fns.watchdog)
+		rt.wdEv = h.eng.After(rt.wdLeft, h.bind(&fns.watchdog, (*Hypervisor).watchdogFire, slot))
 	}
 	if h.cfg.Checkpoint.Period > 0 && h.ckptOn() && !rt.hung {
 		rt.freshAt = h.freshBound(rt)
@@ -200,6 +200,8 @@ func (h *Hypervisor) itemDone(slot int) {
 		h.fail(err)
 		return
 	}
+	h.outstanding -= a.Report.Task(task).Latency
+	h.loaded()
 	r := rt.rec
 	h.recordProduction(r, task, item, slot)
 	// The attempt's earlier stretches (between periodic saves) are
@@ -399,6 +401,7 @@ func (h *Hypervisor) quarantine(slot int) {
 
 // noteOffline traces a slot's departure and extends the slot timeline.
 func (h *Hypervisor) noteOffline(slot int) {
+	h.loaded()
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindSlotOffline, AppID: -1, Task: -1, Slot: slot, Item: -1})
 	h.rec.Timeline = append(h.rec.Timeline, SlotSample{At: h.eng.Now(), Usable: h.board.UsableSlots()})
 }

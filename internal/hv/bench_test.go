@@ -120,8 +120,8 @@ func BenchmarkSingleSlotLatency(b *testing.B) {
 }
 
 // BenchmarkOutstandingEstimate measures the load signal a dispatcher
-// reads per board: a board holding 16 pending applications mid-run, the
-// fleet barrier's per-board cost.
+// reads per board, on a board holding 16 pending applications mid-run.
+// The sum is kept running, so the read costs the same at any depth.
 func BenchmarkOutstandingEstimate(b *testing.B) {
 	eng := sim.NewEngine()
 	h, err := hv.New(eng, hv.DefaultConfig(), core.New(core.DefaultOptions(), hv.DefaultConfig().Board))

@@ -64,7 +64,7 @@ func (h *Hypervisor) taskStateBytes(a *sched.App, task int) int64 {
 
 // armSave schedules the next periodic save of the running item.
 func (h *Hypervisor) armSave(slot int) {
-	h.slots[slot].ckptEv = h.eng.After(h.cfg.Checkpoint.Period, h.fnsFor(slot).save)
+	h.slots[slot].ckptEv = h.eng.After(h.cfg.Checkpoint.Period, h.bind(&h.fnsAt(slot).save, (*Hypervisor).periodicSave, slot))
 }
 
 // periodicSave is the periodic checkpoint timer. It is armed only while
@@ -151,7 +151,7 @@ func (h *Hypervisor) capture(slot int, periodic bool) {
 	rt.snap = ckptRecord{progress: snap, bytes: h.taskStateBytes(a, task)}
 	rt.xferStart, rt.periodic = now, periodic
 	h.changes++ // the CAP turns busy; the save is traced when it lands
-	if err := h.board.TransferState(slot, rt.snap.bytes, h.fnsFor(slot).captured); err != nil {
+	if err := h.board.TransferState(slot, rt.snap.bytes, h.bindCAP(&h.fnsAt(slot).captured, (*Hypervisor).captureDone, slot)); err != nil {
 		h.fail(err)
 	}
 }
@@ -166,8 +166,9 @@ func (h *Hypervisor) capture(slot int, periodic bool) {
 // that started it (an abort or slot death reset the slot mid-save). It
 // then finds the slot not saving: the CAP is FIFO, and a freed slot must
 // reconfigure behind the in-flight transfer before it can save or
-// restore again. The same holds for restoreDone.
-func (h *Hypervisor) captureDone(slot int) {
+// restore again. The same holds for restoreDone. Both ignore the CAP's
+// error argument: a state transfer always completes without one.
+func (h *Hypervisor) captureDone(slot int, _ error) {
 	if h.halted() {
 		return
 	}
@@ -260,7 +261,7 @@ func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
 	rt.base = last.progress
 	rt.restoring = true
 	rt.snap, rt.corrupt, rt.xferStart = last, probe.Corrupt, h.eng.Now()
-	if err := h.board.TransferState(slot, last.bytes, h.fnsFor(slot).restored); err != nil {
+	if err := h.board.TransferState(slot, last.bytes, h.bindCAP(&h.fnsAt(slot).restored, (*Hypervisor).restoreDone, slot)); err != nil {
 		h.fail(err)
 	}
 	return true
@@ -270,7 +271,7 @@ func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
 // through the CAP; either the item resumes from the snapshot or (corrupt
 // snapshot) re-executes from scratch with the transfer time spent. A
 // stale completion finds the slot not restoring (see captureDone).
-func (h *Hypervisor) restoreDone(slot int) {
+func (h *Hypervisor) restoreDone(slot int, _ error) {
 	if h.halted() {
 		return
 	}

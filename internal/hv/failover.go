@@ -104,6 +104,10 @@ type Evacuee struct {
 func (h *Hypervisor) Evacuate() []Evacuee {
 	h.Freeze()
 	h.dead = true
+	// Empty the queues first, so the pending count has already dropped
+	// when forget reports the load change below.
+	h.pending = h.pending[:0]
+	h.transit = h.transit[:0]
 	var out []Evacuee
 	// Keep only apps whose results already retired so Collect's
 	// conservation check balances.
@@ -141,8 +145,6 @@ func (h *Hypervisor) Evacuate() []Evacuee {
 		out = append(out, ev)
 	}
 	h.apps = kept
-	h.pending = h.pending[:0]
-	h.transit = h.transit[:0]
 	for s := range h.slots {
 		h.resetSlot(s)
 	}

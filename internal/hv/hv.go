@@ -94,6 +94,14 @@ type Config struct {
 	// dispatcher, admission control) use it to track in-flight work
 	// without polling the hypervisor.
 	OnRetire func(id int64)
+	// OnLoad, when non-nil, is called whenever OutstandingEstimate,
+	// PendingCount or UsableSlots may have changed: at a submission, a
+	// finished item, a retirement, an abort, an evacuation, and a slot
+	// leaving service. It may run before the operation that caused it
+	// returns, so read the board afterwards, not from inside the call.
+	// A placement layer uses it to revisit only the boards whose load
+	// moved instead of reading every board at every decision.
+	OnLoad func()
 }
 
 // DefaultStateBytes is the per-task checkpoint state size assumed when
@@ -222,6 +230,11 @@ type Hypervisor struct {
 	results  []Result
 	nextID   int64
 
+	// outstanding is OutstandingEstimate: the RemainingEstimate of
+	// every pending and in-transit app, raised by SubmitID, lowered by
+	// itemDone as items finish and by forget as apps leave the board.
+	outstanding sim.Duration
+
 	// Board-wide totals of the records' buffer ledgers: buffers
 	// allocated and not yet released, and the bytes they hold.
 	bufLive int
@@ -284,8 +297,8 @@ type Hypervisor struct {
 	// wake, timer, or CAP completion must not allocate a fresh closure
 	// each time (these fire millions of times per run).
 	tickFn  func()
-	wakeFns [5]func()  // indexed by sched.Reason
-	fns     []*slotFns // per slot, bound on first use by fnsFor
+	wakeFns [5]func() // indexed by sched.Reason
+	fns     []slotFns // per slot, made by fnsAt; resetSlot leaves them bound
 }
 
 // slotFns are one slot's engine and CAP callbacks. Each reads the
@@ -295,28 +308,36 @@ type Hypervisor struct {
 // resetSlot cancels the slot's timers (a handle cancels exactly its own
 // event), and a CAP completion that outlives its occupant finds the slot
 // not saving, not restoring, or the board halted (see captureDone).
+// Each is bound on its first use (bind, bindCAP), so a board without
+// checkpointing or a watchdog never builds those callbacks.
 type slotFns struct {
 	kick, itemDone, watchdog, save   func()
 	captured, restored, reconfigured func(error)
 }
 
-// fnsFor returns the slot's callbacks, binding them on the slot's first
-// use: boards whose slots are never configured never pay for them.
-func (h *Hypervisor) fnsFor(slot int) *slotFns {
-	if f := h.fns[slot]; f != nil {
-		return f
+// fnsAt returns the slot's callback set. The board's sets are made on
+// its first bind, so a board that never runs work never holds them.
+func (h *Hypervisor) fnsAt(slot int) *slotFns {
+	if h.fns == nil {
+		h.fns = make([]slotFns, len(h.slots))
 	}
-	f := &slotFns{
-		kick:         func() { h.tryStart(slot) },
-		itemDone:     func() { h.itemDone(slot) },
-		watchdog:     func() { h.watchdogFire(slot) },
-		save:         func() { h.periodicSave(slot) },
-		captured:     func(error) { h.captureDone(slot) },
-		restored:     func(error) { h.restoreDone(slot) },
-		reconfigured: func(err error) { h.reconfigDone(slot, err) },
+	return &h.fns[slot]
+}
+
+// bind returns *fn, first binding it to call(h, slot).
+func (h *Hypervisor) bind(fn *func(), call func(*Hypervisor, int), slot int) func() {
+	if *fn == nil {
+		*fn = func() { call(h, slot) }
 	}
-	h.fns[slot] = f
-	return f
+	return *fn
+}
+
+// bindCAP is bind for a CAP completion.
+func (h *Hypervisor) bindCAP(fn *func(error), call func(*Hypervisor, int, error), slot int) func(error) {
+	if *fn == nil {
+		*fn = func(err error) { call(h, slot, err) }
+	}
+	return *fn
 }
 
 // New builds a hypervisor on the given engine with the given policy.
@@ -404,7 +425,6 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 	h.scale = board.LatencyScale()
 	h.slots = make([]slotRuntime, board.NumSlots())
 	h.slotBusy = make([]sim.Duration, board.NumSlots())
-	h.fns = make([]*slotFns, board.NumSlots())
 	if cfg.EnableTrace {
 		h.log = trace.New()
 	}
@@ -455,9 +475,10 @@ func (h *Hypervisor) Submit(g *taskgraph.Graph, batch, priority int, arrival sim
 }
 
 // SubmitTenant is SubmitID with a tenant attribution: fabric compute
-// time delivered to the submission accrues to the tenant's service
-// account (TenantService), weighted by the tenant's share for fairness
-// arithmetic. Weight 0 means 1; see CheckWeight.
+// time delivered to the submission accrues, unweighted, to the tenant's
+// service account (TenantService). The weight is kept on the app for
+// policies that divide service by it (sched.App.ServiceWeight). Weight
+// 0 means 1; see CheckWeight.
 func (h *Hypervisor) SubmitTenant(g *taskgraph.Graph, batch, priority int, arrival sim.Time, tenant string, weight float64) (int64, error) {
 	if err := CheckWeight(weight); err != nil {
 		return 0, err
@@ -501,6 +522,8 @@ func (h *Hypervisor) SubmitID(g *taskgraph.Graph, batch, priority int, arrival s
 		Arrival:     app.Arrival,
 		FirstLaunch: -1,
 	}}
+	h.outstanding += app.RemainingEstimate()
+	h.loaded()
 	h.eng.At(arrival, func() { h.arrive(app) })
 	return app.ID, nil
 }
@@ -542,9 +565,12 @@ func without(list []*sched.App, app *sched.App) []*sched.App {
 }
 
 // forget drops everything the hypervisor keeps for an application that
-// is leaving the board — retired, evacuated, or aborted: its buffers and
-// its record. It reports how many buffers were still live.
+// is leaving the board — retired, evacuated, or aborted: its buffers,
+// its record, and its share of the outstanding work. It reports how
+// many buffers were still live.
 func (h *Hypervisor) forget(a *sched.App) int {
+	h.outstanding -= a.RemainingEstimate()
+	h.loaded()
 	n := 0
 	for _, c := range h.records[a.ID].refs {
 		if c > 0 {
@@ -555,6 +581,13 @@ func (h *Hypervisor) forget(a *sched.App) int {
 	h.bufUsed -= int64(n) * h.cfg.BufferBytes
 	delete(h.records, a.ID)
 	return n
+}
+
+// loaded reports a possible change of the board's load to OnLoad.
+func (h *Hypervisor) loaded() {
+	if h.cfg.OnLoad != nil {
+		h.cfg.OnLoad()
+	}
 }
 
 // ensureTick keeps the periodic scheduling interval alive while
@@ -670,21 +703,13 @@ func (h *Hypervisor) Run() ([]Result, error) {
 	return h.Collect()
 }
 
-// OutstandingEstimate sums the HLS-estimated remaining work of all
+// OutstandingEstimate is the HLS-estimated remaining work of all
 // pending applications — the load signal a multi-FPGA dispatcher uses.
 // Applications submitted for the current instant whose arrival event has
 // not yet fired are included: without them, simultaneous dispatch
 // decisions would not see each other and would all pick the same board.
-func (h *Hypervisor) OutstandingEstimate() sim.Duration {
-	var total sim.Duration
-	for _, a := range h.pending {
-		total += a.RemainingEstimate()
-	}
-	for _, a := range h.transit {
-		total += a.RemainingEstimate()
-	}
-	return total
-}
+// The sum is kept running, so reading it costs nothing.
+func (h *Hypervisor) OutstandingEstimate() sim.Duration { return h.outstanding }
 
 // PendingCount reports applications submitted and not yet retired,
 // including submissions whose arrival event has not yet fired (see

@@ -25,9 +25,10 @@ func checkLedger(t *testing.T, h *hv.Hypervisor) {
 // over the lifecycle matrix (every fault kind, degrade, abort, freeze
 // and evacuation, and migration of the evacuees onto a second board) in
 // every checkpoint mode, plus periodic saves under NimblockCheckpoint,
-// the counters equal a scan of every record after every event, and both
-// boards end with no buffer held (runLifecycle). Stepping the boards
-// one event at a time must not change the outcome.
+// the counters equal a scan of every record after every event (and the
+// load oracle, checkLoad, holds after each), and both boards end with
+// no buffer held (runLifecycle). Stepping the boards one event at a
+// time must not change the outcome.
 func TestBufferLedgerMatchesScan(t *testing.T) {
 	seeds := int64(20)
 	if testing.Short() {

@@ -183,6 +183,24 @@ type lifecycleBoard struct {
 	jsonl *obs.JSONL
 	buf   bytes.Buffer
 	kinds obs.Counting
+
+	// The hook-completeness oracle's state: OnLoad calls so far, and the
+	// load and call count at the last observation (checkLoad).
+	loads     int
+	seen      boardLoad
+	seenLoads int
+}
+
+// boardLoad is what a placement layer reads off a board, the values
+// OnLoad must announce every change of.
+type boardLoad struct {
+	outstanding sim.Duration
+	pending     int
+	usable      int
+}
+
+func (b *lifecycleBoard) load() boardLoad {
+	return boardLoad{b.h.OutstandingEstimate(), b.h.PendingCount(), b.h.UsableSlots()}
 }
 
 func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
@@ -194,6 +212,7 @@ func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
 	b.jsonl = obs.NewJSONL(&b.buf)
 	cfg := lifecycleConfig(c)
 	cfg.Observer = obs.Tee(b.jsonl, b.chk, &b.kinds)
+	cfg.OnLoad = func() { b.loads++ }
 	pol := lifecyclePolicy(t, c, cfg)
 	if c.everyTick != nil {
 		pol = newEveryTick(t, pol, c.everyTick)
@@ -206,13 +225,27 @@ func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
 		h.StrictSaves(c.strictSaves)
 	}
 	b.h = h
+	b.seen = b.load()
 	return b
 }
 
+// checkLoad checks the running outstanding estimate against a sum from
+// scratch (checkOutstanding), and that the board's load did not change
+// since the last observation unless OnLoad ran in between.
+func (b *lifecycleBoard) checkLoad(t *testing.T, when string) {
+	t.Helper()
+	checkOutstanding(t, b.h, when)
+	now := b.load()
+	if now != b.seen && b.loads == b.seenLoads {
+		t.Fatalf("%s at %v: load went from %+v to %+v with no OnLoad call", when, b.h.Now(), b.seen, now)
+	}
+	b.seen, b.seenLoads = now, b.loads
+}
+
 // run drives the board to the horizon, one event at a time with the
-// buffer counters checked after each when c.ledgerSteps is set. The
-// stepped run must drain before the horizon, so it fires exactly the
-// events RunUntil would.
+// buffer counters and the load (checkLoad) checked after each when
+// c.ledgerSteps is set. The stepped run must drain before the horizon,
+// so it fires exactly the events RunUntil would.
 func (b *lifecycleBoard) run(t *testing.T, c lifecycleCase) {
 	t.Helper()
 	horizon := lifecycleConfig(c).Horizon
@@ -220,6 +253,7 @@ func (b *lifecycleBoard) run(t *testing.T, c lifecycleCase) {
 		for b.eng.Step() {
 			*c.ledgerSteps++
 			checkLedger(t, b.h)
+			b.checkLoad(t, "event")
 			if b.eng.Now() > horizon {
 				t.Fatalf("event at %v, past the horizon %v", b.eng.Now(), horizon)
 			}
@@ -291,47 +325,51 @@ func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
 		}
 		ids[i] = id
 	}
+	b.checkLoad(t, "submitted")
 	out := lifecycleOutcome{submitted: len(seq), spent: -1}
-	// Every scheduled operation also checks the running outstanding
-	// estimate against a from-scratch sum, before and after it acts.
+	// Every scheduled operation also checks the board's load (checkLoad),
+	// before and after it acts.
 	if c.slowAt > 0 {
 		b.eng.At(c.slowAt, func() {
-			checkOutstanding(t, b.h, "slowdown")
+			b.checkLoad(t, "slowdown")
 			b.h.SetSlowdown(c.slowFactor)
+			b.checkLoad(t, "after slowdown")
 		})
 		b.eng.At(c.slowUntil, func() {
-			checkOutstanding(t, b.h, "speedup")
+			b.checkLoad(t, "speedup")
 			b.h.SetSlowdown(1)
+			b.checkLoad(t, "after speedup")
 		})
 	}
 	if c.abortAt > 0 {
 		id := ids[c.abortIdx%len(ids)]
 		b.eng.At(c.abortAt, func() {
-			checkOutstanding(t, b.h, "abort")
+			b.checkLoad(t, "abort")
 			if ok, spent := b.h.Abort(id); ok {
 				out.aborted, out.spent = 1, spent
 				b.chk.Abandon(id, b.eng.Now())
 			}
-			checkOutstanding(t, b.h, "after abort")
+			b.checkLoad(t, "after abort")
 		})
 	}
 	var evs []hv.Evacuee
 	if c.freezeAt > 0 {
 		b.eng.At(c.freezeAt, func() {
-			checkOutstanding(t, b.h, "freeze")
+			b.checkLoad(t, "freeze")
 			b.h.Freeze()
+			b.checkLoad(t, "after freeze")
 		})
 		b.eng.At(c.freezeAt.Add(sim.Second), func() {
-			checkOutstanding(t, b.h, "evacuate")
+			b.checkLoad(t, "evacuate")
 			evs = b.h.Evacuate()
 			for _, ev := range evs {
 				b.chk.Abandon(ev.ID, b.eng.Now())
 			}
-			checkOutstanding(t, b.h, "after evacuate")
+			b.checkLoad(t, "after evacuate")
 		})
 	}
 	b.run(t, c)
-	checkOutstanding(t, b.h, "drained")
+	b.checkLoad(t, "drained")
 
 	var w bytes.Buffer
 	res, err := b.digest(t, &w)
@@ -363,7 +401,9 @@ func runLifecycle(t *testing.T, c lifecycleCase) lifecycleOutcome {
 				b2.chk.Seed(id, sn.Task, sn.Item, sn.Progress)
 			}
 		}
+		b2.checkLoad(t, "migrated")
 		b2.run(t, c)
+		b2.checkLoad(t, "board 2 drained")
 		res2, err := b2.digest(t, &w)
 		if err != nil {
 			out.err, out.digest = err.Error(), fmt.Sprintf("%x", sha256.Sum256(w.Bytes()))
@@ -446,7 +486,8 @@ func TestLifecycleGolden(t *testing.T) {
 // FuzzHypervisorLifecycle draws a workload seed, checkpoint mode, fault
 // mix, and slowdown/abort/freeze instants, and checks that every run
 // keeps the scheduler invariants, balances its submissions, drains its
-// buffers, and reports a non-negative abort cost. Each input also runs
+// buffers, reports a non-negative abort cost, and keeps its load
+// announced through OnLoad at every scheduled operation (checkLoad). Each input also runs
 // under the every-tick reference and under the strict periodic-save
 // reference, each of which must produce the same outcome: tick and
 // save skipping are exact on every input. Its seed corpus lives in

@@ -40,7 +40,7 @@ func (h *Hypervisor) Reconfigure(slot int, a *sched.App, task int) error {
 	// The one place a slot gains an occupant: the record travels with it.
 	h.slots[slot] = slotRuntime{app: a, rec: h.records[a.ID], task: task, curItem: -1}
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindReconfigStart, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
-	if err := h.board.Reconfigure(slot, h.fnsFor(slot).reconfigured); err != nil {
+	if err := h.board.Reconfigure(slot, h.bindCAP(&h.fnsAt(slot).reconfigured, (*Hypervisor).reconfigDone, slot)); err != nil {
 		return h.fail(err)
 	}
 	return nil
@@ -52,7 +52,12 @@ func (h *Hypervisor) Reconfigure(slot int, a *sched.App, task int) error {
 // occupant stays until its stream lands.
 func (h *Hypervisor) reconfigDone(slot int, err error) {
 	if h.halted() {
-		return // frozen or dead: the board never sees the completion
+		// Frozen or dead: the board never sees the completion. A failed
+		// stream may still have taken the slot out of service.
+		if err != nil {
+			h.loaded()
+		}
+		return
 	}
 	rt := &h.slots[slot]
 	a, task := rt.app, rt.task
@@ -67,6 +72,7 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 			}
 		} else {
 			h.resetSlot(slot)
+			h.loaded() // as above: the slot may be out of service
 		}
 		h.wake(sched.ReasonSlotFree)
 		return

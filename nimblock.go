@@ -529,9 +529,11 @@ func energyStats(sampled *hv.EnergyStats, live hv.EnergyStats) EnergyStats {
 	}
 }
 
-// TenantServices reports the weighted service (occupied slot time
-// divided by the submission weight) delivered to each tenant named in
-// SubmitTenant calls.
+// TenantServices reports the service delivered to each tenant named in
+// SubmitTenant calls: the fabric compute time its submissions received,
+// not divided by their weights. The weights act only inside the
+// AlgoNimblockEnergy policy, which divides this service by them when it
+// orders tenants.
 func (s *System) TenantServices() map[string]time.Duration {
 	return tenantServices(s.hv.TenantServices())
 }
@@ -545,9 +547,10 @@ func tenantServices(raw map[string]sim.Duration) map[string]time.Duration {
 	return out
 }
 
-// FairnessIndex is Jain's index over per-tenant weighted service: 1
-// when every tenant got an equal weighted share, 1/n under total
-// monopoly, and 1 degenerately when no tenant service was recorded.
+// FairnessIndex is Jain's index over per-tenant service as
+// TenantServices reports it (compute time, unweighted): 1 when every
+// tenant got an equal share, 1/n under total monopoly, and 1
+// degenerately when no tenant service was recorded.
 func (s *System) FairnessIndex() float64 {
 	raw := s.hv.TenantServices()
 	xs := make([]float64, 0, len(raw))
