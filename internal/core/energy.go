@@ -32,7 +32,8 @@ import (
 //     Nimblock's candidate order and every decision stays deterministic.
 type Energy struct {
 	plans *saturate.Planner
-	cands []*sched.App // scratch, reused across Schedule calls
+	pool  sched.CandidatePool
+	order []*sched.App // scratch: the candidates in deficit order
 }
 
 // NewEnergy returns a NimblockEnergy scheduler planning against boards
@@ -49,18 +50,25 @@ func (s *Energy) Name() string { return "NimblockEnergy" }
 func (s *Energy) Pipelining() bool { return true }
 
 // NextWake implements sched.Waker: the policy reads the clock only
-// through its tokens.
-func (s *Energy) NextWake(w sched.World) sim.Time { return sched.TokenWake(w.Now(), w.Apps()) }
+// through its tokens, so this is the candidate pool's memoized wake.
+func (s *Energy) NextWake(sched.World) sim.Time { return s.pool.NextWake() }
 
 // Schedule implements sched.Scheduler.
 func (s *Energy) Schedule(w sched.World, why sched.Reason) {
-	apps := w.Apps()
-	sched.AccrueTokens(w.Now(), apps)
-	s.cands = sched.CandidatesInto(s.cands, apps)
-	slices.SortStableFunc(s.cands, func(x, y *sched.App) int {
+	cands, _ := s.pool.Refresh(w)
+	s.serve(w, cands)
+}
+
+// serve allocates and launches over the candidates, given in age
+// order. Tenant service moves with every item, so the deficit order is
+// sorted at every call, in a copy: the pool's age order must stay
+// intact as the sort's stable tie order.
+func (s *Energy) serve(w sched.World, cands []*sched.App) {
+	s.order = append(s.order[:0], cands...)
+	slices.SortStableFunc(s.order, func(x, y *sched.App) int {
 		return cmp.Compare(float64(w.TenantService(x.Tenant))/x.ServiceWeight(),
 			float64(w.TenantService(y.Tenant))/y.ServiceWeight())
 	})
-	allocateGoals(w, s.cands, s.plans)
-	launch(w, s.cands, true)
+	allocateGoals(w, s.order, s.plans)
+	launch(w, s.order, true)
 }

@@ -19,6 +19,11 @@
 //     hypervisor honours the preemption at the next batch boundary so no
 //     user-logic state is ever checkpointed.
 //
+// Steps 1 and 2 change only when the pending list changes, a token
+// balance crosses a priority level, or (step 2) the usable slot count
+// moves, so the policy keeps both between calls and derives them again
+// only then (sched.CandidatePool; DESIGN §13.8).
+//
 // Options switch off preemption and/or pipelining for the paper's
 // ablation study (Section 5.6). Energy is NimblockEnergy: the same pass
 // with a fairness order on the candidates and without phase 3 of the
@@ -47,7 +52,9 @@ func DefaultOptions() Options { return Options{Preemption: true, Pipelining: tru
 type Scheduler struct {
 	opts  Options
 	plans *saturate.Planner
-	cands []*sched.App // scratch, reused across Schedule calls
+	pool  sched.CandidatePool
+	// usable is the UsableSlots the standing allocation was made for.
+	usable int
 }
 
 // New returns a Nimblock scheduler that will plan against boards shaped
@@ -76,21 +83,26 @@ func (s *Scheduler) Name() string {
 func (s *Scheduler) Pipelining() bool { return s.opts.Pipelining }
 
 // NextWake implements sched.Waker: the policy reads the clock only
-// through its tokens.
-func (s *Scheduler) NextWake(w sched.World) sim.Time { return sched.TokenWake(w.Now(), w.Apps()) }
+// through its tokens, so this is the candidate pool's memoized wake.
+func (s *Scheduler) NextWake(sched.World) sim.Time { return s.pool.NextWake() }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
-	apps := w.Apps()
-	sched.AccrueTokens(w.Now(), apps)
-	s.cands = sched.CandidatesInto(s.cands, apps)
-	s.reallocate(w, s.cands)
-	launch(w, s.cands, s.opts.Preemption)
+	cands, changed := s.pool.Refresh(w)
+	// The allocation is a function of the candidate order, the usable
+	// slots and each app's Plan alone, so it stands until the pool or
+	// the usable slot count changes.
+	if usable := w.UsableSlots(); changed || usable != s.usable {
+		s.usable = usable
+		s.reallocate(w, cands)
+	}
+	launch(w, cands, s.opts.Preemption)
 }
 
 // reallocate recomputes SlotsAllocated for every pending application
-// (Section 4.2). It runs on every scheduling opportunity, which subsumes
-// the paper's "periodic intervals plus candidate-pool changes" triggers.
+// (Section 4.2). It runs whenever the candidate pool or the usable slot
+// count changes, which subsumes the paper's "periodic intervals plus
+// candidate-pool changes" triggers.
 func (s *Scheduler) reallocate(w sched.World, cands []*sched.App) {
 	usable, remaining := allocateGoals(w, cands, s.plans)
 	// Phase 3: hand leftover slots to applications that can still make

@@ -141,7 +141,7 @@ func TestReallocateOneSlotEachOldestFirst(t *testing.T) {
 		a.CandidateSince = sim.Time(i)
 		w.apps = append(w.apps, a)
 	}
-	s.reallocate(w, sched.Candidates(w.apps))
+	s.reallocate(w, sched.CandidatesInto(nil, w.apps))
 	for i, a := range w.apps {
 		want := 0
 		if i < 3 {
@@ -165,7 +165,7 @@ func TestReallocateGoalNumbers(t *testing.T) {
 		x.CandidateSince = x.Arrival
 		w.apps = append(w.apps, x)
 	}
-	s.reallocate(w, sched.Candidates(w.apps))
+	s.reallocate(w, sched.CandidatesInto(nil, w.apps))
 	if a.SlotsAllocated < a.Goal || b.SlotsAllocated < b.Goal {
 		t.Fatalf("allocations below goal: a=%d/%d b=%d/%d", a.SlotsAllocated, a.Goal, b.SlotsAllocated, b.Goal)
 	}
@@ -187,7 +187,7 @@ func TestReallocateNonCandidatesZeroed(t *testing.T) {
 	b.Candidate = false
 	b.SlotsAllocated = 3 // stale
 	w.apps = []*sched.App{a, b}
-	s.reallocate(w, sched.Candidates(w.apps))
+	s.reallocate(w, sched.CandidatesInto(nil, w.apps))
 	if b.SlotsAllocated != 0 {
 		t.Fatalf("non-candidate kept allocation %d", b.SlotsAllocated)
 	}
@@ -206,7 +206,7 @@ func TestReallocateInvariants(t *testing.T) {
 			a.CandidateSince = sim.Time(i)
 			w.apps = append(w.apps, a)
 		}
-		cands := sched.Candidates(w.apps)
+		cands := sched.CandidatesInto(nil, w.apps)
 		s.reallocate(w, cands)
 		total := 0
 		for _, a := range w.apps {

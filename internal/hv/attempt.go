@@ -229,21 +229,20 @@ func (h *Hypervisor) itemDone(slot int) {
 			h.poke(sched.ReasonAppDone)
 			return
 		}
-		h.kickApp(a)
+		h.kickApp(r)
 		h.poke(sched.ReasonSlotFree)
 		return
 	}
 	// Wake downstream pipelined instances, then this slot.
-	h.kickApp(a)
+	h.kickApp(r)
 }
 
-// kickApp retries item starts on every slot hosting the application —
-// item completions upstream may have unblocked pipelined consumers.
-func (h *Hypervisor) kickApp(a *sched.App) {
-	for s := range h.slots {
-		if h.slots[s].app == a {
-			h.tryStart(s)
-		}
+// kickApp retries item starts on every slot hosting the record's
+// application, in ascending slot order — item completions upstream may
+// have unblocked pipelined consumers.
+func (h *Hypervisor) kickApp(r *appRecord) {
+	for s := r.hosts.next(-1); s >= 0; s = r.hosts.next(s) {
+		h.tryStart(s)
 	}
 }
 
@@ -302,8 +301,12 @@ func (h *Hypervisor) doPreempt(slot int) {
 // resetSlot forgets the slot's occupant, cancelling its timers so none
 // can fire for the next one.
 func (h *Hypervisor) resetSlot(slot int) {
-	h.stopTimers(&h.slots[slot])
-	h.slots[slot] = slotRuntime{curItem: -1}
+	rt := &h.slots[slot]
+	h.stopTimers(rt)
+	if rt.rec != nil {
+		rt.rec.hosts.remove(slot)
+	}
+	*rt = slotRuntime{curItem: -1}
 }
 
 // vacate releases the slot's region on the board and forgets its

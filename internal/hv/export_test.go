@@ -1,6 +1,11 @@
 package hv
 
-import "nimblock/internal/sched"
+import (
+	"fmt"
+	"slices"
+
+	"nimblock/internal/sched"
+)
 
 // UnretiredApps lists every submission the board still keeps a record
 // for, arrived or still in transit, so tests can recompute board-wide
@@ -41,4 +46,35 @@ func (h *Hypervisor) ScanBuffers() (live int, used int64) {
 		}
 	}
 	return live, used
+}
+
+// ScanHosts compares every record's hosting slots with a scan of the
+// slots' occupants, the reference kickApp and Abort used to walk, and
+// reports the first difference. Records an abort already forgot are
+// covered through the slots their streams still hold.
+func (h *Hypervisor) ScanHosts() error {
+	scan := map[*appRecord][]int32{}
+	for _, r := range h.records {
+		scan[r] = nil
+	}
+	for s := range h.slots {
+		rt := &h.slots[s]
+		if rt.app == nil {
+			continue
+		}
+		if rt.rec == nil || rt.rec.app != rt.app {
+			return fmt.Errorf("slot %d holds %s without its record", s, rt.app)
+		}
+		scan[rt.rec] = append(scan[rt.rec], int32(s))
+	}
+	for r, want := range scan {
+		var got []int32
+		for s := r.hosts.next(-1); s >= 0; s = r.hosts.next(s) {
+			got = append(got, int32(s))
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("%s lists hosting slots %v, the slots hold it in %v", r.app, got, want)
+		}
+	}
+	return nil
 }

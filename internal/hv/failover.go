@@ -179,11 +179,8 @@ func (h *Hypervisor) Abort(id int64) (bool, sim.Duration) {
 	}
 	app := r.app
 	spent := r.res.Run + r.res.Reconfig
-	for s := range h.slots {
+	for s := r.hosts.next(-1); s >= 0; s = r.hosts.next(s) {
 		rt := &h.slots[s]
-		if rt.app != app {
-			continue
-		}
 		if !rt.active {
 			continue // CAP stream in flight: reconfigDone drops it
 		}

@@ -5,8 +5,10 @@ import (
 
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
+	"nimblock/internal/faults"
 	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
+	"nimblock/internal/metrics"
 	"nimblock/internal/obs"
 	"nimblock/internal/sched/fcfs"
 	"nimblock/internal/sched/schedtest"
@@ -193,6 +195,45 @@ func TestAbortDropsHedgeLoser(t *testing.T) {
 	}
 	if h.LiveBuffers() != 0 {
 		t.Fatalf("%d buffers leaked by abort", h.LiveBuffers())
+	}
+}
+
+// A hedge-cancelled app's reconfiguration stream that dies with its
+// slot takes the slot out of service like any other fatal fault: the
+// board traces one slot-offline event and ends its slot timeline at
+// the one usable slot it has left, so EffectiveSlots does not overstate
+// capacity. LeNet's first stream runs from 0 to 80 ms; the abort at
+// 1 ms leaves it in flight and slot 0 dies under it at 2 ms.
+func TestAbortedStreamSlotDeathGoesOffline(t *testing.T) {
+	cfg := hv.DefaultConfig()
+	cfg.Board.Slots = 2
+	cfg.Board.NewInjector = faults.MustParsePlan("dead slot=0 at=2ms").MustFactory()
+	var kinds obs.Counting
+	cfg.Observer = &kinds
+	eng, h := newFailoverHV(t, cfg)
+	id, err := h.SubmitID(apps.MustGraph(apps.LeNet), 2, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.At(sim.Time(sim.Millisecond), func() {
+		if ok, _ := h.Abort(id); !ok {
+			t.Error("abort of the configuring submission failed")
+		}
+	})
+	eng.RunUntil(cfg.Horizon)
+	if n := kinds.Count(trace.KindSlotOffline); n != 1 {
+		t.Fatalf("%d slot-offline events, want 1", n)
+	}
+	tl := h.Recovery().Timeline
+	if usable := h.Board().UsableSlots(); usable != 1 || tl[len(tl)-1].Usable != usable {
+		t.Fatalf("board has %d usable slots, timeline %+v; want both at 1", usable, tl)
+	}
+	// Two slots until the death, one after it.
+	end := sim.Time(sim.Second)
+	death := tl[len(tl)-1].At
+	want := (2*float64(death) + float64(end-death)) / float64(end)
+	if got := metrics.EffectiveSlots(tl, end); got != want {
+		t.Fatalf("EffectiveSlots %v, want %v with the death at %v", got, want, death)
 	}
 }
 

@@ -205,7 +205,10 @@ type appRecord struct {
 	// still to finish with the task's output buffer. 0 means not
 	// allocated yet, bufReleased that the buffer was freed (see
 	// allocOutputBuffer). Made on the first allocation.
-	refs    []int32
+	refs []int32
+	// hosts holds the slots the app occupies: Reconfigure adds a slot
+	// and resetSlot removes it.
+	hosts   slotSet
 	handoff map[[3]int]sim.Time   // (pred, succ, item) -> data-ready time
 	prodAt  map[[2]int]prodInfo   // (task, item) -> production record
 	ckpt    map[[2]int]ckptRecord // (task, item) -> last snapshot of an item not in flight

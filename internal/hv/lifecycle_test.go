@@ -71,6 +71,10 @@ type lifecycleCase struct {
 	// checks the buffer counters against a scan of every record after
 	// each (see ledger_test.go), and counts the events checked.
 	ledgerSteps *int
+	// hostChecks, when non-nil, checks every record's hosting slots
+	// against a scan of the slots at every traced event (see
+	// hosts_test.go) and counts the events checked.
+	hostChecks *int
 	// pool overrides lifecyclePool.
 	pool []string
 }
@@ -212,6 +216,11 @@ func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
 	b.jsonl = obs.NewJSONL(&b.buf)
 	cfg := lifecycleConfig(c)
 	cfg.Observer = obs.Tee(b.jsonl, b.chk, &b.kinds)
+	var hosts *hostCheck
+	if c.hostChecks != nil {
+		hosts = &hostCheck{t: t, n: c.hostChecks}
+		cfg.Observer = obs.Tee(cfg.Observer, hosts)
+	}
 	cfg.OnLoad = func() { b.loads++ }
 	pol := lifecyclePolicy(t, c, cfg)
 	if c.everyTick != nil {
@@ -223,6 +232,9 @@ func newLifecycleBoard(t *testing.T, c lifecycleCase) *lifecycleBoard {
 	}
 	if c.strictSaves != nil {
 		h.StrictSaves(c.strictSaves)
+	}
+	if hosts != nil {
+		hosts.h = h
 	}
 	b.h = h
 	b.seen = b.load()
@@ -502,7 +514,7 @@ func FuzzHypervisorLifecycle(f *testing.F) {
 			t.Fatalf("tick skipping changed the outcome:\n skipping   %+v\n every tick %+v", out, ref)
 		}
 		strict := c
-		strict.strictSaves = new(int)
+		strict.strictSaves, strict.hostChecks = new(int), new(int)
 		if ref := runLifecycle(t, strict); ref != out {
 			t.Fatalf("save skipping changed the outcome:\n skipping %+v\n strict   %+v", out, ref)
 		}

@@ -37,8 +37,11 @@ func (h *Hypervisor) Reconfigure(slot int, a *sched.App, task int) error {
 	if err := a.MarkConfiguring(task, slot); err != nil {
 		return h.fail(err)
 	}
-	// The one place a slot gains an occupant: the record travels with it.
-	h.slots[slot] = slotRuntime{app: a, rec: h.records[a.ID], task: task, curItem: -1}
+	// The one place a slot gains an occupant: the record travels with
+	// it, and counts the slot among the app's hosts.
+	r := h.records[a.ID]
+	h.slots[slot] = slotRuntime{app: a, rec: r, task: task, curItem: -1}
+	r.hosts.add(slot)
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindReconfigStart, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
 	if err := h.board.Reconfigure(slot, h.bindCAP(&h.fnsAt(slot).reconfigured, (*Hypervisor).reconfigDone, slot)); err != nil {
 		return h.fail(err)
@@ -72,7 +75,7 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 			}
 		} else {
 			h.resetSlot(slot)
-			h.loaded() // as above: the slot may be out of service
+			h.slotHealth(slot)
 		}
 		h.wake(sched.ReasonSlotFree)
 		return
@@ -85,12 +88,7 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 			return
 		}
 		h.resetSlot(slot)
-		if !h.board.SlotUsable(slot) {
-			// The fault was fatal: the board already retired the slot.
-			h.noteOffline(slot)
-		} else if th := h.cfg.QuarantineThreshold; th > 0 && h.board.SlotStats(slot).Faults >= th {
-			h.quarantine(slot)
-		}
+		h.slotHealth(slot)
 		h.poke(sched.ReasonSlotFree)
 		return
 	}
@@ -111,6 +109,17 @@ func (h *Hypervisor) reconfigDone(slot int, err error) {
 	h.trace(trace.Event{At: h.eng.Now(), Kind: trace.KindReconfigDone, App: a.Name, AppID: a.ID, Task: task, Slot: slot, Item: -1})
 	h.tryStart(slot)
 	h.poke(sched.ReasonReconfigDone)
+}
+
+// slotHealth settles a slot whose reconfiguration failed for good: a
+// fatal fault has already taken it out of service, and one fault too
+// many quarantines it.
+func (h *Hypervisor) slotHealth(slot int) {
+	if !h.board.SlotUsable(slot) {
+		h.noteOffline(slot)
+	} else if th := h.cfg.QuarantineThreshold; th > 0 && h.board.SlotStats(slot).Faults >= th {
+		h.quarantine(slot)
+	}
 }
 
 // bufReleased marks a ledger entry whose buffer was freed, so a second

@@ -40,7 +40,7 @@ func BenchmarkCandidates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if Candidates(apps) == nil {
+		if CandidatesInto(nil, apps) == nil {
 			b.Fatal("no candidates")
 		}
 	}

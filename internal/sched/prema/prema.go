@@ -25,8 +25,8 @@ type byRem struct {
 
 // Scheduler is the task-based PREMA policy.
 type Scheduler struct {
-	cands []*sched.App // scratch, reused across Schedule calls
-	order []byRem      // scratch, reused across Schedule calls
+	pool  sched.CandidatePool
+	order []byRem // scratch, reused across Schedule calls
 }
 
 // New returns a PREMA scheduler.
@@ -39,23 +39,22 @@ func (s *Scheduler) Name() string { return "PREMA" }
 func (s *Scheduler) Pipelining() bool { return false }
 
 // NextWake implements sched.Waker: the policy reads the clock only
-// through its tokens.
-func (s *Scheduler) NextWake(w sched.World) sim.Time { return sched.TokenWake(w.Now(), w.Apps()) }
+// through its tokens, so this is the candidate pool's memoized wake.
+func (s *Scheduler) NextWake(sched.World) sim.Time { return s.pool.NextWake() }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(w sched.World, why sched.Reason) {
-	apps := w.Apps()
-	sched.AccrueTokens(w.Now(), apps)
+	cands, _ := s.pool.Refresh(w)
 	free := w.FreeSlots()
 	if len(free) == 0 {
-		// Nothing to place. The order below only reads flags and
-		// estimates into scratch slices, so it is not worth building.
+		// Nothing to place. The order below only reads estimates into a
+		// scratch slice, so it is not worth building.
 		return
 	}
-	s.cands = sched.CandidatesInto(s.cands, apps)
 	// Shortest estimated remaining work first (PREMA's selection rule).
+	// Remaining work moves with every item, so this is sorted afresh.
 	order := s.order[:0]
-	for _, a := range s.cands {
+	for _, a := range cands {
 		order = append(order, byRem{app: a, rem: a.RemainingEstimate()})
 	}
 	slices.SortStableFunc(order, func(x, y byRem) int {

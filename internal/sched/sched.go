@@ -9,8 +9,11 @@
 // FCFS, task-based PREMA and Coyote-style round-robin (packages under
 // sched), the Nimblock algorithm and NimblockEnergy (package core), and
 // NimblockCheckpoint (package ckpt, on top of core). The PREMA token
-// accrual that PREMA, Nimblock and NimblockEnergy share is here, as the
-// stateless functions AccrueTokens and TokenWake.
+// accrual that PREMA, Nimblock and NimblockEnergy share is here: the
+// closed-form functions AccrueTokens and TokenWake, and the
+// CandidatePool each of those policies keeps, which derives the
+// candidates again only when the pending list changes or a balance
+// crosses a priority level.
 package sched
 
 import (

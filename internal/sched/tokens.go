@@ -35,8 +35,8 @@ const alpha = 1.0
 // Each application's accrual state (whether it has been given its
 // initial tokens, and when it was first seen) lives on the App itself.
 // Every app is scheduled by exactly one policy instance and leaves the
-// pending list for good when it retires, so the policies keep no token
-// state of their own.
+// pending list for good when it retires, so the only token state a
+// policy keeps is its CandidatePool's memo, which runs this pass.
 func AccrueTokens(now sim.Time, apps []*App) {
 	for _, a := range apps {
 		if !a.tokenSeen {
@@ -164,16 +164,11 @@ func updateCandidates(now sim.Time, apps []*App) {
 	}
 }
 
-// Candidates returns the candidate applications ordered by age in the
-// pool (earliest CandidateSince first, ties by arrival then ID): the
-// order Nimblock allocates and selects in.
-func Candidates(apps []*App) []*App {
-	return CandidatesInto(nil, apps)
-}
-
-// CandidatesInto is Candidates appending into dst (reset to length zero
-// first), letting policies reuse a scratch slice across scheduling
-// opportunities instead of allocating per call.
+// CandidatesInto returns the candidate applications ordered by age in
+// the pool (earliest CandidateSince first, ties by arrival then ID), the
+// order Nimblock allocates and selects in. It appends into dst, reset to
+// length zero first, so a CandidatePool reuses one slice across its
+// derivations.
 func CandidatesInto(dst []*App, apps []*App) []*App {
 	out := dst[:0]
 	for _, a := range apps {

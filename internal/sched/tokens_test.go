@@ -104,7 +104,7 @@ func TestCandidatesOrderedByPoolAge(t *testing.T) {
 	a.Candidate, a.CandidateSince = true, 100
 	b.Candidate, b.CandidateSince = true, 50
 	c.Candidate, c.CandidateSince = true, 50
-	got := Candidates([]*App{a, b, c})
+	got := CandidatesInto(nil, []*App{a, b, c})
 	if len(got) != 3 || got[0].ID != 2 || got[1].ID != 3 || got[2].ID != 1 {
 		ids := []int64{}
 		for _, x := range got {
