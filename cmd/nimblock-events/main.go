@@ -89,7 +89,9 @@ func foldSpans(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	out, err := json.MarshalIndent(obs.NewSpanBuilder().Replay(lg).Spans(), "", "  ")
+	spans := obs.NewSpanBuilder()
+	lg.Replay(spans)
+	out, err := json.MarshalIndent(spans.Spans(), "", "  ")
 	if err != nil {
 		return err
 	}

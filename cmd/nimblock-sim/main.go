@@ -5,8 +5,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -24,42 +26,60 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError is a command-line mistake; it exits with status 2.
+type usageError struct{ error }
+
+// run simulates one sequence as the command line asks and writes every
+// report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("nimblock-sim", flag.ExitOnError)
 	var (
-		algo      = flag.String("algo", "Nimblock", "scheduling algorithm: Baseline, FCFS, PREMA, RR, Nimblock[NoPreempt|NoPipe|NoPreemptNoPipe]")
-		scenario  = flag.String("scenario", "stress", "congestion scenario when generating events: standard, stress, real-time")
-		events    = flag.Int("events", workload.EventsPerSequence, "events to generate")
-		seed      = flag.Int64("seed", 1, "random seed for event generation")
-		batch     = flag.Int("batch", 0, "fixed batch size (0 = random)")
-		in        = flag.String("in", "", "JSON event file from nimblock-events (overrides generation; first sequence used)")
-		gantt     = flag.Bool("gantt", false, "render a per-slot Gantt chart")
-		dump      = flag.Bool("trace", false, "dump the full execution trace")
-		summary   = flag.Bool("summary", false, "print trace-derived per-application aggregates")
-		csv       = flag.Bool("csv", false, "emit the result table as CSV")
-		ganttSVG  = flag.String("gantt-svg", "", "write an SVG slot-occupancy timeline to this file")
-		serve     = flag.String("serve", "", "serve live metrics over HTTP on this address (e.g. :9090); Prometheus text at /metrics, JSON at /metrics.json; blocks after the run until interrupted")
-		traceJSON = flag.String("trace-json", "", "write the execution trace as JSON to this file (consumable by nimblock-events -spans)")
-		jsonl     = flag.String("jsonl", "", "stream trace events live to this file as JSON Lines")
+		algo      = fs.String("algo", "Nimblock", "scheduling algorithm: Baseline, FCFS, PREMA, RR, Nimblock[NoPreempt|NoPipe|NoPreemptNoPipe]")
+		scenario  = fs.String("scenario", "stress", "congestion scenario when generating events: standard, stress, real-time")
+		events    = fs.Int("events", workload.EventsPerSequence, "events to generate")
+		seed      = fs.Int64("seed", 1, "random seed for event generation")
+		batch     = fs.Int("batch", 0, "fixed batch size (0 = random)")
+		in        = fs.String("in", "", "JSON event file from nimblock-events (overrides generation; first sequence used)")
+		gantt     = fs.Bool("gantt", false, "render a per-slot Gantt chart")
+		dump      = fs.Bool("trace", false, "dump the full execution trace")
+		summary   = fs.Bool("summary", false, "print trace-derived per-application aggregates")
+		csv       = fs.Bool("csv", false, "emit the result table as CSV")
+		ganttSVG  = fs.String("gantt-svg", "", "write an SVG slot-occupancy timeline to this file")
+		serve     = fs.String("serve", "", "serve live metrics over HTTP on this address (e.g. :9090); Prometheus text at /metrics, JSON at /metrics.json; blocks after the run until interrupted")
+		traceJSON = fs.String("trace-json", "", "write the execution trace as JSON to this file (consumable by nimblock-events -spans)")
+		jsonl     = fs.String("jsonl", "", "stream trace events live to this file as JSON Lines")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 
 	seq, err := loadOrGenerate(*in, *scenario, *events, *seed, *batch)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	if *algo == "all" {
-		if err := compareAll(seq); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return compareAll(w, seq)
 	}
 	cfg := experiments.DefaultConfig()
-	cfg.HV.EnableTrace = *gantt || *dump || *summary || *ganttSVG != "" || *traceJSON != ""
 
-	// Live observability: a metrics registry for -serve and a JSONL
-	// stream for -jsonl, fanned out from the trace emission point.
+	// Every view of the run is a sink on the trace emission point: the
+	// recorded log for the trace reports, a metrics registry for -serve
+	// and a JSONL stream for -jsonl.
 	var sinks []obs.Sink
+	var lg *trace.Log
+	if *gantt || *dump || *summary || *ganttSVG != "" || *traceJSON != "" {
+		lg = trace.New()
+		sinks = append(sinks, lg)
+	}
 	var reg *obs.Registry
 	if *serve != "" {
 		reg = obs.NewRegistry()
@@ -69,8 +89,7 @@ func main() {
 	if *jsonl != "" {
 		f, err := os.Create(*jsonl)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		stream = obs.NewJSONL(f)
 		sinks = append(sinks, stream)
@@ -88,25 +107,21 @@ func main() {
 
 	pol, err := experiments.NewPolicy(*algo, cfg.HV.Board)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	eng := sim.NewEngine()
 	h, err := hv.New(eng, cfg.HV, pol)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	for _, ev := range seq {
 		if err := h.Submit(apps.MustGraph(ev.App), ev.Batch, ev.Priority, ev.Arrival); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 	results, err := h.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
 	t := &report.Table{
@@ -123,13 +138,13 @@ func main() {
 			r.Preemptions)
 	}
 	if *csv {
-		fmt.Print(t.CSV())
+		fmt.Fprint(w, t.CSV())
 	} else {
-		fmt.Print(t.Render())
+		fmt.Fprint(w, t.Render())
 	}
 
 	resp := metrics.Responses(results)
-	fmt.Printf("\nresponse: mean=%.2fs median=%.2fs p95=%.2fs p99=%.2fs\n",
+	fmt.Fprintf(w, "\nresponse: mean=%.2fs median=%.2fs p95=%.2fs p99=%.2fs\n",
 		metrics.Mean(resp), metrics.Median(resp),
 		metrics.Percentile(resp, 95), metrics.Percentile(resp, 99))
 	preempts := 0
@@ -137,98 +152,69 @@ func main() {
 		preempts += r.Preemptions
 	}
 	st := h.Board().Stats()
-	fmt.Printf("board: %d reconfigurations (%.1fs on the CAP), %d faults, %d preemptions\n",
+	fmt.Fprintf(w, "board: %d reconfigurations (%.1fs on the CAP), %d faults, %d preemptions\n",
 		st.Reconfigurations, st.ReconfigTime.Seconds(), st.Faults, preempts)
 
 	if *gantt {
-		fmt.Println()
-		fmt.Print(h.Trace().Gantt(h.Board().NumSlots(), eng.Now(), 100))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, lg.Gantt(h.Board().NumSlots(), eng.Now(), 100))
 	}
 	if *dump {
-		fmt.Println()
-		fmt.Print(h.Trace().Dump())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, lg.Dump())
 	}
 	if *summary {
-		fmt.Println()
-		fmt.Print(h.Trace().SummaryTable())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, lg.SummaryTable())
 	}
 	if *ganttSVG != "" {
-		svg, err := ganttFromTrace(h.Trace(), h.Board().NumSlots())
+		svg, err := ganttFromTrace(lg, h.Board().NumSlots())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		if err := os.WriteFile(*ganttSVG, []byte(svg), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *ganttSVG)
+		fmt.Fprintf(w, "wrote %s\n", *ganttSVG)
 	}
 	if *traceJSON != "" {
-		data, err := h.Trace().MarshalJSON()
+		data, err := lg.MarshalJSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		if err := os.WriteFile(*traceJSON, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *traceJSON)
+		fmt.Fprintf(w, "wrote %s\n", *traceJSON)
 	}
 	if stream != nil {
 		if err := stream.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *jsonl)
+		fmt.Fprintf(w, "wrote %s\n", *jsonl)
 	}
 	if *serve != "" {
-		fmt.Printf("serving metrics on %s (/metrics, /metrics.json); Ctrl-C to exit\n", *serve)
+		fmt.Fprintf(w, "serving metrics on %s (/metrics, /metrics.json); Ctrl-C to exit\n", *serve)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 	}
+	return nil
 }
 
 // ganttFromTrace converts the execution trace into an SVG timeline:
 // reconfiguration windows in grey, per-application compute in colour.
 func ganttFromTrace(lg *trace.Log, slots int) (string, error) {
-	g := svgchart.Gantt{Title: "slot occupancy", Rows: slots}
-	type open struct {
-		at    float64
-		label string
-	}
-	reconf := map[int]open{}
-	items := map[int]open{}
-	for _, e := range lg.Events() {
-		at := e.At.Seconds()
-		if at > g.End {
-			g.End = at
-		}
-		switch e.Kind {
-		case trace.KindReconfigStart:
-			reconf[e.Slot] = open{at, e.App}
-		case trace.KindReconfigDone:
-			if o, ok := reconf[e.Slot]; ok {
-				g.Spans = append(g.Spans, svgchart.Span{Row: e.Slot, From: o.at, To: at, Kind: 'R', Label: o.label})
-				delete(reconf, e.Slot)
-			}
-		case trace.KindItemStart:
-			items[e.Slot] = open{at, e.App}
-		case trace.KindItemDone:
-			if o, ok := items[e.Slot]; ok {
-				g.Spans = append(g.Spans, svgchart.Span{Row: e.Slot, From: o.at, To: at, Kind: '#', Label: o.label})
-				delete(items, e.Slot)
-			}
-		}
+	g := svgchart.Gantt{Title: "slot occupancy", Rows: slots, End: lg.End().Seconds()}
+	for _, iv := range lg.Intervals() {
+		g.Spans = append(g.Spans, svgchart.Span{Row: iv.Slot, From: iv.From.Seconds(), To: iv.To.Seconds(), Kind: iv.Kind, Label: iv.App})
 	}
 	return g.SVG(1000)
 }
 
 // compareAll replays the sequence under every algorithm and prints the
 // summary statistics side by side.
-func compareAll(seq workload.Sequence) error {
+func compareAll(w io.Writer, seq workload.Sequence) error {
 	cfg := experiments.DefaultConfig()
 	t := &report.Table{
 		Title:  fmt.Sprintf("all algorithms: %d events", len(seq)),
@@ -251,7 +237,7 @@ func compareAll(seq workload.Sequence) error {
 			report.FormatSeconds(metrics.Percentile(resp, 99)),
 			preempts)
 	}
-	fmt.Print(t.Render())
+	fmt.Fprint(w, t.Render())
 	return nil
 }
 

@@ -1,16 +1,66 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
+	"testing"
 
 	"nimblock/internal/sim"
 	"nimblock/internal/trace"
-	"os"
-	"path/filepath"
-	"testing"
-
 	"nimblock/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/trace_outputs.golden")
+
+// TestGoldenTraceOutputs pins every report built from the execution
+// trace — the -trace dump, -summary, -gantt, the -gantt-svg file and the
+// -trace-json file — for one seed and policy, byte for byte. Refresh
+// intentionally with -update and explain the change.
+func TestGoldenTraceOutputs(t *testing.T) {
+	dir := t.TempDir()
+	svgPath, jsonPath := filepath.Join(dir, "gantt.svg"), filepath.Join(dir, "trace.json")
+	var out bytes.Buffer
+	if err := run([]string{"-algo", "Nimblock", "-scenario", "stress", "-events", "5", "-batch", "3", "-seed", "3",
+		"-trace", "-summary", "-gantt", "-gantt-svg", svgPath, "-trace-json", jsonPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.ReplaceAll(out.String(), dir, "$DIR")
+	for _, p := range []string{svgPath, jsonPath} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += "\n== " + filepath.Base(p) + "\n" + string(data) + "\n"
+	}
+	path := filepath.Join("testdata", "trace_outputs.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s:%d drifted\n got: %.200q\nwant: %.200q", path, i+1, g, w)
+		}
+	}
+}
 
 func TestLoadOrGenerateScenarios(t *testing.T) {
 	for _, sc := range []string{"standard", "stress", "real-time", "realtime"} {
@@ -51,7 +101,7 @@ func TestLoadOrGenerateFromFile(t *testing.T) {
 
 func TestCompareAll(t *testing.T) {
 	seq := workload.Generate(workload.Spec{Scenario: workload.Stress, Events: 4, FixedBatch: 2}, 3)
-	if err := compareAll(seq); err != nil {
+	if err := compareAll(io.Discard, seq); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,10 +109,10 @@ func TestCompareAll(t *testing.T) {
 func TestGanttFromTrace(t *testing.T) {
 	lg := trace.New()
 	sec := func(s float64) sim.Time { return sim.Time(s * 1e6) }
-	lg.Add(trace.Event{At: sec(0), Kind: trace.KindReconfigStart, App: "a", Slot: 0, Task: 0, Item: -1})
-	lg.Add(trace.Event{At: sec(0.08), Kind: trace.KindReconfigDone, App: "a", Slot: 0, Task: 0, Item: -1})
-	lg.Add(trace.Event{At: sec(0.08), Kind: trace.KindItemStart, App: "a", Slot: 0, Task: 0, Item: 0})
-	lg.Add(trace.Event{At: sec(1), Kind: trace.KindItemDone, App: "a", Slot: 0, Task: 0, Item: 0})
+	lg.Observe(trace.Event{At: sec(0), Kind: trace.KindReconfigStart, App: "a", Slot: 0, Task: 0, Item: -1})
+	lg.Observe(trace.Event{At: sec(0.08), Kind: trace.KindReconfigDone, App: "a", Slot: 0, Task: 0, Item: -1})
+	lg.Observe(trace.Event{At: sec(0.08), Kind: trace.KindItemStart, App: "a", Slot: 0, Task: 0, Item: 0})
+	lg.Observe(trace.Event{At: sec(1), Kind: trace.KindItemDone, App: "a", Slot: 0, Task: 0, Item: 0})
 	svg, err := ganttFromTrace(lg, 2)
 	if err != nil {
 		t.Fatal(err)

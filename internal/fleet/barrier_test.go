@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"nimblock/internal/faults"
@@ -40,10 +39,7 @@ func barrierBoards(n int) []hv.Config {
 func checkScores(t *testing.T, f *Fleet, when string) {
 	t.Helper()
 	for g := 0; g < f.cfg.Boards; g++ {
-		want := math.Inf(1)
-		if !f.down[g] {
-			want = frontend.PlacementScore(f.Board(g).Board(), (f.outSnap[g] + f.routed[g]).Seconds())
-		}
+		want := frontend.PlacementScore(f.Board(g).Board(), (f.outSnap[g] + f.routed[g]).Seconds())
 		if f.scores[g] != want {
 			t.Fatalf("%s: board %d cached score %v, recomputed %v", when, g, f.scores[g], want)
 		}
@@ -67,11 +63,7 @@ func checkBarrier(t *testing.T, f *Fleet, pending int, when string) {
 		if f.routed[g] != 0 {
 			t.Fatalf("%s: board %d still has %v routed after the barrier", when, g, f.routed[g])
 		}
-		want := math.Inf(1)
-		if !f.down[g] {
-			want = frontend.PlacementScore(b.Board(), b.OutstandingEstimate().Seconds())
-		}
-		if f.scores[g] != want {
+		if want := frontend.PlacementScore(b.Board(), b.OutstandingEstimate().Seconds()); f.scores[g] != want {
 			t.Fatalf("%s: board %d cached score %v, rescan %v", when, g, f.scores[g], want)
 		}
 		if f.marked[g] {
@@ -94,9 +86,9 @@ func checkBarrier(t *testing.T, f *Fleet, pending int, when string) {
 // state: driven one epoch at a time over 1 and 8 shards, each advanced
 // by 1 and 4 workers, every barrier leaves exactly the placement state
 // a full rescan of all boards gives (checkBarrier), and the cached
-// scores track routing and the health mask between barriers
-// (checkScores), while boards lose slots mid-run. Under -race it also shows
-// the per-shard dirty lists are written race-free.
+// scores track routing between barriers (checkScores), while boards
+// lose slots mid-run. Under -race it also shows the per-shard dirty
+// lists are written race-free.
 func TestBarrierMatchesRescan(t *testing.T) {
 	const boards = 16
 	for _, shards := range []int{1, 8} {
@@ -112,13 +104,6 @@ func TestBarrierMatchesRescan(t *testing.T) {
 			in := &arrivals{stream: workload.NewStream(workload.Spec{Scenario: workload.Stress, Events: 40}, 3)}
 			epochs, partial := 0, 0
 			for {
-				// Flip the health mask on a board now and then; the
-				// cached score must follow it at once.
-				if epochs%7 == 3 {
-					g := epochs % boards
-					f.SetBoardDown(g, !f.down[g])
-					checkScores(t, f, fmt.Sprintf("%s board %d down %v", name, g, f.down[g]))
-				}
 				end := min(f.now.Add(f.cfg.Epoch), f.cfg.HV.Horizon)
 				f.routeUntil(in, end)
 				checkScores(t, f, fmt.Sprintf("%s routing to %v", name, end))

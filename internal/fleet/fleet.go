@@ -100,7 +100,6 @@ type Fleet struct {
 	engs []*sim.Engine // shard -> engine
 	core *frontend.Core
 	// Placement state, by global board index.
-	down    []bool         // health mask: true = not placeable
 	outSnap []sim.Duration // barrier snapshot of OutstandingEstimate
 	routed  []sim.Duration // estimates routed since the last barrier
 	scores  []float64      // score(g), refreshed whenever an input changes
@@ -156,7 +155,6 @@ func New(cfg Config, mkPolicy func(hv.Config) sched.Scheduler) (*Fleet, error) {
 		return nil, err
 	}
 	f.core = core
-	f.down = make([]bool, cfg.Boards)
 	f.outSnap = make([]sim.Duration, cfg.Boards)
 	f.routed = make([]sim.Duration, cfg.Boards)
 	f.scores = make([]float64, cfg.Boards)
@@ -192,14 +190,6 @@ func (f *Fleet) Boards() int { return f.cfg.Boards }
 // reports).
 func (f *Fleet) Board(g int) *hv.Hypervisor { return f.core.Board(g) }
 
-// SetBoardDown marks a board unplaceable (or placeable again) at the
-// next routing decision — the fleet-level health mask. Work already on
-// the board keeps running; new placements avoid it.
-func (f *Fleet) SetBoardDown(g int, down bool) {
-	f.down[g] = down
-	f.scores[g] = f.score(g)
-}
-
 // graph resolves an application name to its shared immutable task
 // graph; one graph per distinct app regardless of arrival count.
 func (f *Fleet) graph(name string) (*taskgraph.Graph, error) {
@@ -232,13 +222,10 @@ func (f *Fleet) estimate(g int, app string, graph *taskgraph.Graph, batch int) s
 // score ranks global board g for the next placement by its estimated
 // outstanding seconds, barrier snapshot plus work routed this epoch
 // (see frontend.PlacementScore) — the cluster's hetero-aware score
-// lifted fleet-wide. Down boards rank +Inf. f.scores caches it: it is
-// recomputed when the snapshot, the routed sum, the usable slot count
-// (reported through loaded) or the down flag changes.
+// lifted fleet-wide. A board with no usable slot ranks +Inf. f.scores
+// caches it: it is recomputed when the snapshot, the routed sum or the
+// usable slot count (reported through loaded) changes.
 func (f *Fleet) score(g int) float64 {
-	if f.down[g] {
-		return math.Inf(1)
-	}
 	return frontend.PlacementScore(f.Board(g).Board(), (f.outSnap[g] + f.routed[g]).Seconds())
 }
 

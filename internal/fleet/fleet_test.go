@@ -6,6 +6,7 @@ import (
 
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
+	"nimblock/internal/faults"
 	"nimblock/internal/hv"
 	"nimblock/internal/obs"
 	"nimblock/internal/sched"
@@ -118,28 +119,28 @@ func TestFleetShedsAtMaxOutstanding(t *testing.T) {
 	}
 }
 
-func TestFleetHealthMaskRoutesAroundDownBoards(t *testing.T) {
-	f := newFleet(t, 2, 4, nil)
-	f.SetBoardDown(0, true)
-	f.SetBoardDown(2, true)
-	res, err := f.Run(workload.NewStream(workload.Spec{Scenario: workload.Stress, Events: 16}, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r.Board == 0 || r.Board == 2 {
-			t.Fatalf("result %d placed on down board %d", i, r.Board)
+// A board with no usable slot scores +Inf (frontend.PlacementScore), so
+// once every slot of every board has died, each arrival is rejected
+// unplaceable rather than queued on a board that can never run it.
+func TestFleetAllDownRejectsUnplaceable(t *testing.T) {
+	dead := hv.DefaultConfig()
+	dead.Board.Slots = 2
+	dead.Board.NewInjector = faults.MustParsePlan("dead slot=0 at=0s\ndead slot=1 at=0s\n").MustFactory()
+	f := newFleet(t, 1, 2, func(c *Config) { c.BoardConfigs = []hv.Config{dead, dead} })
+	// Run the first epoch with nothing routed: its barrier sees every
+	// slot offline before the first arrival is placed.
+	f.sync(f.now.Add(f.cfg.Epoch))
+	for g := 0; g < 2; g++ {
+		if n := f.Board(g).UsableSlots(); n != 0 {
+			t.Fatalf("board %d still has %d usable slots", g, n)
 		}
 	}
-}
-
-func TestFleetAllDownRejectsUnplaceable(t *testing.T) {
-	f := newFleet(t, 1, 2, nil)
-	f.SetBoardDown(0, true)
-	f.SetBoardDown(1, true)
 	res, err := f.Run(workload.NewStream(workload.Spec{Scenario: workload.Stress, Events: 4}, 5))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res) != 4 {
+		t.Fatalf("%d results for 4 arrivals", len(res))
 	}
 	for i, r := range res {
 		if !r.Rejected || r.RejectReason != "unplaceable" {

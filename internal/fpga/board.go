@@ -74,15 +74,9 @@ type Config struct {
 	// injector.
 	NewInjector func() Injector
 	// MaxRetries bounds reconfiguration retries before reporting an
-	// error (0 means a single attempt).
+	// error (0 means a single attempt). Retry n waits 5 ms << (n-1),
+	// capped at 80 ms, before re-streaming.
 	MaxRetries int
-	// RetryBackoff is the base delay before the first retry of a faulted
-	// reconfiguration; each further retry doubles it (capped by
-	// RetryBackoffCap). Zero retries immediately.
-	RetryBackoff sim.Duration
-	// RetryBackoffCap bounds the exponential backoff. Zero with a
-	// positive RetryBackoff means uncapped.
-	RetryBackoffCap sim.Duration
 	// OnFault, when non-nil, is invoked for every injected
 	// reconfiguration fault before the board mutates slot state — the
 	// hypervisor uses it to trace retries and drive quarantine.
@@ -119,12 +113,10 @@ func (c Config) ReconfigTime() sim.Duration {
 // partial reconfiguration (SD load ~16 ms + CAP write ~64 ms).
 func DefaultConfig() Config {
 	return Config{
-		Slots:           10,
-		CAPBytesPerSec:  117.3e6, // ~64 ms for a slot image
-		SDBytesPerSec:   469.0e6, // ~16 ms for a slot image
-		MaxRetries:      3,
-		RetryBackoff:    5 * sim.Millisecond,
-		RetryBackoffCap: 80 * sim.Millisecond,
+		Slots:          10,
+		CAPBytesPerSec: 117.3e6, // ~64 ms for a slot image
+		SDBytesPerSec:  469.0e6, // ~16 ms for a slot image
+		MaxRetries:     3,
 	}
 }
 
@@ -214,9 +206,6 @@ func NewBoard(eng *sim.Engine, cfg Config) (*Board, error) {
 	}
 	if cfg.FaultRate < 0 || cfg.FaultRate > 1 {
 		return nil, fmt.Errorf("fpga: fault rate %v outside [0,1]", cfg.FaultRate)
-	}
-	if cfg.RetryBackoff < 0 || cfg.RetryBackoffCap < 0 {
-		return nil, fmt.Errorf("fpga: negative retry backoff")
 	}
 	if cfg.LatencyScale < 0 || math.IsNaN(cfg.LatencyScale) || math.IsInf(cfg.LatencyScale, 0) {
 		return nil, fmt.Errorf("fpga: latency scale %v must be positive and finite (or zero for the default)", cfg.LatencyScale)
@@ -408,22 +397,21 @@ func (b *Board) complete() {
 	}
 }
 
+// The retry backoff: the first retry of a faulted reconfiguration
+// waits retryBackoff, and each further retry doubles the wait up to
+// retryBackoffCap.
+const (
+	retryBackoff    = 5 * sim.Millisecond
+	retryBackoffCap = 80 * sim.Millisecond
+)
+
 // backoffFor is the capped exponential delay before retry n (n >= 1).
-func (b *Board) backoffFor(n int) sim.Duration {
-	if b.cfg.RetryBackoff <= 0 {
-		return 0
-	}
-	d := b.cfg.RetryBackoff
-	for i := 1; i < n; i++ {
+func backoffFor(n int) sim.Duration {
+	d := retryBackoff
+	for i := 1; i < n && d < retryBackoffCap; i++ {
 		d *= 2
-		if b.cfg.RetryBackoffCap > 0 && d >= b.cfg.RetryBackoffCap {
-			return b.cfg.RetryBackoffCap
-		}
 	}
-	if b.cfg.RetryBackoffCap > 0 && d > b.cfg.RetryBackoffCap {
-		d = b.cfg.RetryBackoffCap
-	}
-	return d
+	return min(d, retryBackoffCap)
 }
 
 func (b *Board) notifyFault(slot, attempt int, class FaultClass, willRetry bool) {
@@ -470,7 +458,7 @@ func (b *Board) finish() {
 			// Retry: stream the image again after backoff; the CAP stays
 			// busy — the single reconfiguration pipeline is blocked on
 			// the faulted stream.
-			b.stream(b.backoffFor(b.cur.tries))
+			b.stream(backoffFor(b.cur.tries))
 			return
 		}
 		b.notifyFault(req.slot, req.tries, out.Class, false)

@@ -209,14 +209,12 @@ func TestRetryAccounting(t *testing.T) {
 	}
 }
 
-// Retries back off exponentially with a cap: attempt n waits
-// min(RetryBackoff << (n-1), RetryBackoffCap) before re-streaming.
+// Retries back off exponentially with a cap: retry n waits
+// min(retryBackoff << (n-1), retryBackoffCap) before re-streaming.
 func TestRetryBackoffTiming(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxRetries = 4
-	cfg.RetryBackoff = 10 * sim.Millisecond
-	cfg.RetryBackoffCap = 25 * sim.Millisecond
-	faults := 3 // fail the first three attempts, then succeed
+	cfg.MaxRetries = 6
+	faults := 6 // fail the first six attempts, then succeed
 	cfg.NewInjector = func() Injector {
 		return scriptedInjector{reconfig: func(attempt int) ReconfigOutcome {
 			if attempt < faults {
@@ -237,12 +235,12 @@ func TestRetryBackoffTiming(t *testing.T) {
 	}
 	eng.Run()
 	d := b.cfg.ReconfigTime()
-	// 4 attempts + backoffs of 10, 20, min(40,25)=25 ms.
-	want := sim.Time(0).Add(4*d + 10*sim.Millisecond + 20*sim.Millisecond + 25*sim.Millisecond)
+	// 7 attempts + backoffs of 5, 10, 20, 40, then the 80 ms cap twice.
+	want := sim.Time(0).Add(7*d + (5+10+20+40+80+80)*sim.Millisecond)
 	if doneAt != want {
 		t.Fatalf("completion at %v, want %v", doneAt, want)
 	}
-	if b.Stats().Retries != 3 || b.Stats().Recovered != 3 {
+	if b.Stats().Retries != 6 || b.Stats().Recovered != 6 {
 		t.Fatalf("stats = %+v", b.Stats())
 	}
 }

@@ -33,7 +33,6 @@ func ckptChaosConfig(enabled bool) hv.Config {
 	cfg.Board.NewInjector = faults.MustParsePlan(slowPlan).MustFactory()
 	cfg.WatchdogFactor = 2
 	cfg.WatchdogGrace = 20 * sim.Millisecond
-	cfg.EnableTrace = true
 	if enabled {
 		cfg.Checkpoint = hv.CheckpointConfig{
 			Enabled: true,
@@ -82,10 +81,12 @@ func TestCheckpointingReducesWastedWork(t *testing.T) {
 // follows a save of the same (app, task, item), and resumed progress
 // never exceeds what was captured.
 func TestWatchdogKillResumesFromCheckpoint(t *testing.T) {
-	_, h := runNimblock(t, ckptChaosConfig(true), ckptChaosWorkload())
+	cfg := ckptChaosConfig(true)
+	lg := traced(&cfg)
+	_, h := runNimblock(t, cfg, ckptChaosWorkload())
 	saved := map[[3]int64]sim.Duration{}
 	restores := 0
-	for _, e := range h.Trace().Events() {
+	for _, e := range lg.Events() {
 		key := [3]int64{e.AppID, int64(e.Task), int64(e.Item)}
 		switch e.Kind {
 		case trace.KindCheckpointSave, trace.KindCheckpoint:
@@ -125,7 +126,7 @@ func TestOnDemandCheckpointPreemption(t *testing.T) {
 	g := apps.MustGraph(apps.LeNet)
 	cfg := hv.DefaultConfig()
 	cfg.Board.Slots = 1
-	cfg.EnableTrace = true
+	lg := traced(&cfg)
 	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 0} // on-demand only
 	eng := sim.NewEngine()
 	h, err := hv.New(eng, cfg, fcfs.New())
@@ -153,10 +154,10 @@ func TestOnDemandCheckpointPreemption(t *testing.T) {
 	if !fired {
 		t.Skip("first item was not in flight at the probe time; timeline shifted")
 	}
-	if n := h.Trace().Count(trace.KindCheckpoint); n == 0 {
+	if n := lg.Count(trace.KindCheckpoint); n == 0 {
 		t.Fatal("no checkpoint preemption traced")
 	}
-	if n := h.Trace().Count(trace.KindRestore); n == 0 {
+	if n := lg.Count(trace.KindRestore); n == 0 {
 		t.Fatal("preempted item did not resume from its checkpoint")
 	}
 	rec := h.Recovery()
@@ -175,6 +176,7 @@ func TestOnDemandCheckpointPreemption(t *testing.T) {
 func TestCheckpointFaultsFallBackToScratch(t *testing.T) {
 	cfg := ckptChaosConfig(true)
 	cfg.Board.NewInjector = faults.MustParsePlan(slowPlan + "lost prob=1\n").MustFactory()
+	lg := traced(&cfg)
 	_, h := runNimblock(t, cfg, ckptChaosWorkload())
 	rec := h.Recovery()
 	if rec.CheckpointFaults == 0 {
@@ -183,7 +185,7 @@ func TestCheckpointFaultsFallBackToScratch(t *testing.T) {
 	if rec.ResumedItems != 0 || rec.SavedWork != 0 {
 		t.Fatalf("every checkpoint was lost yet items resumed: %+v", rec)
 	}
-	if h.Trace().Count(trace.KindCheckpointFault) != rec.CheckpointFaults {
+	if lg.Count(trace.KindCheckpointFault) != rec.CheckpointFaults {
 		t.Fatal("traced checkpoint faults disagree with recovery stats")
 	}
 
@@ -218,7 +220,7 @@ func TestDeclaredPreemptionPoints(t *testing.T) {
 	}
 	cfg := hv.DefaultConfig()
 	cfg.Board.Slots = 1
-	cfg.EnableTrace = true
+	lg := traced(&cfg)
 	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true, Period: 10 * sim.Millisecond}
 	eng := sim.NewEngine()
 	h, err := hv.New(eng, cfg, fcfs.New())
@@ -231,9 +233,9 @@ func TestDeclaredPreemptionPoints(t *testing.T) {
 	if _, err := h.Run(); err != nil {
 		t.Fatal(err)
 	}
-	saves := h.Trace().Filter(func(e trace.Event) bool { return e.Kind == trace.KindCheckpointSave })
+	saves := lg.Filter(func(e trace.Event) bool { return e.Kind == trace.KindCheckpointSave })
 	if len(saves) != 2 { // one per item, only at the 80% point
-		t.Fatalf("saves = %d, want one per item:\n%s", len(saves), h.Trace().Dump())
+		t.Fatalf("saves = %d, want one per item:\n%s", len(saves), lg.Dump())
 	}
 	wantXfer := h.Board().StateTransferTime(2 << 20)
 	for _, e := range saves {
@@ -251,11 +253,14 @@ func TestDeclaredPreemptionPoints(t *testing.T) {
 // conservation across kills and resumes, and CAP serialization of the
 // uniform-size state transfers.
 func TestCheckpointRunSatisfiesInvariants(t *testing.T) {
-	res, h := runNimblock(t, ckptChaosConfig(true), ckptChaosWorkload())
+	cfg := ckptChaosConfig(true)
+	lg := traced(&cfg)
+	res, h := runNimblock(t, cfg, ckptChaosWorkload())
 	c := schedtest.NewChecker()
 	c.MinReconfigGap = 0
 	c.MinStateXferGap = h.Board().StateTransferTime(hv.DefaultStateBytes)
-	if err := c.Replay(h.Trace()).Finish(len(res)); err != nil {
+	lg.Replay(c)
+	if err := c.Finish(len(res)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -263,9 +268,11 @@ func TestCheckpointRunSatisfiesInvariants(t *testing.T) {
 // Checkpoint runs must stay deterministic: identical configs produce
 // byte-identical traces.
 func TestCheckpointSubsystemDeterminism(t *testing.T) {
-	_, h1 := runNimblock(t, ckptChaosConfig(true), ckptChaosWorkload())
-	_, h2 := runNimblock(t, ckptChaosConfig(true), ckptChaosWorkload())
-	if h1.Trace().Dump() != h2.Trace().Dump() {
+	c1, c2 := ckptChaosConfig(true), ckptChaosConfig(true)
+	l1, l2 := traced(&c1), traced(&c2)
+	runNimblock(t, c1, ckptChaosWorkload())
+	runNimblock(t, c2, ckptChaosWorkload())
+	if l1.Dump() != l2.Dump() {
 		t.Fatal("identical checkpoint runs diverged")
 	}
 }

@@ -25,7 +25,6 @@ func checkpointConfig(capture sim.Duration) hv.Config {
 		Enabled:    true,
 		StateBytes: int64(capture.Seconds() * cfg.Board.CAPBytesPerSec),
 	}
-	cfg.EnableTrace = true
 	return cfg
 }
 
@@ -42,8 +41,10 @@ func preemptWorkload() []submission {
 }
 
 func TestCheckpointPreemptionHappens(t *testing.T) {
-	res, h := runNimblock(t, checkpointConfig(10*sim.Millisecond), preemptWorkload())
-	ckpts := h.Trace().Count(trace.KindCheckpoint)
+	cfg := checkpointConfig(10 * sim.Millisecond)
+	lg := traced(&cfg)
+	res, h := runNimblock(t, cfg, preemptWorkload())
+	ckpts := lg.Count(trace.KindCheckpoint)
 	if ckpts == 0 {
 		t.Fatal("no mid-item checkpoints happened")
 	}
@@ -69,7 +70,9 @@ func TestCheckpointPreemptionHappens(t *testing.T) {
 }
 
 func TestCheckpointedItemsResumeExactlyOnceEach(t *testing.T) {
-	_, h := runNimblock(t, checkpointConfig(sim.Millisecond), preemptWorkload())
+	cfg := checkpointConfig(sim.Millisecond)
+	lg := traced(&cfg)
+	runNimblock(t, cfg, preemptWorkload())
 	type key struct {
 		app        int64
 		task, item int
@@ -77,7 +80,7 @@ func TestCheckpointedItemsResumeExactlyOnceEach(t *testing.T) {
 	starts := map[key]int{}
 	ckpts := map[key]int{}
 	dones := map[key]int{}
-	for _, e := range h.Trace().Events() {
+	for _, e := range lg.Events() {
 		k := key{e.AppID, e.Task, e.Item}
 		switch e.Kind {
 		case trace.KindItemStart:
@@ -138,12 +141,14 @@ func TestCheckpointConfigValidation(t *testing.T) {
 }
 
 func TestCheckpointDeterminism(t *testing.T) {
-	a, ha := runNimblock(t, checkpointConfig(5*sim.Millisecond), preemptWorkload())
-	b, hb := runNimblock(t, checkpointConfig(5*sim.Millisecond), preemptWorkload())
+	ca, cb := checkpointConfig(5*sim.Millisecond), checkpointConfig(5*sim.Millisecond)
+	la, lb := traced(&ca), traced(&cb)
+	a, _ := runNimblock(t, ca, preemptWorkload())
+	b, _ := runNimblock(t, cb, preemptWorkload())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("results diverged:\n%+v\n%+v", a, b)
 	}
-	if ha.Trace().Dump() != hb.Trace().Dump() {
+	if la.Dump() != lb.Dump() {
 		t.Fatal("identical checkpoint runs diverged")
 	}
 }

@@ -69,7 +69,7 @@ dead slot=9 at=2s
 hang app=LeNet task=0 prob=1 until=400ms
 `)
 	cfg := hv.DefaultConfig()
-	cfg.EnableTrace = true
+	log := traced(&cfg)
 	cfg.Board.NewInjector = plan.MustFactory()
 	cfg.WatchdogFactor = 3
 	cfg.WatchdogGrace = 50 * sim.Millisecond
@@ -86,7 +86,6 @@ hang app=LeNet task=0 prob=1 until=400ms
 		t.Errorf("usable slots after the plan: %d, want 7", got)
 	}
 
-	log := h.Trace()
 	if log.Count(trace.KindQuarantine) != 1 {
 		t.Errorf("%d quarantine events, want 1", log.Count(trace.KindQuarantine))
 	}

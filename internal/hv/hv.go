@@ -53,8 +53,6 @@ type Config struct {
 	// Horizon bounds simulated time; Run fails if applications are still
 	// pending at the horizon (a wedged policy, not a slow workload).
 	Horizon sim.Time
-	// EnableTrace records a full execution trace.
-	EnableTrace bool
 	// Interconnect models inter-slot data movement. The default (Folded)
 	// charges nothing: the calibrated task latencies already include
 	// data movement through the PS, as measured on the evaluation
@@ -81,13 +79,14 @@ type Config struct {
 	// count reaches the threshold, trading capacity for not burning
 	// retries on a degrading region. Zero disables quarantine.
 	QuarantineThreshold int
-	// Observer receives every trace event live, as it is emitted,
-	// independent of EnableTrace (which retains the full log in memory).
-	// Attach sinks from internal/obs to watch a run in flight: metrics
-	// registries, JSONL streams, span builders, invariant checkers. A
-	// nil observer costs one pointer test per event — nothing allocates.
-	// The observer must be safe for concurrent use if the same value is
-	// shared across parallel runs (internal/experiments does this).
+	// Observer is the one target of every trace event, as it is
+	// emitted. Attach sinks from internal/obs to watch a run in flight
+	// (metrics registries, JSONL streams, span builders, invariant
+	// checkers) and a trace.Log to record it; obs.Tee fans out to
+	// several. A nil observer costs one pointer test per event — nothing
+	// allocates. The observer must be safe for concurrent use if the
+	// same value is shared across boards or parallel runs
+	// (internal/experiments does this).
 	Observer obs.Sink
 	// OnRetire, when non-nil, is called at the instant an application
 	// retires, with its board-local ID. Front-ends (the cluster
@@ -220,7 +219,6 @@ type Hypervisor struct {
 	cfg    Config
 	board  *fpga.Board
 	policy sched.Scheduler
-	log    *trace.Log
 	obs    obs.Sink
 
 	apps     []*sched.App
@@ -428,9 +426,6 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 	h.scale = board.LatencyScale()
 	h.slots = make([]slotRuntime, board.NumSlots())
 	h.slotBusy = make([]sim.Duration, board.NumSlots())
-	if cfg.EnableTrace {
-		h.log = trace.New()
-	}
 	h.obs = cfg.Observer
 	for i := range h.slots {
 		h.resetSlot(i)
@@ -457,9 +452,6 @@ func (h *Hypervisor) Policy() sched.Scheduler { return h.policy }
 
 // Board exposes the simulated FPGA (for tests and reports).
 func (h *Hypervisor) Board() *fpga.Board { return h.board }
-
-// Trace returns the execution trace, or nil when tracing is disabled.
-func (h *Hypervisor) Trace() *trace.Log { return h.log }
 
 // Interconnect exposes the inter-slot data-movement model.
 func (h *Hypervisor) Interconnect() *interconnect.Model { return h.ic }
@@ -628,11 +620,11 @@ func (h *Hypervisor) fail(err error) error {
 	return err
 }
 
-// trace records an event in the in-memory log (when enabled) and fans
-// it out to the live observer (when attached). The disabled path — nil
-// log, nil observer — must stay allocation-free: it runs once per event
-// on the simulator hot path (a test in this package enforces it). It is
-// small enough to inline, so with tracing off the event is never copied.
+// trace hands an event to the observer, when one is attached. The
+// disabled path — a nil observer — must stay allocation-free: it runs
+// once per event on the simulator hot path (a test in this package
+// enforces it). It is small enough to inline, so with no observer the
+// event is never copied.
 func (h *Hypervisor) trace(e trace.Event) {
 	// Every emitted event is one heartbeat: a frozen board emits nothing
 	// (its callbacks are guarded), so liveness polls see the counter
@@ -640,14 +632,6 @@ func (h *Hypervisor) trace(e trace.Event) {
 	// change for the tick-skipping rule.
 	h.progress++
 	h.changes++
-	if h.log != nil || h.obs != nil {
-		h.emit(e)
-	}
-}
-
-// emit hands a traced event to the log and the observer.
-func (h *Hypervisor) emit(e trace.Event) {
-	h.log.Add(e)
 	if h.obs != nil {
 		h.obs.Observe(e)
 	}

@@ -8,6 +8,7 @@ import (
 	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
 	"nimblock/internal/interconnect"
+	"nimblock/internal/obs"
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/baseline"
 	"nimblock/internal/sched/fcfs"
@@ -29,11 +30,21 @@ func policies() map[string]func() sched.Scheduler {
 	}
 }
 
-func runSuite(t *testing.T, policy sched.Scheduler, subs []submission, traceOn bool) ([]hv.Result, *hv.Hypervisor) {
+// traced records cfg's run: it tees a fresh log into cfg's observer and
+// returns the log.
+func traced(cfg *hv.Config) *trace.Log {
+	lg := trace.New()
+	cfg.Observer = obs.Tee(lg, cfg.Observer)
+	return lg
+}
+
+// runSuite runs subs under policy on the default board, with observer
+// (nil for none) attached.
+func runSuite(t *testing.T, policy sched.Scheduler, subs []submission, observer obs.Sink) ([]hv.Result, *hv.Hypervisor) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := hv.DefaultConfig()
-	cfg.EnableTrace = traceOn
+	cfg.Observer = observer
 	h, err := hv.New(eng, cfg, policy)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +86,7 @@ func TestAllPoliciesComplete(t *testing.T) {
 	for name, mk := range policies() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			res, h := runSuite(t, mk(), mixedWorkload(), false)
+			res, h := runSuite(t, mk(), mixedWorkload(), nil)
 			if len(res) != len(mixedWorkload()) {
 				t.Fatalf("%d results for %d submissions", len(res), len(mixedWorkload()))
 			}
@@ -110,7 +121,7 @@ func TestRunTimeConservation(t *testing.T) {
 	for name, mk := range policies() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			res, _ := runSuite(t, mk(), mixedWorkload(), false)
+			res, _ := runSuite(t, mk(), mixedWorkload(), nil)
 			for _, r := range res {
 				g := apps.MustGraph(r.App)
 				want := g.TotalWork() * sim.Duration(r.Batch)
@@ -127,8 +138,8 @@ func TestDeterminism(t *testing.T) {
 	for name, mk := range policies() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			a, _ := runSuite(t, mk(), mixedWorkload(), false)
-			b, _ := runSuite(t, mk(), mixedWorkload(), false)
+			a, _ := runSuite(t, mk(), mixedWorkload(), nil)
+			b, _ := runSuite(t, mk(), mixedWorkload(), nil)
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("run diverged at %d:\n%+v\n%+v", i, a[i], b[i])
@@ -146,7 +157,7 @@ func TestBaselineNoSharing(t *testing.T) {
 		{apps.LeNet, 5, 9, 100 * sim.Time(sim.Millisecond)},
 		{apps.ImageCompression, 5, 1, 200 * sim.Time(sim.Millisecond)},
 	}
-	res, _ := runSuite(t, baseline.New(), subs, false)
+	res, _ := runSuite(t, baseline.New(), subs, nil)
 	// Each app's first launch must come after the previous app retired
 	// (modulo the reconfiguration prefetch, which only starts after
 	// retirement too since slots belong to the active app).
@@ -171,7 +182,7 @@ func TestBaselineCalibration(t *testing.T) {
 		apps.OpticalFlow:      {21.5, 24.5},
 	}
 	for name, bounds := range want {
-		res, _ := runSuite(t, baseline.New(), []submission{{name, 5, 3, 0}}, false)
+		res, _ := runSuite(t, baseline.New(), []submission{{name, 5, 3, 0}}, nil)
 		got := res[0].Response.Seconds()
 		if got < bounds[0] || got > bounds[1] {
 			t.Errorf("%s solo baseline response %.3fs outside [%.2f, %.2f]", name, got, bounds[0], bounds[1])
@@ -181,7 +192,7 @@ func TestBaselineCalibration(t *testing.T) {
 
 // AlexNet solo baseline lands near Table 3's 65.44 s execution time.
 func TestBaselineAlexNetCalibration(t *testing.T) {
-	res, _ := runSuite(t, baseline.New(), []submission{{apps.AlexNet, 5, 3, 0}}, false)
+	res, _ := runSuite(t, baseline.New(), []submission{{apps.AlexNet, 5, 3, 0}}, nil)
 	got := res[0].Response.Seconds()
 	if got < 55 || got > 75 {
 		t.Fatalf("AlexNet solo baseline response %.2fs, want ~65s", got)
@@ -191,13 +202,13 @@ func TestBaselineAlexNetCalibration(t *testing.T) {
 // Sharing must beat no-sharing on average under contention.
 func TestSharingBeatsBaselineUnderContention(t *testing.T) {
 	subs := mixedWorkload()
-	base, _ := runSuite(t, baseline.New(), subs, false)
+	base, _ := runSuite(t, baseline.New(), subs, nil)
 	var baseTotal sim.Duration
 	for _, r := range base {
 		baseTotal += r.Response
 	}
 	board := hv.DefaultConfig().Board
-	nim, _ := runSuite(t, core.New(core.DefaultOptions(), board), subs, false)
+	nim, _ := runSuite(t, core.New(core.DefaultOptions(), board), subs, nil)
 	var nimTotal sim.Duration
 	for _, r := range nim {
 		nimTotal += r.Response
@@ -218,7 +229,8 @@ func TestNimblockPreemptionHappens(t *testing.T) {
 		{apps.Rendering3D, 5, 9, 2500 * sim.Time(sim.Millisecond)},
 		{apps.ImageCompression, 5, 9, 3 * sim.Time(sim.Second)},
 	}
-	res, h := runSuite(t, core.New(core.DefaultOptions(), board), subs, true)
+	lg := trace.New()
+	res, _ := runSuite(t, core.New(core.DefaultOptions(), board), subs, lg)
 	preempts := 0
 	for _, r := range res {
 		preempts += r.Preemptions
@@ -226,7 +238,6 @@ func TestNimblockPreemptionHappens(t *testing.T) {
 	if preempts == 0 {
 		t.Fatal("expected at least one batch-preemption")
 	}
-	lg := h.Trace()
 	if lg.Count(trace.KindPreempt) != preempts {
 		t.Fatalf("trace preempts %d != accounted %d", lg.Count(trace.KindPreempt), preempts)
 	}
@@ -257,7 +268,8 @@ func TestPreemptedWorkConserved(t *testing.T) {
 		{apps.LeNet, 5, 9, sim.Time(sim.Second)},
 		{apps.Rendering3D, 5, 9, sim.Time(sim.Second) + 1},
 	}
-	res, h := runSuite(t, core.New(core.DefaultOptions(), board), subs, true)
+	lg := trace.New()
+	res, _ := runSuite(t, core.New(core.DefaultOptions(), board), subs, lg)
 	for _, r := range res {
 		g := apps.MustGraph(r.App)
 		want := g.TotalWork() * sim.Duration(r.Batch)
@@ -271,7 +283,7 @@ func TestPreemptedWorkConserved(t *testing.T) {
 		task, item int
 	}
 	starts, dones := map[key]int{}, map[key]int{}
-	for _, e := range h.Trace().Events() {
+	for _, e := range lg.Events() {
 		k := key{e.AppID, e.Task, e.Item}
 		switch e.Kind {
 		case trace.KindItemStart:
@@ -291,8 +303,8 @@ func TestPreemptedWorkConserved(t *testing.T) {
 func TestPipeliningHelpsSingleApp(t *testing.T) {
 	board := hv.DefaultConfig().Board
 	subs := []submission{{apps.OpticalFlow, 10, 3, 0}}
-	pipe, _ := runSuite(t, core.New(core.DefaultOptions(), board), subs, false)
-	noPipe, _ := runSuite(t, core.New(core.Options{Preemption: true}, board), subs, false)
+	pipe, _ := runSuite(t, core.New(core.DefaultOptions(), board), subs, nil)
+	noPipe, _ := runSuite(t, core.New(core.Options{Preemption: true}, board), subs, nil)
 	if pipe[0].Response >= noPipe[0].Response {
 		t.Fatalf("pipelining did not help: %v vs %v", pipe[0].Response, noPipe[0].Response)
 	}
@@ -526,7 +538,7 @@ func TestPreemptedLowPriorityRecovers(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		subs = append(subs, submission{apps.LeNet, 3, 9, sim.Time(sim.Second) + sim.Time(i)*sim.Time(300*sim.Millisecond)})
 	}
-	res, _ := runSuite(t, core.New(core.DefaultOptions(), board), subs, false)
+	res, _ := runSuite(t, core.New(core.DefaultOptions(), board), subs, nil)
 	for _, r := range res {
 		if r.App == apps.OpticalFlow && r.Response <= 0 {
 			t.Fatal("low-priority app never completed")

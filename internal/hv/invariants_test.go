@@ -23,7 +23,7 @@ func traceRun(t *testing.T, mk func() sched.Scheduler, seq workload.Sequence) ([
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := hv.DefaultConfig()
-	cfg.EnableTrace = true
+	lg := traced(&cfg)
 	h, err := hv.New(eng, cfg, mk())
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func traceRun(t *testing.T, mk func() sched.Scheduler, seq workload.Sequence) ([
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	return res, h.Trace()
+	return res, lg
 }
 
 // checkTraceInvariants delegates to the reusable streaming checker in
@@ -48,7 +48,8 @@ func checkTraceInvariants(t *testing.T, lg *trace.Log, results []hv.Result) {
 	t.Helper()
 	c := schedtest.NewChecker()
 	c.MinReconfigGap = 0
-	if err := c.Replay(lg).Finish(len(results)); err != nil {
+	lg.Replay(c)
+	if err := c.Finish(len(results)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,13 +60,15 @@ func checkTraceInvariants(t *testing.T, lg *trace.Log, results []hv.Result) {
 // are the serialization witness).
 func checkCAPSerialization(t *testing.T, lg *trace.Log) {
 	t.Helper()
-	if err := schedtest.NewChecker().Replay(lg).Err(); err != nil {
+	c := schedtest.NewChecker()
+	lg.Replay(c)
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // Property suite: the full invariant checker rides along live — attached
-// as the hypervisor observer, with tracing off — across every policy and
+// as the hypervisor's only observer, with no log — across every policy and
 // a spread of randomized workloads. This is the streaming counterpart of
 // TestTraceInvariantsAcrossPolicies and doubles as coverage for the
 // observability hook itself.
@@ -104,9 +107,6 @@ func TestInvariantPropertySuiteLive(t *testing.T) {
 				}
 				if checker.Events() == 0 {
 					t.Fatalf("%s seed %d: observer saw no events", name, seed)
-				}
-				if h.Trace().Len() != 0 {
-					t.Fatalf("%s seed %d: tracing off but log has %d events", name, seed, h.Trace().Len())
 				}
 			}
 		})
@@ -156,7 +156,7 @@ func TestTraceInvariantsAblations(t *testing.T) {
 func TestTraceInvariantsWithFaults(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := hv.DefaultConfig()
-	cfg.EnableTrace = true
+	lg := traced(&cfg)
 	cfg.Board.FaultRate = 0.15
 	cfg.Board.FaultSeed = 3
 	cfg.Board.MaxRetries = 50
@@ -174,7 +174,7 @@ func TestTraceInvariantsWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTraceInvariants(t, h.Trace(), res)
+	checkTraceInvariants(t, lg, res)
 	if h.Board().Stats().Faults == 0 {
 		t.Fatal("fault injection inactive")
 	}
@@ -237,7 +237,7 @@ func TestRandomDAGInvariantsProperty(t *testing.T) {
 			for seed := int64(100); seed < 106; seed++ {
 				eng := sim.NewEngine()
 				cfg := hv.DefaultConfig()
-				cfg.EnableTrace = true
+				lg := traced(&cfg)
 				h, err := hv.New(eng, cfg, mk())
 				if err != nil {
 					t.Fatal(err)
@@ -257,7 +257,7 @@ func TestRandomDAGInvariantsProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				checkTraceInvariants(t, h.Trace(), res)
+				checkTraceInvariants(t, lg, res)
 				// Work conservation on arbitrary DAGs.
 				for _, r := range res {
 					if r.Run <= 0 {

@@ -58,7 +58,6 @@ func TestSaveSkipMatchesStrict(t *testing.T) {
 func TestSaveSkipKeepsOnDemandCaptures(t *testing.T) {
 	cfg := checkpointConfig(10 * sim.Millisecond)
 	cfg.Checkpoint.Period = 50 * sim.Millisecond
-	cfg.EnableTrace = false
 	cfg.Board.Slots = 2
 	subs := []submission{
 		{apps.DigitRecognition, 2, 1, 0},

@@ -23,7 +23,7 @@ func TestShapeReport(t *testing.T) {
 		arr = arr.Add(500 * sim.Millisecond)
 	}
 	for name, mk := range policies() {
-		res, _ := runSuite(t, mk(), subs, false)
+		res, _ := runSuite(t, mk(), subs, nil)
 		var tot float64
 		for _, r := range res {
 			tot += r.Response.Seconds()

@@ -193,7 +193,6 @@ func runSkipCase(t *testing.T, cfg hv.Config, mk func(fpga.Config) sched.Schedul
 // minute late.
 func TestTickSkipKeepsSLORescueTick(t *testing.T) {
 	cfg := checkpointConfig(10 * sim.Millisecond)
-	cfg.EnableTrace = false
 	cfg.Board.Slots = 2
 	subs := []submission{
 		{apps.DigitRecognition, 2, 1, 0},

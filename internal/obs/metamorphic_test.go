@@ -35,7 +35,6 @@ func runScenario(t *testing.T, name string) scenarioRun {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := hv.DefaultConfig()
-	cfg.EnableTrace = true
 	spec := workload.Spec{Scenario: workload.Standard, Events: 8}
 	seed := int64(7)
 	switch name {
@@ -55,7 +54,8 @@ func runScenario(t *testing.T, name string) scenarioRun {
 	reg := obs.NewRegistry()
 	m := obs.NewMetrics(reg, cfg.Board.Slots)
 	spans := obs.NewSpanBuilder()
-	cfg.Observer = obs.Tee(m, spans)
+	log := trace.New()
+	cfg.Observer = obs.Tee(log, m, spans)
 
 	h, err := hv.New(eng, cfg, core.New(core.DefaultOptions(), cfg.Board))
 	if err != nil {
@@ -70,7 +70,7 @@ func runScenario(t *testing.T, name string) scenarioRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return scenarioRun{results: res, log: h.Trace(), metrics: m, spans: spans, slots: cfg.Board.Slots}
+	return scenarioRun{results: res, log: log, metrics: m, spans: spans, slots: cfg.Board.Slots}
 }
 
 func scenarios() []string { return []string{"standard", "stress", "chaos"} }
@@ -86,9 +86,7 @@ func TestOnlineEqualsPostHoc(t *testing.T) {
 
 			replayReg := obs.NewRegistry()
 			replayM := obs.NewMetrics(replayReg, run.slots)
-			for _, e := range run.log.Events() {
-				replayM.Observe(e)
-			}
+			run.log.Replay(replayM)
 			online, err := json.Marshal(run.metrics.Registry())
 			if err != nil {
 				t.Fatal(err)
@@ -105,7 +103,9 @@ func TestOnlineEqualsPostHoc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replaySpans, err := json.Marshal(obs.NewSpanBuilder().Replay(run.log))
+			replayS := obs.NewSpanBuilder()
+			run.log.Replay(replayS)
+			replaySpans, err := json.Marshal(replayS)
 			if err != nil {
 				t.Fatal(err)
 			}

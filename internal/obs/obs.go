@@ -2,10 +2,11 @@
 // building, online metrics, and Prometheus-text exposition over the
 // hypervisor's trace events.
 //
-// The existing internal/trace and internal/metrics packages are post-hoc
-// analyzers — they inspect a completed run. Package obs instead hooks the
-// emission point: every trace.Event the hypervisor records is also fanned
-// out, as it happens, to any attached Sink. That turns a long-running
+// The hypervisor has one emission target, hv.Config.Observer, and every
+// view of a run is a sink on it: a recorded trace.Log is one sink among
+// the metrics, span and JSONL sinks here, teed alongside them, and a
+// recorded log replays into any sink afterwards (trace.Log.Replay). The
+// live sinks fold events as they happen. That turns a long-running
 // simulation, a cluster sweep, or a serverless replay into something that
 // can be watched while it runs — the same lens multi-tenant FPGA runtimes
 // use to monitor per-tenant fairness and slot occupancy in production.
@@ -16,9 +17,11 @@
 //     simulator hot path: the hypervisor guards emission with a single
 //     nil check and passes events by value (zero allocations; a benchmark
 //     in internal/hv enforces this).
-//   - Every Sink shipped by this package is safe for concurrent use: the
-//     parallel experiment harness (internal/experiments) runs many
-//     engines at once and may point them all at one sink.
+//   - A sink shared across boards must be safe for concurrent use: the
+//     parallel experiment harness (internal/experiments) and the sharded
+//     fleet advance many engines at once. Every Sink shipped by this
+//     package is. A trace.Log is not: it records exactly one board and
+//     takes no lock, and the race-enabled test run catches any sharing.
 //   - Sinks never block the simulation.
 package obs
 
@@ -28,9 +31,10 @@ import (
 	"nimblock/internal/trace"
 )
 
-// Sink receives trace events as they are emitted. Implementations must
-// be safe for concurrent Observe calls: the parallel experiment harness
-// attaches one sink to many simulator goroutines.
+// Sink receives trace events as they are emitted. A sink attached to
+// more than one board must be safe for concurrent Observe calls: the
+// parallel experiment harness attaches one sink to many simulator
+// goroutines. A sink attached to one board (a trace.Log) needs no lock.
 type Sink interface {
 	Observe(e trace.Event)
 }

@@ -78,7 +78,7 @@ type openKey struct {
 
 // SpanBuilder folds raw trace events into per-application spans online.
 // It implements Sink and is safe for concurrent use; feed it live as an
-// observer or replay a recorded log through it (Replay).
+// observer or replay a recorded log through it (trace.Log.Replay).
 type SpanBuilder struct {
 	mu       sync.Mutex
 	byID     map[int64]*AppSpan
@@ -95,15 +95,6 @@ func NewSpanBuilder() *SpanBuilder {
 		compute:  map[openKey]Segment{},
 		preempt:  map[openKey]sim.Time{},
 	}
-}
-
-// Replay folds an entire recorded log, returning the builder for
-// chaining: NewSpanBuilder().Replay(log).Spans().
-func (b *SpanBuilder) Replay(l *trace.Log) *SpanBuilder {
-	for _, e := range l.Events() {
-		b.Observe(e)
-	}
-	return b
 }
 
 func (b *SpanBuilder) span(e trace.Event) *AppSpan {

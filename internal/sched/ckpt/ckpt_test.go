@@ -139,7 +139,8 @@ func rescueRun(t *testing.T, policy sched.Scheduler) (hv.Result, *trace.Log, *hv
 	eng := sim.NewEngine()
 	cfg := hv.DefaultConfig()
 	cfg.Board.Slots = 2
-	cfg.EnableTrace = true
+	lg := trace.New()
+	cfg.Observer = lg
 	cfg.Checkpoint = hv.CheckpointConfig{Enabled: true} // on-demand only
 	h, err := hv.New(eng, cfg, policy)
 	if err != nil {
@@ -161,7 +162,7 @@ func rescueRun(t *testing.T, policy sched.Scheduler) (hv.Result, *trace.Log, *hv
 	}
 	for _, r := range res {
 		if r.Priority == 9 {
-			return r, h.Trace(), h
+			return r, lg, h
 		}
 	}
 	t.Fatal("priority-9 app missing from results")

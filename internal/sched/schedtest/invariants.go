@@ -22,7 +22,7 @@ const maxViolations = 20
 
 // Checker is a streaming scheduler-invariant checker. It consumes trace
 // events one at a time — implementing the obs.Sink shape — so the same
-// checker validates recorded logs (Replay) and live runs (attach it as
+// checker validates recorded logs (trace.Log.Replay) and live runs (attach it as
 // hv.Config.Observer). It verifies the structural properties every
 // policy and workload must honour:
 //
@@ -121,15 +121,6 @@ func NewChecker() *Checker {
 		arrived:        map[int64]sim.Time{},
 		retired:        map[int64]sim.Time{},
 	}
-}
-
-// Replay feeds an entire recorded log through the checker and returns
-// the checker for chaining.
-func (c *Checker) Replay(l *trace.Log) *Checker {
-	for _, e := range l.Events() {
-		c.Observe(e)
-	}
-	return c
 }
 
 func (c *Checker) violatef(format string, args ...any) {

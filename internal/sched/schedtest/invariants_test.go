@@ -163,9 +163,10 @@ func TestCheckerReplay(t *testing.T) {
 		ev(90*sim.Millisecond, trace.KindTaskDone, 1, 0, 0, -1),
 		ev(91*sim.Millisecond, trace.KindRetire, 1, -1, -1, -1),
 	} {
-		lg.Add(e)
+		lg.Observe(e)
 	}
-	c := NewChecker().Replay(lg)
+	c := NewChecker()
+	lg.Replay(c)
 	if c.Events() != lg.Len() {
 		t.Fatalf("replayed %d of %d events", c.Events(), lg.Len())
 	}

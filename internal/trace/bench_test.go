@@ -9,7 +9,7 @@ import (
 func benchLog(events int) *Log {
 	l := New()
 	for i := 0; i < events; i++ {
-		l.Add(Event{
+		l.Observe(Event{
 			At:    sim.Time(i) * sim.Time(sim.Millisecond),
 			Kind:  Kind(i % int(KindFault+1)),
 			App:   "app",

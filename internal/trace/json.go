@@ -86,7 +86,7 @@ func ParseJSON(data []byte) (*Log, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: event %d has unknown kind %q", i, e.Kind)
 		}
-		l.Add(fromJSON(e, kind))
+		l.Observe(fromJSON(e, kind))
 	}
 	return l, nil
 }

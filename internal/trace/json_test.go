@@ -18,7 +18,7 @@ func TestJSONRoundTripsEveryKind(t *testing.T) {
 		if strings.HasPrefix(k.String(), "Kind(") {
 			t.Fatalf("kind %d has no String case: %q", int(k), k.String())
 		}
-		l.Add(Event{At: sim.Time(int64(k) + 1), Kind: k, App: "a", AppID: 7, Task: int(k), Slot: 1, Item: -1})
+		l.Observe(Event{At: sim.Time(int64(k) + 1), Kind: k, App: "a", AppID: 7, Task: int(k), Slot: 1, Item: -1})
 	}
 	data, err := l.MarshalJSON()
 	if err != nil {

@@ -11,7 +11,7 @@ func sampleLog() *Log {
 	l := New()
 	sec := sim.Time(sim.Second)
 	add := func(at sim.Time, k Kind, id int64, task, slot, item int) {
-		l.Add(Event{At: at, Kind: k, App: "app", AppID: id, Task: task, Slot: slot, Item: item})
+		l.Observe(Event{At: at, Kind: k, App: "app", AppID: id, Task: task, Slot: slot, Item: item})
 	}
 	add(0, KindArrival, 1, -1, -1, -1)
 	add(0, KindReconfigStart, 1, 0, 2, -1)
@@ -58,8 +58,8 @@ func TestSummaryTable(t *testing.T) {
 
 func TestSummarizeOrdersByID(t *testing.T) {
 	l := New()
-	l.Add(Event{Kind: KindArrival, App: "b", AppID: 2, Task: -1, Slot: -1, Item: -1})
-	l.Add(Event{Kind: KindArrival, App: "a", AppID: 1, Task: -1, Slot: -1, Item: -1})
+	l.Observe(Event{Kind: KindArrival, App: "b", AppID: 2, Task: -1, Slot: -1, Item: -1})
+	l.Observe(Event{Kind: KindArrival, App: "a", AppID: 1, Task: -1, Slot: -1, Item: -1})
 	s := l.Summarize()
 	if len(s) != 2 || s[0].AppID != 1 || s[1].AppID != 2 {
 		t.Fatalf("order = %+v", s)

@@ -158,8 +158,10 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// Log accumulates events. A nil *Log is valid and discards everything, so
-// tracing can be disabled without branching at call sites.
+// Log accumulates the events of one board. It is a sink like any other
+// (it has the obs.Sink method set): attach it as, or tee it into, the
+// hypervisor's observer to record a run. A Log takes no lock, so it must
+// record exactly one board. A nil *Log is valid and discards everything.
 type Log struct {
 	events []Event
 }
@@ -167,12 +169,20 @@ type Log struct {
 // New returns an empty log.
 func New() *Log { return &Log{} }
 
-// Add records an event. No-op on a nil log.
-func (l *Log) Add(e Event) {
+// Observe records an event. No-op on a nil log.
+func (l *Log) Observe(e Event) {
 	if l == nil {
 		return
 	}
 	l.events = append(l.events, e)
+}
+
+// Replay feeds every recorded event, in order, to a sink (any obs.Sink,
+// a schedtest.Checker), as if it had watched the run live.
+func (l *Log) Replay(to interface{ Observe(Event) }) {
+	for _, e := range l.Events() {
+		to.Observe(e)
+	}
 }
 
 // Events returns the recorded events in order.
@@ -189,6 +199,15 @@ func (l *Log) Len() int {
 		return 0
 	}
 	return len(l.events)
+}
+
+// End is the time of the latest recorded event, zero for an empty log.
+func (l *Log) End() sim.Time {
+	var end sim.Time
+	for _, e := range l.Events() {
+		end = max(end, e.At)
+	}
+	return end
 }
 
 // Count tallies events of one kind.
@@ -223,11 +242,44 @@ func (l *Log) Dump() string {
 	return b.String()
 }
 
-// interval is a closed-open busy span in a slot.
-type interval struct {
-	from, to sim.Time
-	label    string
-	kind     byte // 'R' reconfig, '#' compute
+// Interval is one busy span of a slot, paired from the log: a
+// reconfiguration (KindReconfigStart to KindReconfigDone) or one item's
+// execution (KindItemStart to KindItemDone).
+type Interval struct {
+	Slot     int
+	From, To sim.Time
+	App      string // the application that started the span
+	Kind     byte   // 'R' reconfiguration, '#' compute
+}
+
+// Intervals pairs each slot's starts with their completions, in
+// completion order. It is the one pairing every slot-occupancy chart
+// draws from. A start that never completes (an item cut short by a
+// checkpoint, a watchdog kill or a slot failure) yields no interval; the
+// slot's next start of the same kind replaces it.
+func (l *Log) Intervals() []Interval {
+	var out []Interval
+	openReconfig := map[int]Event{}
+	openItem := map[int]Event{}
+	closeSpan := func(open map[int]Event, e Event, kind byte) {
+		if from, ok := open[e.Slot]; ok {
+			out = append(out, Interval{Slot: e.Slot, From: from.At, To: e.At, App: from.App, Kind: kind})
+			delete(open, e.Slot)
+		}
+	}
+	for _, e := range l.Events() {
+		switch e.Kind {
+		case KindReconfigStart:
+			openReconfig[e.Slot] = e
+		case KindReconfigDone:
+			closeSpan(openReconfig, e, 'R')
+		case KindItemStart:
+			openItem[e.Slot] = e
+		case KindItemDone:
+			closeSpan(openItem, e, '#')
+		}
+	}
+	return out
 }
 
 // Gantt renders a per-slot occupancy chart with the given number of
@@ -237,28 +289,10 @@ func (l *Log) Gantt(slots int, end sim.Time, cols int) string {
 	if cols < 1 || end <= 0 || l.Len() == 0 {
 		return ""
 	}
-	perSlot := make([][]interval, slots)
-	openReconfig := map[int]sim.Time{}
-	openItem := map[int]sim.Time{}
-	for _, e := range l.Events() {
-		if e.Slot < 0 || e.Slot >= slots {
-			continue
-		}
-		switch e.Kind {
-		case KindReconfigStart:
-			openReconfig[e.Slot] = e.At
-		case KindReconfigDone:
-			if from, ok := openReconfig[e.Slot]; ok {
-				perSlot[e.Slot] = append(perSlot[e.Slot], interval{from, e.At, e.App, 'R'})
-				delete(openReconfig, e.Slot)
-			}
-		case KindItemStart:
-			openItem[e.Slot] = e.At
-		case KindItemDone:
-			if from, ok := openItem[e.Slot]; ok {
-				perSlot[e.Slot] = append(perSlot[e.Slot], interval{from, e.At, e.App, '#'})
-				delete(openItem, e.Slot)
-			}
+	perSlot := make([][]Interval, slots)
+	for _, iv := range l.Intervals() {
+		if iv.Slot >= 0 && iv.Slot < slots {
+			perSlot[iv.Slot] = append(perSlot[iv.Slot], iv)
 		}
 	}
 	var b strings.Builder
@@ -269,15 +303,15 @@ func (l *Log) Gantt(slots int, end sim.Time, cols int) string {
 			row[i] = '.'
 		}
 		ivs := perSlot[s]
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].from < ivs[j].from })
+		sort.Slice(ivs, func(i, j int) bool { return ivs[i].From < ivs[j].From })
 		for _, iv := range ivs {
-			lo := int(int64(iv.from) * int64(cols) / int64(end))
-			hi := int(int64(iv.to) * int64(cols) / int64(end))
+			lo := int(int64(iv.From) * int64(cols) / int64(end))
+			hi := int(int64(iv.To) * int64(cols) / int64(end))
 			if hi == lo {
 				hi = lo + 1
 			}
 			for i := lo; i < hi && i < cols; i++ {
-				row[i] = iv.kind
+				row[i] = iv.Kind
 			}
 		}
 		fmt.Fprintf(&b, "slot %2d |%s|\n", s, row)

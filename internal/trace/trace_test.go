@@ -9,7 +9,7 @@ import (
 
 func TestNilLogSafe(t *testing.T) {
 	var l *Log
-	l.Add(Event{})
+	l.Observe(Event{})
 	if l.Len() != 0 || l.Events() != nil || l.Count(KindArrival) != 0 {
 		t.Fatal("nil log misbehaved")
 	}
@@ -17,9 +17,9 @@ func TestNilLogSafe(t *testing.T) {
 
 func TestAddAndCount(t *testing.T) {
 	l := New()
-	l.Add(Event{At: 1, Kind: KindArrival, App: "a", Task: -1, Slot: -1, Item: -1})
-	l.Add(Event{At: 2, Kind: KindItemDone, App: "a", Task: 0, Slot: 1, Item: 0})
-	l.Add(Event{At: 3, Kind: KindItemDone, App: "a", Task: 0, Slot: 1, Item: 1})
+	l.Observe(Event{At: 1, Kind: KindArrival, App: "a", Task: -1, Slot: -1, Item: -1})
+	l.Observe(Event{At: 2, Kind: KindItemDone, App: "a", Task: 0, Slot: 1, Item: 0})
+	l.Observe(Event{At: 3, Kind: KindItemDone, App: "a", Task: 0, Slot: 1, Item: 1})
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d", l.Len())
 	}
@@ -72,10 +72,10 @@ func TestKindStrings(t *testing.T) {
 func TestGantt(t *testing.T) {
 	l := New()
 	sec := sim.Time(sim.Second)
-	l.Add(Event{At: 0, Kind: KindReconfigStart, App: "a", Slot: 0, Task: 0, Item: -1})
-	l.Add(Event{At: sec, Kind: KindReconfigDone, App: "a", Slot: 0, Task: 0, Item: -1})
-	l.Add(Event{At: sec, Kind: KindItemStart, App: "a", Slot: 0, Task: 0, Item: 0})
-	l.Add(Event{At: 3 * sec, Kind: KindItemDone, App: "a", Slot: 0, Task: 0, Item: 0})
+	l.Observe(Event{At: 0, Kind: KindReconfigStart, App: "a", Slot: 0, Task: 0, Item: -1})
+	l.Observe(Event{At: sec, Kind: KindReconfigDone, App: "a", Slot: 0, Task: 0, Item: -1})
+	l.Observe(Event{At: sec, Kind: KindItemStart, App: "a", Slot: 0, Task: 0, Item: 0})
+	l.Observe(Event{At: 3 * sec, Kind: KindItemDone, App: "a", Slot: 0, Task: 0, Item: 0})
 	g := l.Gantt(2, 4*sec, 8)
 	lines := strings.Split(strings.TrimSpace(g), "\n")
 	if len(lines) != 3 {
@@ -94,7 +94,7 @@ func TestGanttDegenerate(t *testing.T) {
 	if g := l.Gantt(1, sim.Time(sim.Second), 10); g != "" {
 		t.Fatalf("empty log produced gantt %q", g)
 	}
-	l.Add(Event{At: 0, Kind: KindItemStart, Slot: 0})
+	l.Observe(Event{At: 0, Kind: KindItemStart, Slot: 0})
 	if g := l.Gantt(1, 0, 10); g != "" {
 		t.Fatal("zero end produced gantt")
 	}
@@ -105,8 +105,8 @@ func TestGanttDegenerate(t *testing.T) {
 
 func TestDump(t *testing.T) {
 	l := New()
-	l.Add(Event{At: 1, Kind: KindArrival, App: "a", Task: -1, Slot: -1, Item: -1})
-	l.Add(Event{At: 2, Kind: KindRetire, App: "a", Task: -1, Slot: -1, Item: -1})
+	l.Observe(Event{At: 1, Kind: KindArrival, App: "a", Task: -1, Slot: -1, Item: -1})
+	l.Observe(Event{At: 2, Kind: KindRetire, App: "a", Task: -1, Slot: -1, Item: -1})
 	d := l.Dump()
 	if strings.Count(d, "\n") != 2 {
 		t.Fatalf("dump = %q", d)

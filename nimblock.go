@@ -33,6 +33,7 @@ import (
 	"nimblock/internal/hv"
 	"nimblock/internal/interconnect"
 	"nimblock/internal/metrics"
+	"nimblock/internal/obs"
 	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 	"nimblock/internal/taskgraph"
@@ -132,8 +133,9 @@ type Config struct {
 	// faults; schedulers re-plan for the smaller board (default 0,
 	// disabled).
 	QuarantineThreshold int
-	// EnableTrace records a full execution trace, retrievable with
-	// System.TraceDump and System.Gantt.
+	// EnableTrace records a System's full execution trace, retrievable
+	// with System.TraceDump, TraceJSON, Gantt and Preemptions. A Cluster
+	// or Platform records none: watch its boards with an Observer.
 	EnableTrace bool
 	// Interconnect selects the inter-slot data path: "" or "folded"
 	// (calibrated default, data movement folded into task latencies),
@@ -151,8 +153,8 @@ type Config struct {
 	// applications are still pending then.
 	Horizon time.Duration
 	// Observer, when non-nil, receives every trace event live as the
-	// simulation emits it — independent of EnableTrace. See the Observer
-	// interface for the contract.
+	// simulation emits it; with EnableTrace it sees exactly the events
+	// the trace records. See the Observer interface for the contract.
 	Observer Observer
 }
 
@@ -343,6 +345,7 @@ type System struct {
 	eng     *sim.Engine
 	hv      *hv.Hypervisor
 	horizon sim.Time
+	log     *trace.Log // the recorded trace; nil without EnableTrace
 	// energy is the stats sampled at engine quiescence (the makespan)
 	// during Run; Run's final clock sits at the horizon, where lazy
 	// accrual would price static power over the idle tail.
@@ -411,7 +414,6 @@ func (cfg Config) boardConfigs(n int, specs []*BoardSpec) (boardSet, error) {
 	if cfg.Horizon > 0 {
 		hcfg.Horizon = sim.Time(sim.FromStd(cfg.Horizon))
 	}
-	hcfg.EnableTrace = cfg.EnableTrace
 	// One observer watches every board; events carry board-local app
 	// IDs, so observers aggregating per-app state should key on (App,
 	// AppID).
@@ -463,12 +465,17 @@ func NewSystem(cfg Config) (*System, error) {
 	if len(set.events) > 0 {
 		return nil, fmt.Errorf("nimblock: FaultPlan board faults (board-crash, board-hang, board-degrade) need NewCluster or NewPlatform")
 	}
+	var log *trace.Log
+	if cfg.EnableTrace {
+		log = trace.New()
+		set.hv.Observer = obs.Tee(log, set.hv.Observer)
+	}
 	eng := sim.NewEngine()
 	h, err := hv.New(eng, set.hv, set.policy(set.hv))
 	if err != nil {
 		return nil, err
 	}
-	return &System{eng: eng, hv: h, horizon: set.hv.Horizon}, nil
+	return &System{eng: eng, hv: h, horizon: set.hv.Horizon, log: log}, nil
 }
 
 // Submit schedules an application arrival at the given virtual time
@@ -611,29 +618,23 @@ func (s *System) SingleSlotLatency(app *Application, batch int) time.Duration {
 
 // TraceDump returns the recorded execution trace (one event per line);
 // empty unless Config.EnableTrace was set.
-func (s *System) TraceDump() string { return s.hv.Trace().Dump() }
+func (s *System) TraceDump() string { return s.log.Dump() }
 
 // TraceJSON exports the execution trace for offline analysis; empty
 // unless Config.EnableTrace was set.
-func (s *System) TraceJSON() ([]byte, error) { return s.hv.Trace().MarshalJSON() }
+func (s *System) TraceJSON() ([]byte, error) { return s.log.MarshalJSON() }
 
 // Gantt renders per-slot occupancy over the run as ASCII art; empty
 // unless Config.EnableTrace was set. The chart spans from time zero to
 // the last recorded event.
 func (s *System) Gantt(cols int) string {
-	var end sim.Time
-	for _, e := range s.hv.Trace().Events() {
-		if e.At > end {
-			end = e.At
-		}
-	}
-	return s.hv.Trace().Gantt(s.hv.Board().NumSlots(), end, cols)
+	return s.log.Gantt(s.hv.Board().NumSlots(), s.log.End(), cols)
 }
 
 // Preemptions reports the total batch-preemptions performed across the
 // run; requires Config.EnableTrace.
 func (s *System) Preemptions() int {
-	return s.hv.Trace().Count(trace.KindPreempt)
+	return s.log.Count(trace.KindPreempt)
 }
 
 // RecoveryStats summarizes fault injection and recovery over a run.

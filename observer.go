@@ -25,11 +25,12 @@ type TraceEvent struct {
 	Item  int
 }
 
-// Observer receives every trace event live, independent of
-// Config.EnableTrace (which retains the full log in memory instead).
-// Observe is called from the simulation loop: it must not block, and it
-// must be safe for concurrent use when one observer is shared by several
-// systems. A nil observer costs one pointer test per event.
+// Observer receives every trace event live; a System with
+// Config.EnableTrace also keeps the same events, in the same order, in
+// its log. Observe is called from the simulation loop: it must not
+// block, and it must be safe for concurrent use when one observer is
+// shared by several systems or by the boards of a Cluster or Platform.
+// A nil observer costs one pointer test per event.
 type Observer interface {
 	Observe(e TraceEvent)
 }
