@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -130,7 +131,7 @@ func main() {
 	fmt.Println(path)
 
 	if *baseline != "" {
-		fail(gate(*baseline, byName, *tolerance))
+		fail(gate(os.Stderr, *baseline, byName, report.GOMAXPROCS, *tolerance))
 	}
 }
 
@@ -140,8 +141,10 @@ func main() {
 // so the tolerance is generous (15%); allocs/op and bytes/op — which
 // are deterministic — carry the same bound. Benchmarks only one side
 // knows are skipped, so adding or retiring a benchmark does not break
-// the gate.
-func gate(path string, got map[string]Sample, tolerance float64) error {
+// the gate. When the baseline was recorded at a different GOMAXPROCS
+// than this run (procs), the verdict says so: the parallel rows of the
+// two are not comparable. A passing verdict is written to w.
+func gate(w io.Writer, path string, got map[string]Sample, procs int, tolerance float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -174,10 +177,14 @@ func gate(path string, got map[string]Sample, tolerance float64) error {
 	if compared == 0 {
 		return fmt.Errorf("bench gate: no benchmark shared with %s", path)
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("bench gate vs %s:\n  %s", path, strings.Join(failures, "\n  "))
+	procsNote := ""
+	if base.GOMAXPROCS != procs {
+		procsNote = fmt.Sprintf(" (baseline at gomaxprocs %d, this run at %d)", base.GOMAXPROCS, procs)
 	}
-	fmt.Fprintf(os.Stderr, "bench gate: %d benchmarks within %.0f%% of %s\n", compared, 100*tolerance, path)
+	if len(failures) > 0 {
+		return fmt.Errorf("bench gate vs %s%s:\n  %s", path, procsNote, strings.Join(failures, "\n  "))
+	}
+	fmt.Fprintf(w, "bench gate: %d benchmarks within %.0f%% of %s%s\n", compared, 100*tolerance, path, procsNote)
 	return nil
 }
 

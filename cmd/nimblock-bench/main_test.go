@@ -1,18 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// writeBaseline commits samples to a temp BENCH_<rev>.json and returns
-// its path.
-func writeBaseline(t *testing.T, samples ...Sample) string {
+// writeBaseline commits samples, recorded at the given GOMAXPROCS, to a
+// temp BENCH_<rev>.json and returns its path.
+func writeBaseline(t *testing.T, procs int, samples ...Sample) string {
 	t.Helper()
-	buf, err := json.Marshal(Report{Rev: "base", Benchmarks: samples})
+	buf, err := json.Marshal(Report{Rev: "base", GOMAXPROCS: procs, Benchmarks: samples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestGate(t *testing.T) {
 			for _, s := range tc.got {
 				got[s.Name] = s
 			}
-			err := gate(writeBaseline(t, tc.base...), got, tolerance)
+			err := gate(io.Discard, writeBaseline(t, 2, tc.base...), got, 2, tolerance)
 			if tc.wantErr == nil {
 				if err != nil {
 					t.Fatalf("gate failed: %v", err)
@@ -84,5 +86,31 @@ func TestGate(t *testing.T) {
 				t.Errorf("error %q names a row within tolerance", err)
 			}
 		})
+	}
+}
+
+// TestGateNamesGOMAXPROCS checks that the verdict, passing or failing,
+// names both GOMAXPROCS values when the baseline was recorded at a
+// different one, and stays silent about them when they match.
+func TestGateNamesGOMAXPROCS(t *testing.T) {
+	const note = "baseline at gomaxprocs 1, this run at 2"
+	base := writeBaseline(t, 1, sample("FleetParallel", 1000, 100, 4096))
+	var out bytes.Buffer
+	if err := gate(&out, base, map[string]Sample{"FleetParallel": sample("FleetParallel", 1000, 100, 4096)}, 2, 0.15); err != nil {
+		t.Fatalf("gate failed: %v", err)
+	}
+	if !strings.Contains(out.String(), note) {
+		t.Errorf("passing verdict %q does not name the GOMAXPROCS change", out.String())
+	}
+	err := gate(io.Discard, base, map[string]Sample{"FleetParallel": sample("FleetParallel", 2000, 100, 4096)}, 2, 0.15)
+	if err == nil || !strings.Contains(err.Error(), note) || !strings.Contains(err.Error(), "FleetParallel") {
+		t.Errorf("failing verdict %v does not name the row and the GOMAXPROCS change", err)
+	}
+	out.Reset()
+	if err := gate(&out, base, map[string]Sample{"FleetParallel": sample("FleetParallel", 1000, 100, 4096)}, 1, 0.15); err != nil {
+		t.Fatalf("gate failed: %v", err)
+	}
+	if strings.Contains(out.String(), "gomaxprocs") {
+		t.Errorf("verdict %q mentions GOMAXPROCS although both sides ran at 1", out.String())
 	}
 }

@@ -157,7 +157,7 @@ func run(args []string, w io.Writer) error {
 
 	if *gantt {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, lg.Gantt(h.Board().NumSlots(), eng.Now(), 100))
+		fmt.Fprint(w, lg.Gantt(h.Board().NumSlots(), lg.End(), 100))
 	}
 	if *dump {
 		fmt.Fprintln(w)

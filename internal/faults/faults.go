@@ -256,9 +256,9 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// Uniform is the convenience constructor replacing the board's ad-hoc
-// FaultRate knob: every reconfiguration attempt faults CRC with the
-// given probability.
+// Uniform is the plan "crc prob=rate" at the given seed: every
+// reconfiguration attempt faults CRC with the given probability, one
+// reconfiguration draw per attempt.
 func Uniform(rate float64, seed int64) Plan {
 	return Plan{Seed: seed, Faults: []Fault{{
 		Kind: TransientCRC, Slot: AnySlot, Task: AnyTask, Prob: rate,
@@ -266,10 +266,9 @@ func Uniform(rate float64, seed int64) Plan {
 }
 
 // Injector evaluates a plan deterministically. It implements
-// fpga.Injector (and its CheckpointInjector extension). Reconfiguration,
-// execution, and checkpoint probes draw from independent random streams
-// so adding faults of one family to a plan never perturbs the fault
-// sequences of the others.
+// fpga.Injector. Reconfiguration, execution, and checkpoint probes draw
+// from independent random streams so adding faults of one family to a
+// plan never perturbs the fault sequences of the others.
 type Injector struct {
 	plan     Plan
 	reconfig *rand.Rand
@@ -367,7 +366,7 @@ func (in *Injector) Exec(now sim.Time, app string, task, slot int) fpga.ExecOutc
 	return out
 }
 
-// Checkpoint implements fpga.CheckpointInjector: one probe per restore
+// Checkpoint implements fpga.Injector: one probe per restore
 // attempt. Lost dominates corrupt; one draw per matching fault keeps the
 // stream aligned regardless of earlier outcomes.
 func (in *Injector) Checkpoint(now sim.Time, app string, task, slot int) fpga.CheckpointOutcome {

@@ -90,24 +90,6 @@ func TestParsePlanRejects(t *testing.T) {
 	}
 }
 
-func TestUniformMatchesLegacyFaultRate(t *testing.T) {
-	// The Uniform plan and the board's legacy FaultRate knob must
-	// produce identical fault sequences for the same seed.
-	plan := Uniform(0.5, 42)
-	inj, err := New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := fpga.NewUniformInjector(0.5, 42)
-	for i := 0; i < 100; i++ {
-		a := inj.ReconfigAttempt(0, i%10, 0)
-		b := legacy.ReconfigAttempt(0, i%10, 0)
-		if a.Class != b.Class {
-			t.Fatalf("draw %d: plan %v, legacy %v", i, a.Class, b.Class)
-		}
-	}
-}
-
 func TestInjectorDeterminism(t *testing.T) {
 	plan := MustParsePlan("seed 3\ncrc prob=0.3\nhang prob=0.2\nstall prob=0.5 delay=1ms")
 	a, _ := New(plan)

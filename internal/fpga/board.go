@@ -61,15 +61,9 @@ type Config struct {
 	// the CAP write back-to-back, so both serialize on the single
 	// reconfiguration pipeline.
 	SDBytesPerSec float64
-	// FaultRate, if positive, is the probability that a reconfiguration
-	// attempt fails CRC and must be retried — the convenience knob for a
-	// uniform-random fault process. Ignored when NewInjector is set;
-	// richer fault plans live in internal/faults.
-	FaultRate float64
-	// FaultSeed seeds the fault process.
-	FaultSeed int64
 	// NewInjector, when non-nil, constructs the fault injector for this
-	// board instance. A factory (rather than an instance) keeps replayed
+	// board instance — the board's only fault source; fault plans live in
+	// internal/faults. A factory (rather than an instance) keeps replayed
 	// runs independent: every board gets a fresh, identically seeded
 	// injector.
 	NewInjector func() Injector
@@ -77,10 +71,10 @@ type Config struct {
 	// error (0 means a single attempt). Retry n waits 5 ms << (n-1),
 	// capped at 80 ms, before re-streaming.
 	MaxRetries int
-	// OnFault, when non-nil, is invoked for every injected
-	// reconfiguration fault before the board mutates slot state — the
-	// hypervisor uses it to trace retries and drive quarantine.
-	OnFault func(FaultEvent)
+	// OnRetry, when non-nil, is invoked for every injected transient
+	// fault the board is about to retry, before the retry is streamed —
+	// the hypervisor uses it to trace retries.
+	OnRetry func(slot int)
 	// LatencyScale stretches (>1, a slower fabric) or shrinks (<1, a
 	// faster one) every task's compute latency on this board relative to
 	// the reference platform. Zero means 1 (the homogeneous default).
@@ -204,9 +198,6 @@ func NewBoard(eng *sim.Engine, cfg Config) (*Board, error) {
 	if cfg.SDBytesPerSec <= 0 {
 		return nil, fmt.Errorf("fpga: SD bandwidth must be positive")
 	}
-	if cfg.FaultRate < 0 || cfg.FaultRate > 1 {
-		return nil, fmt.Errorf("fpga: fault rate %v outside [0,1]", cfg.FaultRate)
-	}
 	if cfg.LatencyScale < 0 || math.IsNaN(cfg.LatencyScale) || math.IsInf(cfg.LatencyScale, 0) {
 		return nil, fmt.Errorf("fpga: latency scale %v must be positive and finite (or zero for the default)", cfg.LatencyScale)
 	}
@@ -224,11 +215,8 @@ func NewBoard(eng *sim.Engine, cfg Config) (*Board, error) {
 		usable:      cfg.Slots,
 		lastAcc:     eng.Now(),
 	}
-	switch {
-	case cfg.NewInjector != nil:
+	if cfg.NewInjector != nil {
 		b.inj = cfg.NewInjector()
-	case cfg.FaultRate > 0:
-		b.inj = NewUniformInjector(cfg.FaultRate, cfg.FaultSeed)
 	}
 	for i := 0; i < cfg.Slots; i++ {
 		b.slots = append(b.slots, &Slot{ID: i})
@@ -414,12 +402,6 @@ func backoffFor(n int) sim.Duration {
 	return min(d, retryBackoffCap)
 }
 
-func (b *Board) notifyFault(slot, attempt int, class FaultClass, willRetry bool) {
-	if b.cfg.OnFault != nil {
-		b.cfg.OnFault(FaultEvent{Slot: slot, Attempt: attempt, Class: class, WillRetry: willRetry})
-	}
-}
-
 // finishTransfer completes a checkpoint state transfer and releases the
 // CAP. The slot keeps whatever state it had — a transfer mutates no
 // configuration, so even a slot that went offline mid-stream needs no
@@ -454,14 +436,15 @@ func (b *Board) finish() {
 			b.cur.tries++
 			b.stats.Retries++
 			b.slotStats[req.slot].Retries++
-			b.notifyFault(req.slot, req.tries, out.Class, true)
+			if b.cfg.OnRetry != nil {
+				b.cfg.OnRetry(req.slot)
+			}
 			// Retry: stream the image again after backoff; the CAP stays
 			// busy — the single reconfiguration pipeline is blocked on
 			// the faulted stream.
 			b.stream(backoffFor(b.cur.tries))
 			return
 		}
-		b.notifyFault(req.slot, req.tries, out.Class, false)
 		// Unrecoverable: free the slot and report the error.
 		s := b.slots[req.slot]
 		b.accrue()
@@ -476,7 +459,6 @@ func (b *Board) finish() {
 	case FaultFatal:
 		b.stats.Faults++
 		b.slotStats[req.slot].Faults++
-		b.notifyFault(req.slot, req.tries, FaultFatal, false)
 		b.takeOffline(req.slot)
 		b.busy = false
 		b.pump()

@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"math/rand"
 	"testing"
 
 	"nimblock/internal/sim"
@@ -119,8 +120,7 @@ func TestRelease(t *testing.T) {
 
 func TestFaultInjectionRetries(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FaultRate = 0.5
-	cfg.FaultSeed = 42
+	cfg.NewInjector = seeded(0.5, 42)
 	cfg.MaxRetries = 10
 	eng, b := newBoard(t, cfg)
 	ok := false
@@ -141,8 +141,7 @@ func TestFaultInjectionRetries(t *testing.T) {
 
 func TestFaultInjectionExhaustsRetries(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FaultRate = 0.999999
-	cfg.FaultSeed = 7
+	cfg.NewInjector = seeded(0.999999, 7)
 	cfg.MaxRetries = 2
 	eng, b := newBoard(t, cfg)
 	var gotErr error
@@ -179,8 +178,7 @@ func TestFaultInjectionExhaustsRetries(t *testing.T) {
 // per-slot counters attribute them to the faulting region.
 func TestRetryAccounting(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FaultRate = 0.5
-	cfg.FaultSeed = 42
+	cfg.NewInjector = seeded(0.5, 42)
 	cfg.MaxRetries = 10
 	eng, b := newBoard(t, cfg)
 	if err := b.Reconfigure(0, nil); err != nil {
@@ -256,7 +254,38 @@ func (s scriptedInjector) ReconfigAttempt(now sim.Time, slot, attempt int) Recon
 func (s scriptedInjector) Exec(now sim.Time, app string, task, slot int) ExecOutcome {
 	return ExecOutcome{}
 }
+func (s scriptedInjector) Checkpoint(sim.Time, string, int, int) CheckpointOutcome {
+	return CheckpointOutcome{}
+}
 func (s scriptedInjector) PermanentFailures() []SlotFailure { return nil }
+
+// seededInjector faults each reconfiguration attempt CRC with a fixed
+// probability, one draw per attempt from its seeded stream.
+type seededInjector struct {
+	rate float64
+	rng  *rand.Rand
+}
+
+// seeded returns a factory for seededInjector.
+func seeded(rate float64, seed int64) func() Injector {
+	return func() Injector {
+		return &seededInjector{rate: rate, rng: rand.New(rand.NewSource(seed))}
+	}
+}
+
+func (s *seededInjector) ReconfigAttempt(now sim.Time, slot, attempt int) ReconfigOutcome {
+	if s.rng.Float64() < s.rate {
+		return ReconfigOutcome{Class: FaultCRC}
+	}
+	return ReconfigOutcome{}
+}
+func (s *seededInjector) Exec(now sim.Time, app string, task, slot int) ExecOutcome {
+	return ExecOutcome{}
+}
+func (s *seededInjector) Checkpoint(sim.Time, string, int, int) CheckpointOutcome {
+	return CheckpointOutcome{}
+}
+func (s *seededInjector) PermanentFailures() []SlotFailure { return nil }
 
 // A fatal fault takes the slot offline; the board keeps serving the
 // remaining regions and reports the reduced usable count.
@@ -355,7 +384,6 @@ func TestBoardConfigValidation(t *testing.T) {
 		{Slots: 0, CAPBytesPerSec: 1, SDBytesPerSec: 1},
 		{Slots: 1, CAPBytesPerSec: 0, SDBytesPerSec: 1},
 		{Slots: 1, CAPBytesPerSec: 1, SDBytesPerSec: 0},
-		{Slots: 1, CAPBytesPerSec: 1, SDBytesPerSec: 1, FaultRate: 1.5},
 	}
 	for i, cfg := range bad {
 		if _, err := NewBoard(eng, cfg); err == nil {
@@ -454,5 +482,8 @@ func (s slotInjector) ReconfigAttempt(now sim.Time, slot, attempt int) ReconfigO
 }
 func (s slotInjector) Exec(now sim.Time, app string, task, slot int) ExecOutcome {
 	return ExecOutcome{}
+}
+func (s slotInjector) Checkpoint(sim.Time, string, int, int) CheckpointOutcome {
+	return CheckpointOutcome{}
 }
 func (s slotInjector) PermanentFailures() []SlotFailure { return nil }

@@ -1,10 +1,6 @@
 package fpga
 
-import (
-	"math/rand"
-
-	"nimblock/internal/sim"
-)
+import "nimblock/internal/sim"
 
 // FaultClass classifies the outcome of one reconfiguration attempt.
 type FaultClass int
@@ -67,15 +63,18 @@ type SlotFailure struct {
 
 // Injector is the fault-decision surface consulted by the virtual
 // hardware (per reconfiguration attempt) and by the hypervisor (per
-// item launch, plus scheduled permanent failures). Implementations must
-// be deterministic functions of their seed and the probe sequence so
-// simulations stay bit-for-bit reproducible.
+// item launch and checkpoint restore, plus scheduled permanent
+// failures). Implementations must be deterministic functions of their
+// seed and the probe sequence so simulations stay bit-for-bit
+// reproducible.
 type Injector interface {
 	// ReconfigAttempt is consulted once per attempt (attempt 0 is the
 	// first try) before the stream is charged to the CAP.
 	ReconfigAttempt(now sim.Time, slot, attempt int) ReconfigOutcome
 	// Exec is consulted once per item launch.
 	Exec(now sim.Time, app string, task, slot int) ExecOutcome
+	// Checkpoint is consulted once per checkpoint restore attempt.
+	Checkpoint(now sim.Time, app string, task, slot int) CheckpointOutcome
 	// PermanentFailures lists slot failures scheduled at known times so
 	// the hypervisor can take the slots down even while they run.
 	PermanentFailures() []SlotFailure
@@ -94,59 +93,3 @@ type CheckpointOutcome struct {
 	// re-executes from scratch.
 	Corrupt bool
 }
-
-// CheckpointInjector is an optional Injector extension consulted once
-// per checkpoint restore attempt. Injectors that do not implement it
-// never fault checkpoints.
-type CheckpointInjector interface {
-	Checkpoint(now sim.Time, app string, task, slot int) CheckpointOutcome
-}
-
-// ProbeCheckpoint consults inj's CheckpointInjector extension if it has
-// one, and reports a healthy snapshot otherwise (including for nil
-// injectors).
-func ProbeCheckpoint(inj Injector, now sim.Time, app string, task, slot int) CheckpointOutcome {
-	if ci, ok := inj.(CheckpointInjector); ok {
-		return ci.Checkpoint(now, app, task, slot)
-	}
-	return CheckpointOutcome{}
-}
-
-// FaultEvent notifies the board owner of one injected reconfiguration
-// fault, before the board mutates slot state for it.
-type FaultEvent struct {
-	Slot    int
-	Attempt int
-	Class   FaultClass
-	// WillRetry reports whether the board is about to retry the attempt
-	// (false when retries are exhausted or the fault is fatal).
-	WillRetry bool
-}
-
-// NewUniformInjector builds the legacy FaultRate process explicitly —
-// used by tests that disable or rebuild fault injection mid-scenario.
-func NewUniformInjector(rate float64, seed int64) Injector {
-	return &uniformInjector{rate: rate, rng: rand.New(rand.NewSource(seed))}
-}
-
-// uniformInjector is the legacy FaultRate behaviour: every
-// reconfiguration attempt fails CRC with fixed probability. It draws
-// exactly one random number per attempt, preserving the fault sequences
-// of pre-injector seeds.
-type uniformInjector struct {
-	rate float64
-	rng  *rand.Rand
-}
-
-func (u *uniformInjector) ReconfigAttempt(now sim.Time, slot, attempt int) ReconfigOutcome {
-	if u.rng.Float64() < u.rate {
-		return ReconfigOutcome{Class: FaultCRC}
-	}
-	return ReconfigOutcome{}
-}
-
-func (u *uniformInjector) Exec(now sim.Time, app string, task, slot int) ExecOutcome {
-	return ExecOutcome{}
-}
-
-func (u *uniformInjector) PermanentFailures() []SlotFailure { return nil }

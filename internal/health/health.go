@@ -43,7 +43,7 @@ const (
 	Dead
 	// Recovering boards came back from Dead but sit behind the circuit
 	// breaker: placeable only after the backoff expires, and promoted to
-	// Healthy only after Probation consecutive successes.
+	// Healthy only after probation consecutive successes.
 	Recovering
 )
 
@@ -75,21 +75,23 @@ type Config struct {
 	// placements (default 3).
 	LivenessMisses int
 	// BackoffBase and BackoffMax bound the re-admission backoff: the
-	// n-th breaker opening waits min(Base<<(n-1), Max), jittered
+	// n-th breaker opening waits min(Base<<(n-1), Max), jittered ±20%
 	// (defaults 2s and 60s).
 	BackoffBase sim.Duration
 	BackoffMax  sim.Duration
-	// Jitter is the symmetric fractional backoff jitter in [0,1): 0
-	// selects the default 0.2 (±20%), negative disables jitter.
-	Jitter float64
-	// Probation is how many consecutive successful retirements a
-	// recovering board needs before it counts as healthy again
-	// (default 2).
-	Probation int
 	// Seed derives each tracker's jitter stream; tracker i draws from
 	// Seed mixed with i so boards jitter independently.
 	Seed int64
 }
+
+// The breaker's fixed tuning: every backoff is jittered by a factor
+// drawn uniformly from [1-backoffJitter, 1+backoffJitter], and a
+// recovering board needs probation consecutive successful retirements
+// before it counts as healthy again.
+const (
+	backoffJitter = 0.2
+	probation     = 2
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -104,15 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 60 * sim.Second
-	}
-	if c.Jitter == 0 || c.Jitter >= 1 {
-		c.Jitter = 0.2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	if c.Probation <= 0 {
-		c.Probation = 2
 	}
 	return c
 }
@@ -220,7 +213,7 @@ func (t *Tracker) MarkDead() {
 		b = t.cfg.BackoffMax
 	}
 	// Deterministic symmetric jitter decorrelates simultaneous revivals.
-	j := 1 + t.cfg.Jitter*(2*t.rng.Float64()-1)
+	j := 1 + backoffJitter*(2*t.rng.Float64()-1)
 	t.backoff = sim.Duration(float64(b) * j)
 }
 
@@ -231,7 +224,7 @@ func (t *Tracker) ReportSuccess() {
 		return
 	}
 	t.successes++
-	if t.successes >= t.cfg.Probation {
+	if t.successes >= probation {
 		t.state = Healthy
 		t.opens = 0
 		t.backoff = 0

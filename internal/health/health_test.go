@@ -12,7 +12,7 @@ func TestDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.LivenessInterval != 500*sim.Millisecond || c.LivenessMisses != 3 ||
 		c.BackoffBase != 2*sim.Second ||
-		c.BackoffMax != 60*sim.Second || c.Jitter != 0.2 || c.Probation != 2 {
+		c.BackoffMax != 60*sim.Second {
 		t.Fatalf("defaults = %+v", c)
 	}
 	o := Options{}.WithDefaults()
@@ -66,7 +66,7 @@ func TestTrackerLifecycle(t *testing.T) {
 	if !tr.Placeable(at) {
 		t.Fatal("not placeable at the re-admission time")
 	}
-	// Probation: default 2 consecutive successes promote to Healthy.
+	// Probation: two consecutive successes promote to Healthy.
 	tr.ReportSuccess()
 	if tr.State() != Recovering {
 		t.Fatalf("promoted after one success: %v", tr.State())
@@ -83,7 +83,6 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	cfg := Config{
 		BackoffBase: sim.Duration(sim.Second),
 		BackoffMax:  8 * sim.Second,
-		Jitter:      0.2,
 	}
 	tr := NewTracker(cfg, 0)
 	want := []sim.Duration{
@@ -114,25 +113,27 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 // second before probation completes escalates the backoff, and
 // successes outside recovery do not close it.
 func TestMarkDeadOpensBreaker(t *testing.T) {
-	tr := NewTracker(Config{BackoffBase: sim.Duration(sim.Second), Jitter: -1}, 0)
+	// revive checks the opening count and that Revive readmits exactly
+	// one backoff later, inside the ±20% jitter band around base.
+	revive := func(step string, tr *Tracker, opens int, base sim.Duration) {
+		t.Helper()
+		at := tr.Revive(10)
+		lo, hi := sim.Duration(float64(base)*0.8), sim.Duration(float64(base)*1.2)
+		if tr.opens != opens || at != 10+sim.Time(tr.backoff) || tr.backoff < lo || tr.backoff > hi {
+			t.Fatalf("%s: opens=%d readmit=%v backoff=%v, want %d openings and a backoff in [%v, %v]",
+				step, tr.opens, at, tr.backoff, opens, lo, hi)
+		}
+	}
+	tr := NewTracker(Config{BackoffBase: sim.Duration(sim.Second)}, 0)
 	tr.MarkDead()
-	if tr.opens != 1 || tr.backoff != sim.Duration(sim.Second) {
-		t.Fatalf("one death: opens=%d backoff=%v, want 1 and 1s", tr.opens, tr.backoff)
-	}
-	if at := tr.Revive(0); at != sim.Time(sim.Second) {
-		t.Fatalf("revived board readmits at %v, want 1s", at)
-	}
+	revive("one death", tr, 1, sim.Duration(sim.Second))
 	tr.ReportSuccess() // one of the two probation successes
 	tr.MarkDead()
-	if tr.opens != 2 || tr.backoff != 2*sim.Second {
-		t.Fatalf("second death: opens=%d backoff=%v, want 2 and 2s", tr.opens, tr.backoff)
-	}
-	fresh := NewTracker(Config{BackoffBase: sim.Duration(sim.Second), Jitter: -1}, 0)
+	revive("second death", tr, 2, 2*sim.Second)
+	fresh := NewTracker(Config{BackoffBase: sim.Duration(sim.Second)}, 0)
 	fresh.ReportSuccess()
 	fresh.MarkDead()
-	if fresh.opens != 1 || fresh.backoff != sim.Duration(sim.Second) {
-		t.Fatalf("death after a healthy success: opens=%d backoff=%v, want 1 and 1s", fresh.opens, fresh.backoff)
-	}
+	revive("death after a healthy success", fresh, 1, sim.Duration(sim.Second))
 }
 
 // TestNoteLiveness walks the suspect → drain → dead ladder and checks

@@ -72,12 +72,3 @@ func (r *Report) NumTasks() int { return len(r.perTask) }
 // estimates over the task-graph (the paper's definition), i.e. the
 // estimated time for one batch item with no parallelism.
 func (r *Report) AppLatency() sim.Duration { return r.taskTotal }
-
-// BatchLatency estimates processing a whole batch serially on one slot,
-// excluding reconfiguration: AppLatency x batch.
-func (r *Report) BatchLatency(batch int) sim.Duration {
-	if batch < 1 {
-		batch = 1
-	}
-	return r.taskTotal * sim.Duration(batch)
-}

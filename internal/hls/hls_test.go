@@ -56,17 +56,6 @@ func TestAppLatencyIsSumOfTasks(t *testing.T) {
 	}
 }
 
-func TestBatchLatency(t *testing.T) {
-	g := testGraph(t)
-	r := Analyze(g)
-	if r.BatchLatency(5) != 5*r.AppLatency() {
-		t.Fatalf("BatchLatency(5) = %v", r.BatchLatency(5))
-	}
-	if r.BatchLatency(0) != r.AppLatency() {
-		t.Fatalf("BatchLatency(0) should clamp to one item")
-	}
-}
-
 // Property: estimates are always positive and within the documented skew,
 // for arbitrary task latencies.
 func TestSkewBoundsProperty(t *testing.T) {

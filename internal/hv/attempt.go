@@ -13,7 +13,6 @@ package hv
 import (
 	"fmt"
 
-	"nimblock/internal/fpga"
 	"nimblock/internal/sched"
 	"nimblock/internal/sim"
 	"nimblock/internal/trace"
@@ -409,15 +408,12 @@ func (h *Hypervisor) noteOffline(slot int) {
 	h.rec.Timeline = append(h.rec.Timeline, SlotSample{At: h.eng.Now(), Usable: h.board.UsableSlots()})
 }
 
-// onFault observes every injected reconfiguration fault on the board.
-// Retried attempts are traced here; a request's terminal failure is
-// traced as KindFault on the reconfigDone error path.
-func (h *Hypervisor) onFault(ev fpga.FaultEvent) {
-	if !ev.WillRetry {
-		return
-	}
-	e := trace.Event{At: h.eng.Now(), Kind: trace.KindRetry, AppID: -1, Task: -1, Slot: ev.Slot, Item: -1}
-	if rt := &h.slots[ev.Slot]; rt.app != nil {
+// onRetry traces a faulted reconfiguration the board is about to
+// stream again; a request's terminal failure is traced as KindFault on
+// the reconfigDone error path.
+func (h *Hypervisor) onRetry(slot int) {
+	e := trace.Event{At: h.eng.Now(), Kind: trace.KindRetry, AppID: -1, Task: -1, Slot: slot, Item: -1}
+	if rt := &h.slots[slot]; rt.app != nil {
 		e.App, e.AppID, e.Task = rt.app.Name, rt.app.ID, rt.task
 	}
 	h.trace(e)

@@ -251,7 +251,10 @@ func (h *Hypervisor) restore(slot int, a *sched.App, task, item int) bool {
 	if !ok {
 		return false
 	}
-	probe := fpga.ProbeCheckpoint(h.board.Injector(), h.eng.Now(), a.Name, task, slot)
+	var probe fpga.CheckpointOutcome
+	if inj := h.board.Injector(); inj != nil {
+		probe = inj.Checkpoint(h.eng.Now(), a.Name, task, slot)
+	}
 	if probe.Lost {
 		// The snapshot is gone before a single byte streams back.
 		h.snapshotFault(slot, a, task, item, last, 0)

@@ -6,6 +6,7 @@ import (
 
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
+	"nimblock/internal/faults"
 	"nimblock/internal/hv"
 	"nimblock/internal/metrics"
 	"nimblock/internal/sched"
@@ -48,8 +49,7 @@ func TestEnergyConservationProperty(t *testing.T) {
 				cfg.Board.StaticWattsPerSlot = staticW
 				cfg.Board.ActiveWattsPerSlot = activeW
 				if seed%4 == 0 {
-					cfg.Board.FaultRate = 0.15
-					cfg.Board.FaultSeed = seed
+					cfg.Board.NewInjector = faults.Uniform(0.15, seed).MustFactory()
 					cfg.Board.MaxRetries = 50
 				}
 				h, err := hv.New(eng, cfg, mk())

@@ -134,7 +134,7 @@ func TestUnrecoverableFaultsFailCleanly(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			cfg := hv.DefaultConfig()
-			cfg.Board.FaultRate = 1
+			cfg.Board.NewInjector = faults.Uniform(1, 0).MustFactory()
 			cfg.Horizon = sim.Time(10 * sim.Second)
 			h, err := hv.New(eng, cfg, mk())
 			if err != nil {

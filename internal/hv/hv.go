@@ -408,15 +408,8 @@ func New(eng *sim.Engine, cfg Config, policy sched.Scheduler) (*Hypervisor, erro
 		why := sched.Reason(r)
 		h.wakeFns[r] = func() { h.poke(why) }
 	}
-	// Observe every board fault for retry tracing and accounting,
-	// chaining any caller-provided hook.
-	userFault := cfg.Board.OnFault
-	cfg.Board.OnFault = func(ev fpga.FaultEvent) {
-		h.onFault(ev)
-		if userFault != nil {
-			userFault(ev)
-		}
-	}
+	// Trace every reconfiguration the board retries.
+	cfg.Board.OnRetry = h.onRetry
 	board, err := fpga.NewBoard(eng, cfg.Board)
 	if err != nil {
 		return nil, err

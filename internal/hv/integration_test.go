@@ -5,6 +5,7 @@ import (
 
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
+	"nimblock/internal/faults"
 	"nimblock/internal/fpga"
 	"nimblock/internal/hv"
 	"nimblock/internal/interconnect"
@@ -315,8 +316,7 @@ func TestPipeliningHelpsSingleApp(t *testing.T) {
 func TestFaultInjectionEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := hv.DefaultConfig()
-	cfg.Board.FaultRate = 0.2
-	cfg.Board.FaultSeed = 99
+	cfg.Board.NewInjector = faults.Uniform(0.2, 99).MustFactory()
 	cfg.Board.MaxRetries = 50
 	h, err := hv.New(eng, cfg, fcfs.New())
 	if err != nil {
@@ -555,14 +555,12 @@ func TestFeatureMatrixSmoke(t *testing.T) {
 	}{
 		{"psbus", func(c *hv.Config) { c.Interconnect = interconnect.DefaultPSBus() }},
 		{"faults", func(c *hv.Config) {
-			c.Board.FaultRate = 0.1
-			c.Board.FaultSeed = 5
+			c.Board.NewInjector = faults.Uniform(0.1, 5).MustFactory()
 			c.Board.MaxRetries = 50
 		}},
 		{"psbus+faults", func(c *hv.Config) {
 			c.Interconnect = interconnect.DefaultPSBus()
-			c.Board.FaultRate = 0.1
-			c.Board.FaultSeed = 5
+			c.Board.NewInjector = faults.Uniform(0.1, 5).MustFactory()
 			c.Board.MaxRetries = 50
 		}},
 	}

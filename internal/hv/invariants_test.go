@@ -9,6 +9,7 @@ import (
 
 	"nimblock/internal/apps"
 	"nimblock/internal/core"
+	"nimblock/internal/faults"
 	"nimblock/internal/hv"
 	"nimblock/internal/sched"
 	"nimblock/internal/sched/schedtest"
@@ -157,8 +158,7 @@ func TestTraceInvariantsWithFaults(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := hv.DefaultConfig()
 	lg := traced(&cfg)
-	cfg.Board.FaultRate = 0.15
-	cfg.Board.FaultSeed = 3
+	cfg.Board.NewInjector = faults.Uniform(0.15, 3).MustFactory()
 	cfg.Board.MaxRetries = 50
 	h, err := hv.New(eng, cfg, core.New(core.DefaultOptions(), cfg.Board))
 	if err != nil {

@@ -50,15 +50,6 @@ func TestJainIndex(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if !almost(GeoMean([]float64{1, 4}), 2) {
-		t.Fatal("geomean")
-	}
-	if GeoMean([]float64{1, 0}) != 0 || GeoMean(nil) != 0 {
-		t.Fatal("degenerate geomean")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	cases := []struct{ p, want float64 }{

@@ -45,8 +45,7 @@ func runScenario(t *testing.T, name string) scenarioRun {
 	case "chaos":
 		spec = workload.Spec{Scenario: workload.Stress, Events: 8}
 		seed = 11
-		cfg.Board.FaultRate = 0.15
-		cfg.Board.FaultSeed = 3
+		cfg.Board.NewInjector = faults.Uniform(0.15, 3).MustFactory()
 		cfg.Board.MaxRetries = 50
 	default:
 		t.Fatalf("unknown scenario %q", name)

@@ -1,9 +1,6 @@
 package report
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // CSV renders the table as RFC-4180-style comma-separated values with a
 // header row, for spreadsheet import of experiment results.
@@ -33,48 +30,4 @@ func csvEscape(c string) string {
 		return c
 	}
 	return `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-}
-
-// Markdown renders the table as a GitHub-flavoured Markdown table.
-func (t *Table) Markdown() string {
-	cols := len(t.Header)
-	for _, r := range t.Rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
-	}
-	if cols == 0 {
-		return ""
-	}
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	}
-	writeMDRow := func(cells []string) {
-		b.WriteByte('|')
-		for i := 0; i < cols; i++ {
-			c := ""
-			if i < len(cells) {
-				c = cells[i]
-			}
-			b.WriteByte(' ')
-			b.WriteString(strings.ReplaceAll(c, "|", `\|`))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	header := t.Header
-	if len(header) == 0 {
-		header = make([]string, cols)
-	}
-	writeMDRow(header)
-	b.WriteByte('|')
-	for i := 0; i < cols; i++ {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		writeMDRow(r)
-	}
-	return b.String()
 }

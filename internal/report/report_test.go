@@ -96,17 +96,3 @@ func TestCSVExport(t *testing.T) {
 		t.Fatalf("row 2 = %q", lines[2])
 	}
 }
-
-func TestMarkdownExport(t *testing.T) {
-	tbl := &Table{Title: "demo", Header: []string{"a", "b"}}
-	tbl.AddRow("x|y", 1.5)
-	out := tbl.Markdown()
-	for _, want := range []string{"### demo", "| a | b |", "|---|---|", `x\|y`, "1.5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, out)
-		}
-	}
-	if (&Table{}).Markdown() != "" {
-		t.Fatal("empty table should render nothing")
-	}
-}

@@ -116,10 +116,8 @@ func runAlone(g *taskgraph.Graph, batch, k int, board fpga.Config, policy sched.
 	cfg := hv.DefaultConfig()
 	cfg.Board = board
 	cfg.Board.Slots = k
-	// Analysis assumes fault-free hardware: strip every injection knob.
-	cfg.Board.FaultRate = 0
+	// Analysis assumes fault-free hardware.
 	cfg.Board.NewInjector = nil
-	cfg.Board.OnFault = nil
 	h, err := hv.New(sim.NewEngine(), cfg, policy)
 	if err != nil {
 		return 0, err

@@ -112,7 +112,8 @@ type Config struct {
 	// SchedInterval is the periodic scheduling interval (default 400 ms).
 	SchedInterval time.Duration
 	// ReconfigFaultRate injects transient reconfiguration faults with
-	// the given probability (default 0). For richer scenarios use
+	// the given probability in [0,1] (default 0): it is shorthand for
+	// the FaultPlan "crc prob=R" at seed 0. For richer scenarios use
 	// FaultPlan, which overrides this knob.
 	ReconfigFaultRate float64
 	// FaultPlan is a deterministic fault scenario in the faults DSL:
@@ -389,8 +390,12 @@ func (cfg Config) boardConfigs(n int, specs []*BoardSpec) (boardSet, error) {
 	if cfg.SchedInterval > 0 {
 		hcfg.SchedInterval = sim.FromStd(cfg.SchedInterval)
 	}
-	if cfg.ReconfigFaultRate > 0 {
-		hcfg.Board.FaultRate = cfg.ReconfigFaultRate
+	if cfg.ReconfigFaultRate != 0 {
+		factory, err := faults.Uniform(cfg.ReconfigFaultRate, 0).Factory()
+		if err != nil {
+			return boardSet{}, fmt.Errorf("nimblock: ReconfigFaultRate: %w", err)
+		}
+		hcfg.Board.NewInjector = factory
 		hcfg.Board.MaxRetries = 10
 	}
 	if cfg.FaultPlan != "" {

@@ -1,6 +1,8 @@
 package nimblock
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -147,17 +149,74 @@ func TestPreemptionsExposed(t *testing.T) {
 	}
 }
 
+// ReconfigFaultRate is the plan "crc prob=R" at seed 0. Both spellings
+// must reproduce the runs recorded when the board still carried its own
+// uniform fault process: the test's own LeNet run (no fault lands) and
+// a four-app mix on which 13 faults land and are retried.
 func TestFaultRateConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReconfigFaultRate = 0.2
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
+	type sub struct {
+		name  string
+		batch int
+		at    time.Duration
 	}
-	app, _ := Benchmark(LeNet)
-	sys.Submit(app, 2, PriorityMedium, 0)
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		subs []sub
+		rec  RecoveryStats
+		want []string // per-app Result, as %+v
+	}{
+		{
+			name: "lenet",
+			subs: []sub{{LeNet, 2, 0}},
+			rec:  RecoveryStats{EffectiveSlots: 10},
+			want: []string{
+				"{App:LeNet ID:1 Batch:2 Priority:3 Arrival:0s FirstLaunch:79.973ms Retire:331.946ms Response:331.946ms Run:258ms Reconfig:239.919ms Wait:79.973ms Preemptions:0 Reconfigurations:3}",
+			},
+		},
+		{
+			name: "mix",
+			subs: []sub{{LeNet, 3, 0}, {OpticalFlow, 3, 100 * time.Millisecond}, {Rendering3D, 3, 200 * time.Millisecond}, {AlexNet, 3, 300 * time.Millisecond}},
+			rec:  RecoveryStats{FaultsInjected: 13, Retries: 13, Recovered: 13, EffectiveSlots: 10},
+			want: []string{
+				"{App:LeNet ID:1 Batch:3 Priority:3 Arrival:0s FirstLaunch:79.973ms Retire:368.919ms Response:368.919ms Run:387ms Reconfig:239.919ms Wait:79.973ms Preemptions:0 Reconfigurations:3}",
+				"{App:OpticalFlow ID:2 Batch:3 Priority:3 Arrival:100ms FirstLaunch:404.865ms Retire:6.147433s Response:6.047433s Run:13.689s Reconfig:719.757ms Wait:304.865ms Preemptions:0 Reconfigurations:9}",
+				"{App:3DRendering ID:3 Batch:3 Priority:3 Arrival:200ms FirstLaunch:729.757ms Retire:1.286703s Response:1.086703s Run:882ms Reconfig:239.919ms Wait:529.757ms Preemptions:0 Reconfigurations:3}",
+				"{App:AlexNet ID:4 Batch:3 Priority:3 Arrival:300ms FirstLaunch:1.366676s Retire:27.117244s Response:26.817244s Run:3m1.2s Reconfig:3.038974s Wait:1.066676s Preemptions:0 Reconfigurations:38}",
+			},
+		},
+	}
+	rate := DefaultConfig()
+	rate.ReconfigFaultRate = 0.2
+	plan := DefaultConfig()
+	plan.FaultPlan = "seed 0\ncrc prob=0.2"
+	for _, tc := range cases {
+		for spelling, cfg := range map[string]Config{"rate": rate, "plan": plan} {
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range tc.subs {
+				app, _ := Benchmark(s.name)
+				if err := sys.Submit(app, s.batch, PriorityMedium, s.at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.Recovery(); got != tc.rec {
+				t.Errorf("%s/%s: Recovery() = %+v, want %+v", tc.name, spelling, got, tc.rec)
+			}
+			if len(res) != len(tc.want) {
+				t.Fatalf("%s/%s: %d results, want %d", tc.name, spelling, len(res), len(tc.want))
+			}
+			for i, r := range res {
+				if got := fmt.Sprintf("%+v", r); got != tc.want[i] {
+					t.Errorf("%s/%s: result %d = %s\nwant %s", tc.name, spelling, i, got, tc.want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -170,6 +229,21 @@ func TestConfigValidation(t *testing.T) {
 	sys, _ := NewSystem(DefaultConfig())
 	if err := sys.Submit(nil, 1, 1, 0); err == nil {
 		t.Fatal("nil app accepted")
+	}
+	// A fault rate is a probability; every front-end rejects one outside
+	// [0,1] with the fault plan's error.
+	for _, r := range []float64{1.5, -0.1, math.NaN()} {
+		cfg := DefaultConfig()
+		cfg.ReconfigFaultRate = r
+		if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "probability") {
+			t.Errorf("NewSystem with fault rate %v: err %v, want the plan's probability error", r, err)
+		}
+		if _, err := NewCluster(ClusterConfig{Config: cfg}); err == nil || !strings.Contains(err.Error(), "probability") {
+			t.Errorf("NewCluster with fault rate %v: err %v, want the plan's probability error", r, err)
+		}
+		if _, err := NewPlatform(ServerlessConfig{Config: cfg}); err == nil || !strings.Contains(err.Error(), "probability") {
+			t.Errorf("NewPlatform with fault rate %v: err %v, want the plan's probability error", r, err)
+		}
 	}
 }
 
